@@ -4,140 +4,18 @@ independent factor solvers, the cube-factor polynomials by recurrence,
 closed form, and generating function, and audits of every identity
 against brute-force oracles and OEIS b-files."""
 
-from .factors import (
-    EXACT_SEARCH_CAP,
-    CubeFactor,
-    FactorProfile,
-    FactorViolation,
-    InducedCube,
-    enumerate_cubes,
-    exact_min_factor,
-    factor_from_json,
-    factor_to_json,
-    greedy_layered_factor,
-    structural_factor,
-    verify_factor,
-)
-from .graphs import (
-    DEFAULT_MAX_N,
-    LabeledGraph,
-    Subcopy,
-    build_gamma,
-    build_graph,
-    build_omega,
-    canonical_subgraph,
-    custom_graph,
-    expected_vertex_count,
-    export_graph,
-    find_isomorphism,
-)
-from .oeis import (
-    BFileError,
-    FetchError,
-    MatchReport,
-    SequenceRecord,
-    best_match,
-    compare,
-    fetch_bfile,
-    parse_bfile,
-    render_bfile,
-    scan_shifts,
-)
-from .polynomials import (
-    AuditEntry,
-    AuditReport,
-    CubeFactorPolynomial,
-    DiagonalProfile,
-    Family,
-    SeriesExpansion,
-    antidiagonal_profile,
-    eval_at,
-    gf_series,
-    identity_audit,
-    padovan_gf_series,
-    poly_degree,
-    poly_from_json,
-    poly_to_json,
-    q_closed,
-    qpoly_rec,
-    triangle_csv,
-)
-from .sequences import (
-    binom_ext,
-    binom_ext_div3,
-    fib,
-    lucas,
-    lucas_triangle,
-    lucas_triangle_row,
-    padovan,
-    padovan_closed,
-)
+from . import audit, factors, graphs, oeis, polynomials, sequences
+from .audit import *  # noqa: F403
+from .factors import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .oeis import *  # noqa: F403
+from .polynomials import *  # noqa: F403
+from .sequences import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # sequences
-    "fib",
-    "lucas",
-    "padovan",
-    "padovan_closed",
-    "binom_ext",
-    "binom_ext_div3",
-    "lucas_triangle",
-    "lucas_triangle_row",
-    # polynomials
-    "Family",
-    "CubeFactorPolynomial",
-    "SeriesExpansion",
-    "DiagonalProfile",
-    "AuditEntry",
-    "AuditReport",
-    "qpoly_rec",
-    "q_closed",
-    "gf_series",
-    "padovan_gf_series",
-    "eval_at",
-    "poly_degree",
-    "antidiagonal_profile",
-    "identity_audit",
-    "poly_to_json",
-    "poly_from_json",
-    "triangle_csv",
-    # graphs
-    "DEFAULT_MAX_N",
-    "LabeledGraph",
-    "Subcopy",
-    "build_gamma",
-    "build_omega",
-    "build_graph",
-    "canonical_subgraph",
-    "custom_graph",
-    "export_graph",
-    "find_isomorphism",
-    "expected_vertex_count",
-    # factors
-    "EXACT_SEARCH_CAP",
-    "InducedCube",
-    "CubeFactor",
-    "FactorProfile",
-    "FactorViolation",
-    "enumerate_cubes",
-    "exact_min_factor",
-    "greedy_layered_factor",
-    "structural_factor",
-    "verify_factor",
-    "factor_to_json",
-    "factor_from_json",
-    # oeis
-    "SequenceRecord",
-    "MatchReport",
-    "BFileError",
-    "FetchError",
-    "parse_bfile",
-    "render_bfile",
-    "fetch_bfile",
-    "compare",
-    "scan_shifts",
-    "best_match",
+__all__ = ["__version__"] + [
+    name
+    for module in (sequences, polynomials, graphs, factors, oeis, audit)
+    for name in module.__all__
 ]

@@ -1,0 +1,290 @@
+"""The audit suites behind ``cubefactor verify``.
+
+Each suite returns ``AuditEntry`` values: PASS / FAIL per check, naming the
+first failing index on FAIL, and INFO for observations that do not gate.
+The polynomial identities live beside the polynomials, in
+``polynomials.identity_audit``.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from itertools import takewhile
+from typing import Callable, Sequence
+
+from . import factors, graphs, oeis, sequences
+from .polynomials import AuditEntry, Family, _family, qpoly_rec
+
+__all__ = ["sequence_audit", "oracle_audit", "oeis_audit"]
+
+_SEQUENCES: dict[str, Callable[[int], int]] = {
+    "padovan": sequences.padovan,
+    "fibonacci": sequences.fib,
+    "lucas": sequences.lucas,
+}
+
+_OEIS_CHECKS: tuple[tuple[str, str], ...] = (
+    ("A000931", "padovan"),
+    ("A000045", "fibonacci"),
+    ("A000032", "lucas"),
+    ("A029635", "lucas-triangle rows flattened"),
+)
+
+
+def _check(name: str, bad: Sequence[object], detail: str, at: str = "n=") -> AuditEntry:
+    """PASS over ``detail`` when nothing failed, else FAIL at the first failure."""
+    if bad:
+        return AuditEntry(name, "FAIL", f"first failure at {at}{bad[0]}")
+    return AuditEntry(name, "PASS", detail)
+
+
+def sequence_audit(max_n: int) -> list[AuditEntry]:
+    """Closed forms against recurrences and two classic identities, n <= max_n."""
+    whole, from_one = range(max_n + 1), range(1, max_n + 1)
+    return [
+        _check(
+            "padovan closed-form equals recurrence",
+            [n for n in whole if sequences.padovan_closed(n) != sequences.padovan(n)],
+            f"[n=0..{max_n}]",
+        ),
+        _check(
+            "lucas-triangle recurrence rows equal the additive formula",
+            [
+                n
+                for n in whole
+                if sequences.lucas_triangle_row(n)
+                != [sequences.lucas_triangle(n, k) for k in range(n + 1)]
+            ],
+            f"[n=0..{max_n}]",
+            at="row ",
+        ),
+        _check(
+            "lucas-triangle row sums equal 3*2^(n-1)",
+            [n for n in from_one if sum(sequences.lucas_triangle_row(n)) != 3 * 2 ** (n - 1)],
+            f"[n=1..{max_n}]",
+            at="row ",
+        ),
+        _check(
+            "fibonacci cassini identity",
+            [
+                n
+                for n in from_one
+                if sequences.fib(n + 1) * sequences.fib(n - 1) - sequences.fib(n) ** 2 != (-1) ** n
+            ],
+            f"[n=1..{max_n}]",
+        ),
+        AuditEntry(
+            "binomial extension is zero outside its support except C(-1,-1)=1",
+            "PASS"
+            if sequences.binom_ext(-1, -1) == 1
+            and all(
+                sequences.binom_ext(a, b) == 0
+                for a in range(-4, 7)
+                for b in range(-4, 7)
+                if (a, b) != (-1, -1) and not (0 <= b <= a)
+            )
+            else "FAIL",
+            "grid [-4..6]^2",
+        ),
+    ]
+
+
+def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
+    """Built graphs and the three factor solvers against the sequences and
+    the recurrence coefficients. Graphs are built up to the construction
+    cap and the solvers run up to the exact-search cap."""
+    fam = _family(family)
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
+    f = fam.value
+    build_ns = range(min(max_n, graphs.DEFAULT_MAX_N) + 1)
+    built = [graphs.build_graph(fam, n) for n in build_ns]
+    built_rng = f"[n=0..{build_ns[-1]}]"
+    expected_name = "fib(n+2)" if fam is Family.GAMMA else "lucas(n)"
+    entries = [
+        _check(
+            f"{f} vertex count equals {expected_name}",
+            [n for n in build_ns if built[n].vertex_count != graphs.expected_vertex_count(fam, n)],
+            built_rng,
+        ),
+        _check(
+            f"{f} graphs are connected",
+            [n for n in build_ns if not built[n].is_connected()],
+            built_rng,
+        ),
+    ]
+
+    solver_ns = list(takewhile(
+        lambda n: graphs.expected_vertex_count(fam, n) <= factors.EXACT_SEARCH_CAP,
+        range(max_n + 1),
+    ))
+    bad: dict[str, list[int]] = defaultdict(list)
+    for n in solver_ns:
+        g = built[n]
+        poly = qpoly_rec(fam, n)
+        exact = factors.exact_min_factor(g)
+        greedy = factors.greedy_layered_factor(g)
+        structural = factors.structural_factor(fam, n, g)
+        failed = {
+            "verify": any(
+                isinstance(factors.verify_factor(g, factor), factors.FactorViolation)
+                for factor in (exact, greedy, structural)
+            ),
+            "exact": exact.part_count != sequences.padovan(n + 1),
+            "greedy": greedy.profile().counts != poly.coeffs,
+            "structural": structural.profile().counts != poly.coeffs,
+            "profile": exact.profile().counts != poly.coeffs,
+        }
+        for key, hit in failed.items():
+            if hit:
+                bad[key].append(n)
+    hi = solver_ns[-1]
+    rng = f"[n=0..{hi}]"
+    entries += [
+        _check(f"{f} exact-min part count equals padovan(n+1)", bad["exact"], rng),
+        _check(f"{f} greedy-layered profile equals recurrence coefficients", bad["greedy"], rng),
+        _check(f"{f} structural profile equals recurrence coefficients", bad["structural"], rng),
+        _check(f"{f} verify-factor passes on all three solvers", bad["verify"], rng),
+    ]
+    if bad["profile"]:
+        entries.append(AuditEntry(
+            f"{f} exact-min profile vs recurrence coefficients",
+            "INFO",
+            f"minimum-count factor with a different profile at n={bad['profile']}",
+        ))
+    else:
+        entries.append(
+            AuditEntry(f"{f} exact-min profile equals recurrence coefficients", "PASS", rng)
+        )
+
+    entries.append(_check(
+        f"{f} dimension-1 cubes are exactly the edge set",
+        [
+            n
+            for n in solver_ns
+            if sorted(c.vertices for c in factors.enumerate_cubes(built[n], 1)[1])
+            != sorted(built[n].edges())
+        ],
+        rng,
+    ))
+    split_lo = 3 if fam is Family.GAMMA else 5
+    split_ns = build_ns[split_lo:]
+    if split_ns:
+        entries.append(_check(
+            f"{f} recursion split partitions the vertex set",
+            [
+                n
+                for n in split_ns
+                if sorted(
+                    v
+                    for name in ("cube-pair-0", "second", "third")
+                    for v in built[n].subcopies[name].vertices
+                )
+                != list(range(built[n].vertex_count))
+            ],
+            f"[n={split_lo}..{split_ns[-1]}]",
+        ))
+    entries.append(_check(
+        f"{f} canonical subcopies equal freshly built members",
+        [
+            f"{n} ({name})"
+            for n in build_ns
+            for name in sorted(built[n].subcopies)
+            if not _extracts(built[n], name)
+        ],
+        built_rng,
+    ))
+
+    if fam is Family.OMEGA:
+        entries.append(_check(
+            "omega cross edges form a perfect matching on the smaller copy",
+            [n for n in build_ns[4:13] if not _second_copy_matched(built[n])],
+            "[n=4..12 within range]",
+        ))
+        if len(built) > 4:
+            iso = graphs.find_isomorphism(built[4], _grid_plus_pendant())
+            entries.append(AuditEntry(
+                "omega order-4 member is the grid-plus-pendant graph",
+                "PASS" if iso is not None else "FAIL",
+                "explicit isomorphism found" if iso is not None else "no isomorphism found",
+            ))
+
+    probe_n = min(5, hi)
+    g = built[probe_n]
+    factor = factors.structural_factor(fam, probe_n, g)
+    round_tripped = factors.factor_from_json(g, factors.factor_to_json(g, factor))
+    round_trip_ok = round_tripped == factor and isinstance(
+        factors.verify_factor(g, round_tripped), factors.FactorProfile
+    )
+    deterministic = all(
+        graphs.export_graph(g, fmt) == graphs.export_graph(g, fmt) for fmt in ("edgelist", "dot")
+    )
+    entries += [
+        AuditEntry(
+            f"{f} factor JSON round-trips through verification",
+            "PASS" if round_trip_ok else "FAIL",
+            f"[n={probe_n}]",
+        ),
+        AuditEntry(
+            f"{f} exports are deterministic",
+            "PASS" if deterministic else "FAIL",
+            f"[n={probe_n}]",
+        ),
+    ]
+    return entries
+
+
+def _extracts(g: graphs.LabeledGraph, name: str) -> bool:
+    try:
+        graphs.canonical_subgraph(g, name)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _second_copy_matched(g: graphs.LabeledGraph) -> bool:
+    # every vertex of the smaller copy has exactly one neighbour outside it
+    second = g.subcopies["second"].vertices
+    outside = ~sum(1 << v for v in second)
+    return all((g.adj[v] & outside).bit_count() == 1 for v in second)
+
+
+def _grid_plus_pendant() -> graphs.LabeledGraph:
+    # 2x3 grid with one pendant vertex on a corner, as drawn for order 4
+    labels = ["g00", "g01", "g02", "g10", "g11", "g12", "p"]
+    edges = [
+        ("g00", "g01"), ("g01", "g02"), ("g10", "g11"), ("g11", "g12"),
+        ("g00", "g10"), ("g01", "g11"), ("g02", "g12"), ("g02", "p"),
+    ]
+    return graphs.custom_graph(labels, edges)
+
+
+def _local_terms(name: str, count: int) -> list[int]:
+    if name == "lucas-triangle rows flattened":
+        out: list[int] = []
+        n = 0
+        while len(out) < count:
+            out.extend(sequences.lucas_triangle_row(n))
+            n += 1
+        return out[:count]
+    return [_SEQUENCES[name](n) for n in range(count)]
+
+
+def oeis_audit(offline: bool) -> list[AuditEntry]:
+    """Local terms against OEIS b-files, fetched or read from the cache.
+    A b-file that cannot be had is reported as INFO and skipped."""
+    entries = []
+    for oid, name in _OEIS_CHECKS:
+        label = f"oeis {oid} vs {name}"
+        try:
+            record = oeis.fetch_bfile(oid, offline=offline)
+        except (oeis.FetchError, oeis.BFileError):
+            entries.append(AuditEntry(label, "INFO", "not available locally; skipped"))
+            continue
+        best = oeis.best_match(oeis.scan_shifts(_local_terms(name, 120), 0, record))
+        if best is None:
+            status, detail = "FAIL", "no full-overlap match at any shift in [-5,5]"
+        else:
+            status, detail = "PASS", f"matched at shift {best.shift} over {best.overlap} terms"
+        entries.append(AuditEntry(label, status, detail))
+    return entries

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Sequence
 
-from . import factors, graphs, oeis, polynomials, sequences
+from . import audit, factors, graphs, oeis, polynomials, sequences
+from .audit import _SEQUENCES
 from .polynomials import Family
-
-_SEQUENCES: dict[str, Callable[[int], int]] = {
-    "padovan": sequences.padovan,
-    "fibonacci": sequences.fib,
-    "lucas": sequences.lucas,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,362 +182,28 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-
-class _Report:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.counts = {"PASS": 0, "FAIL": 0, "INFO": 0}
-
-    def section(self, title: str) -> None:
-        self.lines.append(f"-- {title} --")
-
-    def entry(self, status: str, name: str, detail: str) -> None:
-        self.counts[status] += 1
-        self.lines.append(f"{status} {name}: {detail}")
-
-    def check(self, name: str, ok: bool, detail: str, fail_detail: str | None = None) -> None:
-        if ok:
-            self.entry("PASS", name, detail)
-        else:
-            self.entry("FAIL", name, fail_detail or detail)
-
-    def extend_audit(self, report: polynomials.AuditReport) -> None:
-        for e in report.entries:
-            self.entry(e.status, e.name, e.detail)
-
-
-def _verify_sequences(report: _Report, max_n: int) -> None:
-    report.section("sequence identities")
-    bad = [n for n in range(max_n + 1) if sequences.padovan_closed(n) != sequences.padovan(n)]
-    report.check(
-        "padovan closed-form equals recurrence",
-        not bad,
-        f"[n=0..{max_n}]",
-        f"first failure at n={bad[0]}" if bad else None,
-    )
-    bad = [
-        n
-        for n in range(max_n + 1)
-        if sequences.lucas_triangle_row(n)
-        != [sequences.lucas_triangle(n, k) for k in range(n + 1)]
-    ]
-    report.check(
-        "lucas-triangle recurrence rows equal the additive formula",
-        not bad,
-        f"[n=0..{max_n}]",
-        f"first failure at row {bad[0]}" if bad else None,
-    )
-    bad = [
-        n
-        for n in range(1, max_n + 1)
-        if sum(sequences.lucas_triangle_row(n)) != 3 * 2 ** (n - 1)
-    ]
-    report.check(
-        "lucas-triangle row sums equal 3*2^(n-1)",
-        not bad,
-        f"[n=1..{max_n}]",
-        f"first failure at row {bad[0]}" if bad else None,
-    )
-    bad = [
-        n
-        for n in range(1, max_n + 1)
-        if sequences.fib(n + 1) * sequences.fib(n - 1) - sequences.fib(n) ** 2 != (-1) ** n
-    ]
-    report.check(
-        "fibonacci cassini identity",
-        not bad,
-        f"[n=1..{max_n}]",
-        f"first failure at n={bad[0]}" if bad else None,
-    )
-    support_ok = (
-        sequences.binom_ext(-1, -1) == 1
-        and all(
-            sequences.binom_ext(a, b) == 0
-            for a in range(-4, 7)
-            for b in range(-4, 7)
-            if (a, b) != (-1, -1) and not (0 <= b <= a)
-        )
-    )
-    report.check(
-        "binomial extension is zero outside its support except C(-1,-1)=1",
-        support_ok,
-        "grid [-4..6]^2",
-    )
-
-
-def _verify_identities(report: _Report, max_n: int) -> None:
-    _verify_sequences(report, max_n)
-    for fam in (Family.GAMMA, Family.OMEGA):
-        report.section(f"polynomial identities: {fam.value}")
-        report.extend_audit(polynomials.identity_audit(fam, max_n))
-
-
-def _solver_range(fam: Family, max_n: int) -> list[int]:
-    out = []
-    n = 0
-    while n <= max_n and graphs.expected_vertex_count(fam, n) <= factors.EXACT_SEARCH_CAP:
-        out.append(n)
-        n += 1
-    return out
-
-
-def _verify_oracle(report: _Report, max_n: int) -> None:
-    for fam in (Family.GAMMA, Family.OMEGA):
-        report.section(f"graph oracle: {fam.value}")
-        build_ns = list(range(min(max_n, graphs.DEFAULT_MAX_N) + 1))
-        built = {n: graphs.build_graph(fam, n) for n in build_ns}
-
-        bad = [n for n in build_ns if built[n].vertex_count != graphs.expected_vertex_count(fam, n)]
-        expected_name = "fib(n+2)" if fam is Family.GAMMA else "lucas(n)"
-        report.check(
-            f"{fam.value} vertex count equals {expected_name}",
-            not bad,
-            f"[n=0..{build_ns[-1]}]",
-            f"first failure at n={bad[0]}" if bad else None,
-        )
-        bad = [n for n in build_ns if not built[n].is_connected()]
-        report.check(
-            f"{fam.value} graphs are connected",
-            not bad,
-            f"[n=0..{build_ns[-1]}]",
-            f"first failure at n={bad[0]}" if bad else None,
-        )
-
-        solver_ns = _solver_range(fam, max_n)
-        hi = solver_ns[-1]
-        exact_count_ok = True
-        greedy_ok = True
-        structural_ok = True
-        verified_ok = True
-        exact_profile_diffs: list[int] = []
-        first_fail = {"exact": -1, "greedy": -1, "structural": -1, "verify": -1}
-        for n in solver_ns:
-            g = built[n]
-            poly = polynomials.qpoly_rec(fam, n)
-            exact = factors.exact_min_factor(g)
-            greedy = factors.greedy_layered_factor(g)
-            structural = factors.structural_factor(fam, n, g)
-            for factor in (exact, greedy, structural):
-                if isinstance(factors.verify_factor(g, factor), factors.FactorViolation):
-                    verified_ok = False
-                    if first_fail["verify"] < 0:
-                        first_fail["verify"] = n
-            if exact.part_count != sequences.padovan(n + 1):
-                exact_count_ok = False
-                if first_fail["exact"] < 0:
-                    first_fail["exact"] = n
-            if greedy.profile().counts != poly.coeffs:
-                greedy_ok = False
-                if first_fail["greedy"] < 0:
-                    first_fail["greedy"] = n
-            if structural.profile().counts != poly.coeffs:
-                structural_ok = False
-                if first_fail["structural"] < 0:
-                    first_fail["structural"] = n
-            if exact.profile().counts != poly.coeffs:
-                exact_profile_diffs.append(n)
-        rng = f"[n=0..{hi}]"
-        report.check(
-            f"{fam.value} exact-min part count equals padovan(n+1)",
-            exact_count_ok,
-            rng,
-            f"first failure at n={first_fail['exact']}",
-        )
-        report.check(
-            f"{fam.value} greedy-layered profile equals recurrence coefficients",
-            greedy_ok,
-            rng,
-            f"first failure at n={first_fail['greedy']}",
-        )
-        report.check(
-            f"{fam.value} structural profile equals recurrence coefficients",
-            structural_ok,
-            rng,
-            f"first failure at n={first_fail['structural']}",
-        )
-        report.check(
-            f"{fam.value} verify-factor passes on all three solvers",
-            verified_ok,
-            rng,
-            f"first failure at n={first_fail['verify']}",
-        )
-        if exact_profile_diffs:
-            report.entry(
-                "INFO",
-                f"{fam.value} exact-min profile vs recurrence coefficients",
-                f"minimum-count factor with a different profile at n={exact_profile_diffs}",
-            )
-        else:
-            report.entry(
-                "PASS",
-                f"{fam.value} exact-min profile equals recurrence coefficients",
-                rng,
-            )
-
-        bad = []
-        for n in solver_ns:
-            g = built[n]
-            ones = factors.enumerate_cubes(g, 1)[1]
-            if sorted(c.vertices for c in ones) != sorted(g.edges()):
-                bad.append(n)
-        report.check(
-            f"{fam.value} dimension-1 cubes are exactly the edge set",
-            not bad,
-            rng,
-            f"first failure at n={bad[0]}" if bad else None,
-        )
-
-        split_lo = 3 if fam is Family.GAMMA else 5
-        split_ns = [n for n in build_ns if n >= split_lo]
-        bad = []
-        for n in split_ns:
-            g = built[n]
-            union: set[int] = set()
-            total = 0
-            for name in ("cube-pair-0", "cube-pair-1", "third"):
-                part = g.subcopies[name].vertices
-                union.update(part)
-                total += len(part)
-            if total != g.vertex_count or len(union) != g.vertex_count:
-                bad.append(n)
-        if split_ns:
-            report.check(
-                f"{fam.value} recursion split partitions the vertex set",
-                not bad,
-                f"[n={split_lo}..{split_ns[-1]}]",
-                f"first failure at n={bad[0]}" if bad else None,
-            )
-
-        sub_fail = None
-        for n in build_ns:
-            for name in sorted(built[n].subcopies):
-                try:
-                    graphs.canonical_subgraph(built[n], name)
-                except RuntimeError:
-                    sub_fail = (n, name)
-                    break
-            if sub_fail:
-                break
-        report.check(
-            f"{fam.value} canonical subcopies equal freshly built members",
-            sub_fail is None,
-            f"[n=0..{build_ns[-1]}]",
-            f"first failure at n={sub_fail[0]} ({sub_fail[1]})" if sub_fail else None,
-        )
-
-        if fam is Family.OMEGA:
-            bad = []
-            for n in [n for n in build_ns if 4 <= n <= 12]:
-                g = built[n]
-                second = g.subcopies["second"]
-                b_set = set(second.vertices)
-                for v in second.vertices:
-                    cross = [u for u in range(g.vertex_count)
-                             if g.has_edge(v, u) and u not in b_set]
-                    if len(cross) != 1:
-                        bad.append(n)
-                        break
-            report.check(
-                "omega cross edges form a perfect matching on the smaller copy",
-                not bad,
-                "[n=4..12 within range]",
-                f"first failure at n={bad[0]}" if bad else None,
-            )
-            if 4 in built:
-                fig = _grid_plus_pendant()
-                report.check(
-                    "omega order-4 member is the grid-plus-pendant graph",
-                    graphs.find_isomorphism(built[4], fig) is not None,
-                    "explicit isomorphism found",
-                    "no isomorphism found",
-                )
-
-        probe_n = min(5, hi)
-        g = built[probe_n]
-        factor = factors.structural_factor(fam, probe_n, g)
-        round_tripped = factors.factor_from_json(g, factors.factor_to_json(g, factor))
-        report.check(
-            f"{fam.value} factor JSON round-trips through verification",
-            round_tripped == factor
-            and isinstance(factors.verify_factor(g, round_tripped), factors.FactorProfile),
-            f"[n={probe_n}]",
-        )
-        report.check(
-            f"{fam.value} exports are deterministic",
-            graphs.export_graph(g, "edgelist") == graphs.export_graph(g, "edgelist")
-            and graphs.export_graph(g, "dot") == graphs.export_graph(g, "dot"),
-            f"[n={probe_n}]",
-        )
-
-
-def _grid_plus_pendant() -> graphs.LabeledGraph:
-    # 2x3 grid with one pendant vertex on a corner, as drawn for order 4
-    labels = ["g00", "g01", "g02", "g10", "g11", "g12", "p"]
-    edges = [
-        ("g00", "g01"), ("g01", "g02"), ("g10", "g11"), ("g11", "g12"),
-        ("g00", "g10"), ("g01", "g11"), ("g02", "g12"), ("g02", "p"),
-    ]
-    return graphs.custom_graph(labels, edges)
-
-
-_OEIS_CHECKS: tuple[tuple[str, str], ...] = (
-    ("A000931", "padovan"),
-    ("A000045", "fibonacci"),
-    ("A000032", "lucas"),
-    ("A029635", "lucas-triangle rows flattened"),
-)
-
-
-def _local_terms(name: str, count: int) -> list[int]:
-    if name == "lucas-triangle rows flattened":
-        out: list[int] = []
-        n = 0
-        while len(out) < count:
-            out.extend(sequences.lucas_triangle_row(n))
-            n += 1
-        return out[:count]
-    return [_SEQUENCES[name](n) for n in range(count)]
-
-
-def _verify_oeis(report: _Report, offline: bool) -> None:
-    report.section("oeis cross-checks")
-    for oid, name in _OEIS_CHECKS:
-        label = f"oeis {oid} vs {name}"
-        try:
-            record = oeis.fetch_bfile(oid, offline=offline)
-        except (oeis.FetchError, oeis.BFileError):
-            report.entry("INFO", label, "not available locally; skipped")
-            continue
-        local = _local_terms(name, 120)
-        best = oeis.best_match(oeis.scan_shifts(local, 0, record))
-        if best is None:
-            report.entry("FAIL", label, "no full-overlap match at any shift in [-5,5]")
-        else:
-            report.entry(
-                "PASS", label, f"matched at shift {best.shift} over {best.overlap} terms"
-            )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 5:
         raise ValueError("--max-n must be at least 5")
-    report = _Report()
     print(f"== cubefactor verify: suite={args.suite} max-n={args.max_n} ==")
+    sections: list[tuple[str, list[polynomials.AuditEntry]]] = []
     if args.suite in ("identities", "all"):
-        _verify_identities(report, args.max_n)
+        sections.append(("sequence identities", audit.sequence_audit(args.max_n)))
+        for fam in Family:
+            report = polynomials.identity_audit(fam, args.max_n)
+            sections.append((f"polynomial identities: {fam.value}", report.entries))
     if args.suite in ("oracle", "all"):
-        _verify_oracle(report, args.max_n)
+        for fam in Family:
+            sections.append((f"graph oracle: {fam.value}", audit.oracle_audit(fam, args.max_n)))
     if args.suite == "all":
-        _verify_oeis(report, args.offline)
-    for line in report.lines:
-        print(line)
-    c = report.counts
-    print(f"== summary: {c['PASS']} PASS, {c['FAIL']} FAIL, {c['INFO']} INFO ==")
-    return 0 if c["FAIL"] == 0 else 1
+        sections.append(("oeis cross-checks", audit.oeis_audit(args.offline)))
+    counts = Counter(e.status for _, entries in sections for e in entries)
+    for title, entries in sections:
+        print(f"-- {title} --")
+        for e in entries:
+            print(e.line())
+    print(f"== summary: {counts['PASS']} PASS, {counts['FAIL']} FAIL, {counts['INFO']} INFO ==")
+    return 0 if counts["FAIL"] == 0 else 1
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graphs import LabeledGraph, build_graph
+from .graphs import LabeledGraph, _bits, build_graph
 from .polynomials import Family, _family
 
 __all__ = [
@@ -89,13 +89,6 @@ def _mask_of(vertices: tuple[int, ...]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +479,23 @@ def factor_to_json(g: LabeledGraph, factor: CubeFactor) -> str:
 
 def factor_from_json(g: LabeledGraph, text: str) -> CubeFactor:
     """Parse a factor back against a graph; accepts the object form or a
-    bare list of parts. Unknown labels raise ValueError."""
+    bare list of parts. Malformed input and unknown labels raise ValueError."""
     data = json.loads(text)
-    raw_parts = data["parts"] if isinstance(data, dict) else data
+    raw_parts = data.get("parts") if isinstance(data, dict) else data
+    if not isinstance(raw_parts, list):
+        raise ValueError("malformed factor: expected a list of parts or an object with one")
     parts = []
     for item in raw_parts:
+        if not (
+            isinstance(item, dict)
+            and isinstance(item.get("k"), int)
+            and isinstance(item.get("vertices"), list)
+            and all(isinstance(lab, str) for lab in item["vertices"])
+        ):
+            raise ValueError(f"malformed factor part: {item!r}")
         try:
-            dimension = int(item["k"])
-            labels = item["vertices"]
-        except (KeyError, TypeError):
-            raise ValueError(f"malformed factor part: {item!r}") from None
-        try:
-            ids = tuple(sorted(g.index_of(lab) for lab in labels))
+            ids = tuple(sorted(g.index_of(lab) for lab in item["vertices"]))
         except KeyError as exc:
             raise ValueError(f"unknown vertex label {exc.args[0]!r}") from None
-        parts.append(InducedCube(dimension, ids))
+        parts.append(InducedCube(item["k"], ids))
     return CubeFactor(tuple(parts))

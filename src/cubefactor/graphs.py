@@ -42,7 +42,7 @@ class Subcopy:
     vertices: tuple[int, ...]
     target_family: Family
     target_n: int
-    relabel: dict[str, str]  # old label -> label in the target graph
+    prefix: str  # stripped from each member label to give the target label
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,9 @@ class LabeledGraph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(len(self.adj)):
-            rest = self.adj[u] >> (u + 1)
-            while rest:
-                low = rest & -rest
-                yield u, u + low.bit_length()
-                rest ^= low
-        return
+        for u, neighbours in enumerate(self.adj):
+            for v in _bits(neighbours >> (u + 1)):
+                yield u, u + 1 + v
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -90,11 +86,8 @@ class LabeledGraph:
         frontier = 1
         while frontier:
             nxt = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nxt |= self.adj[low.bit_length() - 1]
-                rest ^= low
+            for v in _bits(frontier):
+                nxt |= self.adj[v]
             frontier = nxt & ~seen
             seen |= nxt
         return seen == (1 << len(self.labels)) - 1
@@ -105,7 +98,7 @@ def _assemble(
     n: int,
     labels: list[str],
     edge_pairs: list[tuple[str, str]],
-    subcopy_specs: dict[str, tuple[list[str], Family, int, dict[str, str]]],
+    subcopy_specs: dict[str, tuple[list[str], Family, int, str]],
 ) -> LabeledGraph:
     ordered = tuple(sorted(labels))
     index = {lab: i for i, lab in enumerate(ordered)}
@@ -117,10 +110,8 @@ def _assemble(
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     subcopies = {
-        name: Subcopy(
-            tuple(sorted(index[lab] for lab in members)), target_fam, target_n, dict(relabel)
-        )
-        for name, (members, target_fam, target_n, relabel) in subcopy_specs.items()
+        name: Subcopy(tuple(sorted(index[lab] for lab in members)), target_fam, target_n, prefix)
+        for name, (members, target_fam, target_n, prefix) in subcopy_specs.items()
     }
     return LabeledGraph(family, n, ordered, tuple(adj), subcopies)
 
@@ -165,21 +156,17 @@ def build_gamma(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
                 if t in present:
                     edges.append((s, t))
 
-    def prefixed(prefix: str) -> list[str]:
-        return [s for s in labels if s.startswith(prefix)]
+    def sub(prefix: str, target_n: int) -> tuple[list[str], Family, int, str]:
+        return [s for s in labels if s.startswith(prefix)], Family.GAMMA, target_n, prefix
 
-    def strip_map(prefix: str) -> dict[str, str]:
-        return {s: s[len(prefix):] for s in prefixed(prefix)}
-
-    subs: dict[str, tuple[list[str], Family, int, dict[str, str]]] = {}
+    subs: dict[str, tuple[list[str], Family, int, str]] = {}
     if n >= 1:
-        subs["first"] = (prefixed("0"), Family.GAMMA, n - 1, strip_map("0"))
+        subs["first"] = sub("0", n - 1)
     if n >= 2:
-        subs["second"] = (prefixed("10"), Family.GAMMA, n - 2, strip_map("10"))
+        subs["second"] = sub("10", n - 2)
     if n >= 3:
-        subs["cube-pair-0"] = (prefixed("00"), Family.GAMMA, n - 2, strip_map("00"))
-        subs["cube-pair-1"] = (prefixed("10"), Family.GAMMA, n - 2, strip_map("10"))
-        subs["third"] = (prefixed("010"), Family.GAMMA, n - 3, strip_map("010"))
+        subs["cube-pair-0"] = sub("00", n - 2)
+        subs["third"] = sub("010", n - 3)
     return _assemble("gamma", n, labels, edges, subs)
 
 
@@ -221,24 +208,19 @@ def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
     labels = list(labels_t)
     edges = list(edges_t)
 
-    def prefixed(prefix: str) -> list[str]:
-        return [s for s in labels if s.startswith(prefix)]
+    def sub(prefix: str, target_n: int) -> tuple[list[str], Family, int, str]:
+        return [s for s in labels if s.startswith(prefix)], Family.OMEGA, target_n, prefix
 
-    def strip_map(prefix: str) -> dict[str, str]:
-        return {s: s[len(prefix):] for s in prefixed(prefix)}
-
-    subs: dict[str, tuple[list[str], Family, int, dict[str, str]]] = {}
+    subs: dict[str, tuple[list[str], Family, int, str]] = {}
     if 1 <= n <= 3:
         # canonical smaller member = leading path vertices, labels unchanged
-        head = [str(i) for i in range(n)]
-        subs["first"] = (head, Family.OMEGA, n - 1, {lab: lab for lab in head})
+        subs["first"] = ([str(i) for i in range(n)], Family.OMEGA, n - 1, "")
     elif n >= 4:
-        subs["first"] = (prefixed("0"), Family.OMEGA, n - 1, strip_map("0"))
-        subs["second"] = (prefixed("10"), Family.OMEGA, n - 2, strip_map("10"))
+        subs["first"] = sub("0", n - 1)
+        subs["second"] = sub("10", n - 2)
         if n >= 5:
-            subs["cube-pair-0"] = (prefixed("00"), Family.OMEGA, n - 2, strip_map("00"))
-            subs["cube-pair-1"] = (prefixed("10"), Family.OMEGA, n - 2, strip_map("10"))
-            subs["third"] = (prefixed("010"), Family.OMEGA, n - 3, strip_map("010"))
+            subs["cube-pair-0"] = sub("00", n - 2)
+            subs["third"] = sub("010", n - 3)
     return _assemble("omega", n, labels, edges, subs)
 
 
@@ -266,7 +248,7 @@ def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
     sub = g.subcopies[name]
     target = build_graph(sub.target_family, sub.target_n)
     members = set(sub.vertices)
-    relabeled = {g.labels[v]: sub.relabel[g.labels[v]] for v in sub.vertices}
+    relabeled = {g.labels[v]: g.labels[v][len(sub.prefix):] for v in sub.vertices}
     if sorted(relabeled.values()) != sorted(target.labels):
         raise RuntimeError(f"subcopy {name!r} does not relabel onto the target vertex set")
     for u in sub.vertices:

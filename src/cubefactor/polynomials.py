@@ -316,9 +316,18 @@ def poly_to_json(poly: CubeFactorPolynomial) -> str:
 
 
 def poly_from_json(text: str) -> CubeFactorPolynomial:
+    """Parse poly_to_json text; malformed input raises ValueError."""
     data = json.loads(text)
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("family"), str)
+        and isinstance(data.get("n"), int)
+        and isinstance(data.get("coeffs"), list)
+        and all(isinstance(c, (str, int)) for c in data["coeffs"])
+    ):
+        raise ValueError("malformed polynomial: expected an object with family, n and coeffs")
     return CubeFactorPolynomial(
-        _family(data["family"]), int(data["n"]), tuple(int(c) for c in data["coeffs"])
+        _family(data["family"]), data["n"], tuple(int(c) for c in data["coeffs"])
     )
 
 

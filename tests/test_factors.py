@@ -202,3 +202,12 @@ def test_factor_json_rejects_unknown_labels():
     g = build_gamma(2)
     with pytest.raises(ValueError):
         factor_from_json(g, '[{"k": 0, "vertices": ["banana"]}]')
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5", "null", '{"parts":5}', '[{"k":1,"vertices":7}]', '[{"k":1,"vertices":"00"}]'],
+)
+def test_factor_json_rejects_malformed_shapes(text):
+    with pytest.raises(ValueError, match="malformed"):
+        factor_from_json(build_gamma(2), text)

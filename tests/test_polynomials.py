@@ -221,3 +221,11 @@ def test_poly_json_exact_format_and_round_trip():
 def test_triangle_csv_layout():
     assert triangle_csv("gamma", 3) == "1\n0,1\n1,1\n"
     assert triangle_csv("omega", 0) == ""
+
+
+@pytest.mark.parametrize(
+    "text", ['{"family":"gamma"}', "[]", '{"family":"gamma","n":1,"coeffs":5}']
+)
+def test_poly_json_rejects_malformed_shapes(text):
+    with pytest.raises(ValueError, match="malformed"):
+        poly_from_json(text)

@@ -165,70 +165,89 @@ def _max_possible_dimension(nv: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def exact_min_factor(g: LabeledGraph, cap: int = EXACT_SEARCH_CAP) -> CubeFactor:
+def exact_min_factor(
+    g: LabeledGraph, cap: int = EXACT_SEARCH_CAP, stats: dict[str, int] | None = None
+) -> CubeFactor:
     """A cube factor with the minimum number of parts, by exact search.
 
     Branch on the lowest-indexed uncovered vertex; try covering cubes in
-    descending dimension then canonical order. Prune with the bound
-    parts_used + ceil(remaining / 2**k_fit) where k_fit is the largest
-    dimension that still has a cube fitting the uncovered set; a visited
-    table prunes re-reaching a covered set at no fewer parts.
+    descending dimension then canonical order, and replace the incumbent
+    only on a strict improvement, so the result is the first optimal cover
+    in that order. Prune with the fractional bound
+    ceil(sum over uncovered v of 2**-kmax(v)), where kmax(v) is the largest
+    dimension of a cube through v still disjoint from the covered set: a
+    k-part covers 2**k uncovered vertices, each with kmax >= k, so it
+    lowers the sum by at most 1. The sum is accumulated in integer units of
+    2**-top and abandoned as soon as it exceeds what the incumbent allows.
+    A visited table prunes re-reaching a covered set at no fewer parts.
+
+    If ``stats`` is given, it receives the search effort: ``nodes``
+    (search calls), ``bound_prunes`` and ``memo_hits``.
     """
     nv = g.vertex_count
     if nv > cap:
         raise ValueError(f"graph has {nv} vertices, above the exact-search cap {cap}")
-    if nv == 0:
-        return CubeFactor(())
     levels = enumerate_cubes(g, _max_possible_dimension(nv))
+    top = len(levels) - 1
     ordered: list[InducedCube] = [c for level in reversed(levels) for c in level]
-    cube_masks = [_mask_of(c.vertices) for c in ordered]
-    dim_masks: list[list[int]] = [
-        [_mask_of(c.vertices) for c in level] for level in levels
-    ]
-    by_vertex: list[list[int]] = [[] for _ in range(nv)]
+    # per vertex, its cubes in `ordered` order as (index, mask, 2**(top - dimension))
+    by_vertex: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
     for idx, cube in enumerate(ordered):
+        entry = (idx, _mask_of(cube.vertices), 1 << (top - cube.dimension))
         for v in cube.vertices:
-            by_vertex[v].append(idx)
+            by_vertex[v].append(entry)
     full = (1 << nv) - 1
 
     best_count = nv + 1
     best_choice: list[int] | None = None
     choice: list[int] = []
     visited: dict[int, int] = {}
+    nodes = bound_prunes = memo_hits = 0
 
-    def lower_bound(covered: int, remaining: int) -> int:
-        for k in range(len(dim_masks) - 1, 0, -1):
-            for m in dim_masks[k]:
-                if m & covered == 0:
-                    return -(-remaining >> k)  # ceil(remaining / 2**k)
-            # level k has no fitting cube, fall through to smaller k
-        return remaining
+    def bound_exceeds(covered: int, allowed: int) -> bool:
+        # sum of 2**(top - kmax(v)) over uncovered v, stopping once past allowed
+        total = 0
+        rest = ~covered & full
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for _, m, w in by_vertex[low.bit_length() - 1]:
+                if not m & covered:
+                    total += w
+                    break
+            if total > allowed:
+                return True
+        return False
 
-    def search(covered: int, remaining: int) -> None:
-        nonlocal best_count, best_choice
-        if remaining == 0:
+    def search(covered: int) -> None:
+        nonlocal best_count, best_choice, nodes, bound_prunes, memo_hits
+        nodes += 1
+        if covered == full:
             if len(choice) < best_count:
                 best_count = len(choice)
                 best_choice = list(choice)
             return
-        if len(choice) + lower_bound(covered, remaining) >= best_count:
+        if bound_exceeds(covered, (best_count - len(choice) - 1) << top):
+            bound_prunes += 1
             return
         seen = visited.get(covered)
         if seen is not None and seen <= len(choice):
+            memo_hits += 1
             return
         visited[covered] = len(choice)
         uncovered = ~covered & full
         v = (uncovered & -uncovered).bit_length() - 1
-        for idx in by_vertex[v]:
-            m = cube_masks[idx]
+        for idx, m, _ in by_vertex[v]:
             if m & covered:
                 continue
             choice.append(idx)
-            search(covered | m, remaining - m.bit_count())
+            search(covered | m)
             choice.pop()
 
-    search(0, nv)
+    search(0)
     assert best_choice is not None  # singleton cubes guarantee a cover
+    if stats is not None:
+        stats.update(nodes=nodes, bound_prunes=bound_prunes, memo_hits=memo_hits)
     parts = sorted(
         (ordered[idx] for idx in best_choice), key=lambda c: (-c.dimension, c.vertices)
     )
@@ -379,7 +398,10 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
     the recognition sound; the BFS makes it complete.
     """
     size = len(vertices)
-    if size != 1 << dimension or len(set(vertices)) != size:
+    # the range test keeps the shift defined and small for any parsed dimension
+    if not 0 <= dimension <= size.bit_length() or size != 1 << dimension:
+        return False
+    if len(set(vertices)) != size:
         return False
     if size == 1:
         return True
@@ -488,7 +510,7 @@ def factor_from_json(g: LabeledGraph, text: str) -> CubeFactor:
     for item in raw_parts:
         if not (
             isinstance(item, dict)
-            and isinstance(item.get("k"), int)
+            and type(item.get("k")) is int  # not bool: JSON true/false decode to bools
             and isinstance(item.get("vertices"), list)
             and all(isinstance(lab, str) for lab in item["vertices"])
         ):

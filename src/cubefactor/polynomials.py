@@ -321,9 +321,9 @@ def poly_from_json(text: str) -> CubeFactorPolynomial:
     if not (
         isinstance(data, dict)
         and isinstance(data.get("family"), str)
-        and isinstance(data.get("n"), int)
+        and type(data.get("n")) is int  # not bool: JSON true/false decode to bools
         and isinstance(data.get("coeffs"), list)
-        and all(isinstance(c, (str, int)) for c in data["coeffs"])
+        and all(type(c) in (str, int) for c in data["coeffs"])
     ):
         raise ValueError("malformed polynomial: expected an object with family, n and coeffs")
     return CubeFactorPolynomial(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefactor.factors import (
     CubeFactor,
@@ -17,7 +19,7 @@ from cubefactor.factors import (
     structural_factor,
     verify_factor,
 )
-from cubefactor.graphs import build_gamma, build_graph, build_omega
+from cubefactor.graphs import build_gamma, build_graph, build_omega, custom_graph
 from cubefactor.polynomials import qpoly_rec
 from cubefactor.sequences import padovan
 
@@ -80,6 +82,85 @@ def test_exact_min_factor_small_cases():
 
     assert exact_min_factor(build_omega(4)).profile().counts == (1, 1, 1)
     assert exact_min_factor(build_gamma(1)).profile().counts == (0, 1)
+
+
+def first_minimum_cover(g):
+    """Brute-force reference: walk every cover, with no bound and no memo,
+    branching on the lowest uncovered vertex over all enumerated cubes in
+    descending dimension then canonical order; return the first cover with
+    the fewest parts, its parts in the solvers' output order."""
+    nv = g.vertex_count
+    full = (1 << nv) - 1
+    levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
+    ordered = [(c, sum(1 << v for v in c.vertices)) for level in reversed(levels) for c in level]
+    best = None
+    chosen = []
+
+    def walk(covered):
+        nonlocal best
+        if covered == full:
+            if best is None or len(chosen) < len(best):
+                best = list(chosen)
+            return
+        v = next(u for u in range(nv) if not covered >> u & 1)
+        for cube, mask in ordered:
+            if mask >> v & 1 and not mask & covered:
+                chosen.append(cube)
+                walk(covered | mask)
+                chosen.pop()
+
+    walk(0)
+    return CubeFactor(tuple(sorted(best, key=lambda c: (-c.dimension, c.vertices))))
+
+
+@st.composite
+def family_subgraphs(draw):
+    """Induced subgraphs of gamma/omega members of order <= 6 (at most 16
+    kept vertices, which keeps the unbounded reference walk short)."""
+    g = build_graph(draw(st.sampled_from(["gamma", "omega"])), draw(st.integers(0, 6)))
+    flags = draw(st.lists(st.booleans(), min_size=g.vertex_count, max_size=g.vertex_count))
+    keep = [v for v, kept in enumerate(flags) if kept][:16]
+    edges = [(g.labels[u], g.labels[v]) for u, v in g.edges() if u in keep and v in keep]
+    return custom_graph([g.labels[v] for v in keep], edges)
+
+
+@st.composite
+def small_graphs(draw):
+    nv = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    labels = [f"v{i}" for i in range(nv)]
+    edges = [(labels[u], labels[v]) for (u, v), keep in zip(pairs, present) if keep]
+    return custom_graph(labels, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs())
+def test_exact_min_factor_is_the_first_optimal_cover_on_family_subgraphs(g):
+    assert exact_min_factor(g) == first_minimum_cover(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_exact_min_factor_is_the_first_optimal_cover_on_small_graphs(g):
+    assert exact_min_factor(g) == first_minimum_cover(g)
+
+
+def test_exact_min_factor_reports_search_effort():
+    stats = {}
+    factor = exact_min_factor(build_omega(6), stats=stats)
+    assert factor == exact_min_factor(build_omega(6))
+    assert set(stats) == {"nodes", "bound_prunes", "memo_hits"}
+    assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
+
+
+# Search nodes recorded with the per-vertex fractional bound; node counts
+# are deterministic, so a weaker bound or a lost prune shows on any machine.
+@pytest.mark.parametrize("family, recorded", [("gamma", 1844), ("omega", 1086)])
+def test_exact_search_node_count_at_order_8(family, recorded):
+    stats = {}
+    assert exact_min_factor(build_graph(family, 8), stats=stats).part_count == 9
+    assert stats["nodes"] <= recorded
 
 
 def test_exact_min_factor_respects_the_cap():
@@ -179,6 +260,15 @@ def test_verify_factor_rejects_non_cubes():
     assert outcome.kind == "not-a-cube"
 
 
+@pytest.mark.parametrize("k", [-1, 10**9])
+def test_verify_factor_reports_impossible_dimensions_as_not_a_cube(k):
+    g = build_gamma(2)
+    factor = factor_from_json(g, json.dumps([{"k": k, "vertices": ["00"]}]))
+    outcome = verify_factor(g, factor)
+    assert isinstance(outcome, FactorViolation)
+    assert outcome.kind == "not-a-cube"
+
+
 def test_verify_factor_rejects_foreign_vertices():
     g = build_gamma(2)
     outcome = verify_factor(g, CubeFactor((InducedCube(0, (7,)),)))
@@ -206,7 +296,15 @@ def test_factor_json_rejects_unknown_labels():
 
 @pytest.mark.parametrize(
     "text",
-    ["5", "null", '{"parts":5}', '[{"k":1,"vertices":7}]', '[{"k":1,"vertices":"00"}]'],
+    [
+        "5",
+        "null",
+        '{"parts":5}',
+        '[{"k":1,"vertices":7}]',
+        '[{"k":1,"vertices":"00"}]',
+        '[{"k":true,"vertices":["00","01"]}]',
+        '[{"k":false,"vertices":["00"]}]',
+    ],
 )
 def test_factor_json_rejects_malformed_shapes(text):
     with pytest.raises(ValueError, match="malformed"):

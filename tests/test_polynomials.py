@@ -225,7 +225,14 @@ def test_triangle_csv_layout():
 
 
 @pytest.mark.parametrize(
-    "text", ['{"family":"gamma"}', "[]", '{"family":"gamma","n":1,"coeffs":5}']
+    "text",
+    [
+        '{"family":"gamma"}',
+        "[]",
+        '{"family":"gamma","n":1,"coeffs":5}',
+        '{"family":"gamma","n":true,"coeffs":["0","1"]}',
+        '{"family":"gamma","n":1,"coeffs":["0",true]}',
+    ],
 )
 def test_poly_json_rejects_malformed_shapes(text):
     with pytest.raises(ValueError, match="malformed"):

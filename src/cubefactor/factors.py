@@ -58,6 +58,14 @@ class CubeFactor:
         return len(self.parts)
 
     def profile(self) -> FactorProfile:
+        """Part counts per dimension; raises ValueError for a part whose
+        dimension does not match its vertex count (verify_factor reports
+        such parts as not-a-cube instead)."""
+        for i, p in enumerate(self.parts):
+            if not _fits(p.dimension, len(p.vertices)):
+                raise ValueError(
+                    f"part {i} has dimension {p.dimension} but {len(p.vertices)} vertices"
+                )
         top = max((p.dimension for p in self.parts), default=0)
         counts = [0] * (top + 1)
         for p in self.parts:
@@ -84,6 +92,12 @@ class FactorViolation:
     part_index: int | None = None
 
 
+def _fits(dimension: int, size: int) -> bool:
+    # size == 2**dimension; the range test keeps the shift defined and small
+    # for any parsed dimension
+    return 0 <= dimension <= size.bit_length() and size == 1 << dimension
+
+
 def _mask_of(vertices: tuple[int, ...]) -> int:
     m = 0
     for v in vertices:
@@ -96,37 +110,62 @@ def _mask_of(vertices: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_cubes(g: LabeledGraph, k_max: int) -> list[list[InducedCube]]:
+def enumerate_cubes(
+    g: LabeledGraph, k_max: int, stats: dict[str, int] | None = None
+) -> list[list[InducedCube]]:
     """All induced k-cubes for k = 0..k_max, canonically ordered per level.
 
     Level 0 is the single vertices. Level k+1 joins two disjoint level-k
     cubes whose connecting edges form a perfect matching that is an
     isomorphism between them; since any hypercube splits that way along
     each direction, the level-by-level join finds every induced cube.
+
+    A cube a is offered only the later cubes b that pass through a
+    neighbour of min(a) outside a and lie inside reach(a), the neighbours
+    of a outside a (so b is disjoint from a). Nothing joinable is lost: the
+    match of min(a) lies in b, and every vertex of b has its match in a.
+
+    If ``stats`` is given, it receives ``joins``, the number of pairs
+    offered to the join test.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     nv = g.vertex_count
     levels: list[list[InducedCube]] = [[InducedCube(0, (v,)) for v in range(nv)]]
     masks: list[int] = [1 << v for v in range(nv)]
+    joins = 0
     for k in range(1, k_max + 1):
         prev = levels[k - 1]
+        # through[v]: indices of the level-(k-1) cubes containing v, in level order
+        through: list[list[int]] = [[] for _ in range(nv)]
+        for j, c in enumerate(prev):
+            for v in c.vertices:
+                through[v].append(j)
         found: set[tuple[int, ...]] = set()
         for i, a in enumerate(prev):
             mask_a = masks[i]
-            for j in range(i + 1, len(prev)):
-                b = prev[j]
-                if mask_a & masks[j]:
-                    continue
-                joined = _join_cubes(g, a, mask_a, b, masks[j])
-                if joined is not None:
-                    found.add(joined)
+            reach = 0
+            for x in a.vertices:
+                reach |= g.adj[x]
+            reach &= ~mask_a
+            tried: set[int] = set()
+            for w in _bits(g.adj[a.vertices[0]] & reach):
+                for j in through[w]:
+                    if j <= i or j in tried or masks[j] & ~reach:
+                        continue
+                    tried.add(j)
+                    joins += 1
+                    joined = _join_cubes(g, a, mask_a, prev[j], masks[j])
+                    if joined is not None:
+                        found.add(joined)
         cubes = [InducedCube(k, verts) for verts in sorted(found)]
         levels.append(cubes)
         masks = [_mask_of(c.vertices) for c in cubes]
         if not cubes:
             levels.extend([] for _ in range(k + 1, k_max + 1))
             break
+    if stats is not None:
+        stats.update(joins=joins)
     return levels
 
 
@@ -398,8 +437,7 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
     the recognition sound; the BFS makes it complete.
     """
     size = len(vertices)
-    # the range test keeps the shift defined and small for any parsed dimension
-    if not 0 <= dimension <= size.bit_length() or size != 1 << dimension:
+    if not _fits(dimension, size):
         return False
     if len(set(vertices)) != size:
         return False

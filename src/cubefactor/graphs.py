@@ -230,8 +230,18 @@ def build_graph(family: Family | str, n: int, max_n: int = DEFAULT_MAX_N) -> Lab
 
 
 def custom_graph(labels: list[str], edges: list[tuple[str, str]]) -> LabeledGraph:
-    """Ad-hoc labeled graph from explicit labels and label pairs."""
-    return _assemble("custom", 0, list(labels), list(edges), {})
+    """Ad-hoc labeled graph from explicit labels and label pairs.
+
+    Duplicate labels, self-loops and edges naming an unknown label raise
+    ValueError."""
+    try:
+        g = _assemble("custom", 0, list(labels), list(edges), {})
+    except KeyError as exc:  # only edge endpoints are looked up
+        raise ValueError(f"an edge names unknown vertex {exc.args[0]!r}") from None
+    for v, row in enumerate(g.adj):
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {g.labels[v]!r}")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from cubefactor.factors import (
     FactorProfile,
     FactorViolation,
     InducedCube,
+    _is_induced_cube,
     enumerate_cubes,
     exact_min_factor,
     factor_from_json,
@@ -144,6 +147,70 @@ def test_exact_min_factor_is_the_first_optimal_cover_on_family_subgraphs(g):
 @given(small_graphs())
 def test_exact_min_factor_is_the_first_optimal_cover_on_small_graphs(g):
     assert exact_min_factor(g) == first_minimum_cover(g)
+
+
+def brute_force_cubes(g, k_max):
+    """Every vertex subset of size 2**k that _is_induced_cube accepts, per
+    level. A vertex of an induced k-cube has degree >= k, so only those
+    vertices are combined."""
+    return [
+        [
+            InducedCube(k, subset)
+            for subset in itertools.combinations(
+                [v for v in range(g.vertex_count) if g.adj[v].bit_count() >= k], 2**k
+            )
+            if _is_induced_cube(g, subset, k)
+        ]
+        for k in range(k_max + 1)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_enumerate_cubes_matches_brute_force_on_small_graphs(g):
+    k_max = max(g.vertex_count.bit_length() - 1, 0)
+    assert enumerate_cubes(g, k_max) == brute_force_cubes(g, k_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs())
+def test_enumerate_cubes_matches_brute_force_on_family_subgraphs(g):
+    k_max = max(g.vertex_count.bit_length() - 1, 0)
+    assert enumerate_cubes(g, k_max) == brute_force_cubes(g, k_max)
+
+
+# Cube polynomial of Fibonacci cubes (Klavzar & Mollard, "Cube polynomial
+# of Fibonacci and Lucas cubes", 2012): gamma_n has sum_i C(i,k) C(n-i+1,i)
+# induced k-cubes, (2**(n+2) - (-1)**n) / 3 in all.
+@pytest.mark.parametrize("n", range(13))
+def test_gamma_cube_counts_match_the_cube_polynomial(n):
+    g = build_gamma(n)
+    levels = enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))
+    counts = [len(level) for level in levels]
+    assert counts == [
+        sum(comb(i, k) * comb(n - i + 1, i) for i in range(n + 1)) for k in range(len(levels))
+    ]
+    assert sum(counts) == (2 ** (n + 2) - (-1) ** n) // 3
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_omega_cube_total_matches_observed_closed_form(n):
+    # observed for n=2..12, not proven: omega_n has 2**n + (-1)**n induced cubes
+    g = build_omega(n)
+    levels = enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))
+    assert sum(len(level) for level in levels) == 2**n + (-1) ** n
+
+
+# Join tests offered by the vertex-indexed enumeration; offering every
+# disjoint pair on a level took 873,910 (gamma 11) and 1,978,783 (omega 12).
+@pytest.mark.parametrize("family, n, recorded", [("gamma", 11, 5311), ("omega", 12, 8196)])
+def test_enumeration_join_count(family, n, recorded):
+    g = build_graph(family, n)
+    stats = {}
+    levels = enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0), stats=stats)
+    assert set(stats) == {"joins"}
+    assert sum(len(level) for level in levels) <= stats["joins"] + g.vertex_count
+    assert stats["joins"] <= recorded
 
 
 def test_exact_min_factor_reports_search_effort():
@@ -309,3 +376,20 @@ def test_factor_json_rejects_unknown_labels():
 def test_factor_json_rejects_malformed_shapes(text):
     with pytest.raises(ValueError, match="malformed"):
         factor_from_json(build_gamma(2), text)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (InducedCube(1, (0, 1)), InducedCube(-1, (2,))),
+        (InducedCube(-1, (2,)),),
+        (InducedCube(10**9, (0,)),),
+        (InducedCube(1, (0, 1, 2)),),
+    ],
+)
+def test_profile_rejects_parts_whose_dimension_does_not_fit(parts):
+    factor = CubeFactor(parts)
+    with pytest.raises(ValueError, match="dimension"):
+        factor.profile()
+    with pytest.raises(ValueError, match="dimension"):
+        factor_to_json(build_gamma(2), factor)

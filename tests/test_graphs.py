@@ -206,3 +206,17 @@ def test_find_isomorphism_rejects_non_isomorphic_pairs():
     triangle = custom_graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
     assert find_isomorphism(path, triangle) is None
     assert find_isomorphism(build_gamma(2), path) is not None
+
+
+@pytest.mark.parametrize(
+    "labels, edges, message",
+    [
+        (["a", "b"], [("a", "a"), ("a", "b")], "self-loop"),
+        (["a"], [("a", "z")], "unknown vertex 'z'"),
+        (["a"], [("z", "a")], "unknown vertex 'z'"),
+        (["a", "a"], [], "duplicate"),
+    ],
+)
+def test_custom_graph_rejects_loops_unknown_and_duplicate_labels(labels, edges, message):
+    with pytest.raises(ValueError, match=message):
+        custom_graph(labels, edges)

@@ -9,7 +9,7 @@ The polynomial identities live beside the polynomials, in
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import takewhile
+from itertools import chain, islice, takewhile
 from typing import Callable, Sequence
 
 from . import factors, graphs, oeis, sequences
@@ -41,6 +41,7 @@ def _check(name: str, bad: Sequence[object], detail: str, at: str = "n=") -> Aud
 def sequence_audit(max_n: int) -> list[AuditEntry]:
     """Closed forms against recurrences and two classic identities, n <= max_n."""
     whole, from_one = range(max_n + 1), range(1, max_n + 1)
+    rows = list(islice(sequences.lucas_triangle_rows(), max_n + 1))
     return [
         _check(
             "padovan closed-form equals recurrence",
@@ -51,16 +52,15 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
             "lucas-triangle recurrence rows equal the additive formula",
             [
                 n
-                for n in whole
-                if sequences.lucas_triangle_row(n)
-                != [sequences.lucas_triangle(n, k) for k in range(n + 1)]
+                for n, row in enumerate(rows)
+                if row != [sequences.lucas_triangle(n, k) for k in range(n + 1)]
             ],
             f"[n=0..{max_n}]",
             at="row ",
         ),
         _check(
             "lucas-triangle row sums equal 3*2^(n-1)",
-            [n for n in from_one if sum(sequences.lucas_triangle_row(n)) != 3 * 2 ** (n - 1)],
+            [n for n in from_one if sum(rows[n]) != 3 * 2 ** (n - 1)],
             f"[n=1..{max_n}]",
             at="row ",
         ),
@@ -92,7 +92,8 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
 def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     """Built graphs and the three factor solvers against the sequences and
     the recurrence coefficients. Graphs are built up to the construction
-    cap and the solvers run up to the exact-search cap."""
+    cap and the solvers run up to the exact-search cap; an INFO entry names
+    the orders either cap skipped."""
     fam = _family(family)
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
@@ -231,6 +232,15 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             f"[n={probe_n}]",
         ),
     ]
+    skipped = []
+    if max_n > hi:
+        skipped.append(f"solvers skip n={hi + 1}..{max_n} "
+                       f"(over the {factors.EXACT_SEARCH_CAP}-vertex exact-search cap)")
+    if max_n > build_ns[-1]:
+        skipped.append(f"graphs skip n={build_ns[-1] + 1}..{max_n} "
+                       f"(over the construction cap n={graphs.DEFAULT_MAX_N})")
+    if skipped:
+        entries.append(AuditEntry(f"{f} orders skipped", "INFO", "; ".join(skipped)))
     return entries
 
 
@@ -261,25 +271,24 @@ def _grid_plus_pendant() -> graphs.LabeledGraph:
 
 def _local_terms(name: str, count: int) -> list[int]:
     if name == "lucas-triangle rows flattened":
-        out: list[int] = []
-        n = 0
-        while len(out) < count:
-            out.extend(sequences.lucas_triangle_row(n))
-            n += 1
-        return out[:count]
+        return list(islice(chain.from_iterable(sequences.lucas_triangle_rows()), count))
     return [_SEQUENCES[name](n) for n in range(count)]
 
 
 def oeis_audit(offline: bool) -> list[AuditEntry]:
     """Local terms against OEIS b-files, fetched or read from the cache.
-    A b-file that cannot be had is reported as INFO and skipped."""
+    A b-file that cannot be had, or whose cached copy is malformed, is
+    reported as INFO and skipped."""
     entries = []
     for oid, name in _OEIS_CHECKS:
         label = f"oeis {oid} vs {name}"
         try:
             record = oeis.fetch_bfile(oid, offline=offline)
-        except (oeis.FetchError, oeis.BFileError):
+        except oeis.FetchError:
             entries.append(AuditEntry(label, "INFO", "not available locally; skipped"))
+            continue
+        except oeis.BFileError as exc:
+            entries.append(AuditEntry(label, "INFO", f"{exc}; skipped"))
             continue
         best = oeis.best_match(oeis.scan_shifts(_local_terms(name, 120), 0, record))
         if best is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from itertools import islice
 from typing import Sequence
 
 from . import audit, factors, graphs, oeis, polynomials, sequences
@@ -113,8 +114,10 @@ def _poly_coeffs(family: str, n: int, method: str) -> polynomials.CubeFactorPoly
         degree = polynomials.poly_degree(fam, n)
         coeffs = tuple(polynomials.q_closed(fam, n, k) for k in range(degree + 1))
         return polynomials.CubeFactorPolynomial(fam, n, coeffs)
-    series = polynomials.gf_series(fam, n)
-    return polynomials.CubeFactorPolynomial(fam, n, series.terms[n])
+    if n < 0:
+        raise ValueError(f"order must be non-negative, got {n}")
+    terms = polynomials.gf_terms(fam)
+    return polynomials.CubeFactorPolynomial(fam, n, next(islice(terms, n, None)))
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
@@ -132,16 +135,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.rows < 0:
         raise ValueError("--rows must be non-negative")
     sep = "," if args.csv else " "
-    for n in range(args.rows):
-        print(sep.join(str(c) for c in polynomials.qpoly_rec(args.family, n).coeffs))
+    for poly in islice(polynomials.qpoly_rows(args.family), args.rows):
+        print(sep.join(str(c) for c in poly.coeffs))
     return 0
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
     if args.rows < 0:
         raise ValueError("--rows must be non-negative")
-    for n in range(args.rows):
-        print(" ".join(str(v) for v in sequences.lucas_triangle_row(n)))
+    for row in islice(sequences.lucas_triangle_rows(), args.rows):
+        print(" ".join(str(v) for v in row))
     return 0
 
 

@@ -115,13 +115,17 @@ def fetch_bfile(
 
     Cache entries never expire (b-files are effectively immutable) and are
     written atomically (temp file then rename). In offline mode a cold
-    cache raises FetchError instead of touching the network.
+    cache raises FetchError instead of touching the network. A cached file
+    that does not parse raises BFileError naming its path.
     """
     oid = _normalize_id(id)
     directory = cache_dir(cache)
     path = directory / f"{oid}.txt"
     if path.exists():
-        return parse_bfile(path.read_text(encoding="utf-8"), id=oid)
+        try:
+            return parse_bfile(path.read_text(encoding="utf-8"), id=oid)
+        except (BFileError, UnicodeDecodeError) as exc:
+            raise BFileError(f"cached b-file {path} is malformed: {exc}") from None
     if offline:
         raise FetchError(f"offline mode and {oid} is not in the cache ({directory})")
     url = f"https://oeis.org/{oid}/b{oid[1:]}.txt"

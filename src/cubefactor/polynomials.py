@@ -10,6 +10,10 @@ routes compute the same coefficients:
 * ``gf_series``  -- truncated expansion of the rational generating function
                     in y, with polynomial-in-x coefficients.
 
+The recurrence and the series are streamed (``qpoly_rows``, ``gf_terms``):
+one forward pass holds only the three rows or terms it reads, and nothing
+is memoised, so row n costs O(n) rows of work and bounded memory.
+
 ``identity_audit`` replays every identity and case-split formula as a
 prediction and reports PASS / FAIL / INFO per entry; predictions are never
 used as the computation path, so a wrong prediction shows up in the report
@@ -19,10 +23,10 @@ instead of poisoning the numbers.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import count, islice
+from typing import Iterable, Iterator, Sequence
 
 from .sequences import binom_ext, binom_ext_div3, fib, lucas, padovan
 
@@ -33,8 +37,10 @@ __all__ = [
     "DiagonalProfile",
     "AuditEntry",
     "AuditReport",
+    "qpoly_rows",
     "qpoly_rec",
     "q_closed",
+    "gf_terms",
     "gf_series",
     "padovan_gf_series",
     "eval_at",
@@ -112,30 +118,21 @@ def _shift_add(shifted: Sequence[int], plain: Sequence[int]) -> tuple[int, ...]:
     return _strip(out)
 
 
-# grow-only memo tables; the lock serializes extension, lookups of already
-# present rows are safe without it
-_COEFFS: dict[Family, list[tuple[int, ...]]] = {
-    fam: [tuple(row) for row in rows] for fam, rows in _BASE.items()
-}
-_COEFFS_LOCK = threading.Lock()
-
-
-def _coeffs_upto(fam: Family, n: int) -> tuple[int, ...]:
-    table = _COEFFS[fam]
-    if len(table) <= n:
-        with _COEFFS_LOCK:
-            while len(table) <= n:
-                m = len(table)
-                table.append(_shift_add(table[m - 2], table[m - 3]))
-    return table[n]
+def qpoly_rows(family: Family | str) -> Iterator[CubeFactorPolynomial]:
+    """Polynomials n = 0, 1, 2, ... by the recurrence, holding three rows."""
+    fam = _family(family)
+    base = _BASE[fam]
+    a = b = c = ()  # rows n-3, n-2, n-1
+    for n in count():
+        a, b, c = b, c, base[n] if n < len(base) else _shift_add(b, a)
+        yield CubeFactorPolynomial(fam, n, c)
 
 
 def qpoly_rec(family: Family | str, n: int) -> CubeFactorPolynomial:
     """Polynomial for index n via the base cases and the recurrence."""
-    fam = _family(family)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return CubeFactorPolynomial(fam, n, _coeffs_upto(fam, n))
+    return next(islice(qpoly_rows(family), n, None))
 
 
 def poly_degree(family: Family | str, n: int) -> int:
@@ -196,53 +193,53 @@ class SeriesExpansion:
     terms: tuple[tuple[int, ...], ...]
 
 
-def _expand_rational(numerator: dict[int, list[int]], order: int) -> list[tuple[int, ...]]:
-    """Expand numerator / (1 - x*y^2 - y^3) to the given order in y.
+def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:
+    """Expand numerator / (1 - x*y^2 - y^3) in y, one term at a time.
 
     Exact polynomial long division: the quotient terms R satisfy
     R[n] = numerator[n] + x * R[n-2] + R[n-3], which is the
     multiply-accumulate form of the denominator's geometric series.
     """
-    out: list[tuple[int, ...]] = []
-    for n in range(order + 1):
+    r3 = r2 = r1 = ()  # R[n-3], R[n-2], R[n-1]; empty before R[0]
+    for n in count():
         acc = list(numerator.get(n, [0]))
-        if n >= 2:
-            prev = out[n - 2]
-            if len(acc) < len(prev) + 1:
-                acc.extend([0] * (len(prev) + 1 - len(acc)))
-            for i, c in enumerate(prev):
-                acc[i + 1] += c
-        if n >= 3:
-            prev = out[n - 3]
-            if len(acc) < len(prev):
-                acc.extend([0] * (len(prev) - len(acc)))
-            for i, c in enumerate(prev):
-                acc[i] += c
-        out.append(_strip(acc))
-    return out
+        acc += [0] * (max(len(r2) + 1, len(r3)) - len(acc))
+        for i, c in enumerate(r2):
+            acc[i + 1] += c
+        for i, c in enumerate(r3):
+            acc[i] += c
+        r3, r2, r1 = r2, r1, _strip(acc)
+        yield r1
+
+
+def gf_terms(family: Family | str) -> Iterator[tuple[int, ...]]:
+    """Coefficients of y^0, y^1, ... in the family's generating function.
+
+    gamma:  (1 + x*y + y^2) / (1 - x*y^2 - y^3)
+    omega:  (1 + y)(1 + y - y^3) / (1 - x*y^2 - y^3) + (x - 2)*y, the
+            correction added to the y^1 term on output, not fed back.
+    """
+    fam = _family(family)
+    if fam is Family.GAMMA:
+        yield from _expand_rational({0: [1], 1: [0, 1], 2: [1]})
+        return
+    # (1 + y)(1 + y - y^3) = 1 + 2y + y^2 - y^3 - y^4
+    terms = _expand_rational({0: [1], 1: [2], 2: [1], 3: [-1], 4: [-1]})
+    yield next(terms)
+    raw = next(terms)
+    corrected = list(raw) + [0] * max(0, 2 - len(raw))
+    corrected[0] -= 2
+    corrected[1] += 1
+    yield _strip(corrected)
+    yield from terms
 
 
 def gf_series(family: Family | str, order: int) -> SeriesExpansion:
-    """Expand the family's generating function in y up to the given order.
-
-    gamma:  (1 + x*y + y^2) / (1 - x*y^2 - y^3)
-    omega:  (1 + y)(1 + y - y^3) / (1 - x*y^2 - y^3) + (x - 2)*y,
-            the correction being added to the y^1 coefficient.
-    """
+    """The terms of :func:`gf_terms` up to the given order in y."""
     fam = _family(family)
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    if fam is Family.GAMMA:
-        terms = _expand_rational({0: [1], 1: [0, 1], 2: [1]}, order)
-    else:
-        # (1 + y)(1 + y - y^3) = 1 + 2y + y^2 - y^3 - y^4
-        terms = _expand_rational({0: [1], 1: [2], 2: [1], 3: [-1], 4: [-1]}, order)
-        if order >= 1:
-            corrected = list(terms[1]) + [0] * max(0, 2 - len(terms[1]))
-            corrected[0] -= 2
-            corrected[1] += 1
-            terms[1] = _strip(corrected)
-    return SeriesExpansion(fam, order, tuple(terms))
+    return SeriesExpansion(fam, order, tuple(islice(gf_terms(fam), order + 1)))
 
 
 def padovan_gf_series(order: int) -> list[int]:
@@ -294,10 +291,14 @@ def antidiagonal_profile(family: Family | str, n: int, cap: int = 10) -> Diagona
         raise ValueError(f"n must be non-negative, got {n}")
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
-    anti = tuple(qpoly_rec(fam, n - k).coefficient(k) for k in range(n + 1))
-    shifted = tuple(qpoly_rec(fam, n + 2 * k).coefficient(k) for k in range(cap + 1))
-    skew = tuple(qpoly_rec(fam, n - 4 * k).coefficient(k) for k in range(n // 4 + 1))
-    return DiagonalProfile(fam, n, anti, sum(anti), shifted, skew, sum(skew))
+    return _profile(list(islice(qpoly_rows(fam), n + 2 * cap + 1)), n, cap)
+
+
+def _profile(polys: Sequence[CubeFactorPolynomial], n: int, cap: int) -> DiagonalProfile:
+    anti = tuple(polys[n - k].coefficient(k) for k in range(n + 1))
+    shifted = tuple(polys[n + 2 * k].coefficient(k) for k in range(cap + 1))
+    skew = tuple(polys[n - 4 * k].coefficient(k) for k in range(n // 4 + 1))
+    return DiagonalProfile(polys[n].family, n, anti, sum(anti), shifted, skew, sum(skew))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def triangle_csv(family: Family | str, rows: int) -> str:
     fam = _family(family)
     if rows < 0:
         raise ValueError(f"rows must be non-negative, got {rows}")
-    lines = [",".join(str(c) for c in qpoly_rec(fam, n).coeffs) for n in range(rows)]
+    lines = [",".join(str(c) for c in poly.coeffs) for poly in islice(qpoly_rows(fam), rows)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -408,7 +409,7 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
         raise ValueError(f"n_max must be at least 5, got {n_max}")
     report = AuditReport(fam, n_max)
     add = report.entries.append
-    polys = [qpoly_rec(fam, n) for n in range(n_max + 1)]
+    polys = list(islice(qpoly_rows(fam), n_max + 1))
     rng = f"[n=0..{n_max}]"
 
     # value identities
@@ -494,7 +495,7 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
         ))
 
     # diagonal slices, oracle side from the recurrence polynomials
-    profiles = [antidiagonal_profile(fam, n, cap=(n_max - n) // 2) for n in range(n_max + 1)]
+    profiles = [_profile(polys, n, (n_max - n) // 2) for n in range(n_max + 1)]
 
     if fam is Family.GAMMA:
         def anti_expected(n: int) -> int:

@@ -4,12 +4,17 @@ Fibonacci, Lucas and Padovan numbers, binomial coefficients with the two
 boundary conventions the cube-factor formulas rely on, and the (1,2)-Pascal
 triangle (Lucas triangle). Everything is plain Python ints, so values stay
 exact at every index exercised by the test suite (up to n = 500).
+
+Nothing is memoised: each term is computed from index 0 on every call,
+and the triangle's rows are streamed by one forward pass that holds only
+the row its recurrence reads.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import count, islice
 from math import comb
+from typing import Iterator
 
 __all__ = [
     "fib",
@@ -19,6 +24,7 @@ __all__ = [
     "binom_ext",
     "binom_ext_div3",
     "lucas_triangle",
+    "lucas_triangle_rows",
     "lucas_triangle_row",
 ]
 
@@ -28,7 +34,6 @@ def _check_index(n: int) -> None:
         raise ValueError(f"index must be non-negative, got {n}")
 
 
-@lru_cache(maxsize=None)
 def fib(n: int) -> int:
     """n-th Fibonacci number, F(0) = 0, F(1) = 1."""
     _check_index(n)
@@ -38,7 +43,6 @@ def fib(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
 def lucas(n: int) -> int:
     """n-th Lucas number, L(0) = 2, L(1) = 1."""
     _check_index(n)
@@ -48,7 +52,6 @@ def lucas(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
 def padovan(n: int) -> int:
     """n-th Padovan number: p(0) = p(1) = p(2) = 1, p(n) = p(n-2) + p(n-3)."""
     _check_index(n)
@@ -106,17 +109,22 @@ def lucas_triangle(n: int, k: int) -> int:
     return binom_ext(n, k) + binom_ext(n - 1, k - 1)
 
 
-def lucas_triangle_row(n: int) -> list[int]:
-    """Row n of the Lucas triangle, built by the Pascal-style recurrence.
+def lucas_triangle_rows() -> Iterator[list[int]]:
+    """Rows 0, 1, 2, ... of the Lucas triangle, by the Pascal-style recurrence.
 
     Interior entries satisfy Y(n,k) = Y(n-1,k-1) + Y(n-1,k); the boundary
     columns are seeds (the Pascal step alone would give row 1 = [2, 2]
-    instead of [1, 2]). Serves as the second, independent computation
-    route next to :func:`lucas_triangle`.
+    instead of [1, 2]). The second, independent route next to
+    :func:`lucas_triangle`; each row handed out is a fresh list it no longer reads.
     """
-    _check_index(n)
     row = [2]
-    for m in range(1, n + 1):
-        prev = row
-        row = [1] + [prev[k - 1] + prev[k] for k in range(1, m)] + [2]
-    return row
+    for m in count(1):
+        following = [1] + [row[k - 1] + row[k] for k in range(1, m)] + [2]
+        yield row
+        row = following
+
+
+def lucas_triangle_row(n: int) -> list[int]:
+    """Row n of the Lucas triangle, read from :func:`lucas_triangle_rows`."""
+    _check_index(n)
+    return next(islice(lucas_triangle_rows(), n, None))

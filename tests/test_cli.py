@@ -155,3 +155,50 @@ def test_oeis_scan_against_cached_fixture(capsys, tmp_path):
     )
     assert code == 0
     assert "best match at shift +5" in out
+
+
+def test_oeis_malformed_cache_names_the_file(capsys, tmp_path):
+    path = tmp_path / "A000931.txt"
+    path.write_text("0 1\n1 0\n3 0\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "oeis", "--id", "A000931", "--against", "padovan",
+        "--offline", "--cache-dir", str(tmp_path),
+    )
+    assert code == 3 and out == ""
+    assert err == f"error: cached b-file {path} is malformed: line 3: index 3, expected 2 (gap)\n"
+
+
+def test_verify_reports_a_malformed_cached_bfile_apart_from_a_missing_one(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("CUBEFACTOR_CACHE", str(tmp_path))
+    path = tmp_path / "A000931.txt"
+    path.write_text("0 1\n1 0\n3 0\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "5", "--offline")
+    assert code == 0
+    oeis_lines = [line for line in out.splitlines() if line.startswith("INFO oeis ")]
+    assert oeis_lines[0] == (
+        f"INFO oeis A000931 vs padovan: cached b-file {path} is malformed: "
+        "line 3: index 3, expected 2 (gap); skipped"
+    )
+    assert all(line.endswith(": not available locally; skipped") for line in oeis_lines[1:])
+    assert len(oeis_lines) == 4
+
+
+def test_verify_oracle_names_the_orders_it_skips(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "9")
+    assert code == 0
+    assert [line for line in out.splitlines() if "orders skipped" in line] == [
+        f"INFO {fam} orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)"
+        for fam in ("gamma", "omega")
+    ]
+
+
+def test_oracle_audit_names_the_construction_cap():
+    from cubefactor.audit import oracle_audit
+
+    entry = oracle_audit("omega", 17)[-1]
+    assert entry.line() == (
+        "INFO omega orders skipped: solvers skip n=9..17 (over the 64-vertex exact-search cap); "
+        "graphs skip n=17..17 (over the construction cap n=16)"
+    )

@@ -122,6 +122,17 @@ def test_fetch_served_from_cache_without_network(tmp_path):
     assert len(record.terms) == 50
 
 
+@pytest.mark.parametrize(
+    "content", [b"0 1\n2 1\n", b"0 1\n1 \xff\n"], ids=["index-gap", "not-utf8"]
+)
+def test_fetch_names_a_malformed_cached_file(tmp_path, content):
+    path = tmp_path / "A000931.txt"
+    path.write_bytes(content)
+    with pytest.raises(BFileError) as caught:
+        fetch_bfile("A000931", offline=True, cache=tmp_path)
+    assert str(caught.value).startswith(f"cached b-file {path} is malformed: ")
+
+
 def test_fetch_normalizes_ids(tmp_path):
     (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n", encoding="utf-8")
     assert fetch_bfile("45", offline=True, cache=tmp_path).terms == (0, 1, 1)

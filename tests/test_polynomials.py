@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefactor.polynomials import (
     Family,
     antidiagonal_profile,
     eval_at,
     gf_series,
+    gf_terms,
     identity_audit,
     padovan_gf_series,
     poly_degree,
@@ -16,6 +21,7 @@ from cubefactor.polynomials import (
     poly_to_json,
     q_closed,
     qpoly_rec,
+    qpoly_rows,
     triangle_csv,
 )
 from cubefactor.sequences import fib, lucas, padovan
@@ -74,6 +80,39 @@ def test_three_routes_agree_to_60():
             if n >= lo:
                 for k in range(poly.degree + 3):
                     assert q_closed(family, n, k) == poly.coefficient(k), (family, n, k)
+
+
+def test_recurrence_and_series_agree_to_1500():
+    # one lockstep pass per family over the two streamed routes
+    for family in Family:
+        for poly, term in zip(islice(qpoly_rows(family), 1501), gf_terms(family)):
+            assert term == poly.coeffs, (family, poly.n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(list(Family)), st.integers(0, 2000))
+def test_closed_form_equals_recurrence_at_sampled_n(family, n):
+    poly = qpoly_rec(family, n)
+    ks = range(poly.degree + 2)
+    assert [q_closed(family, n, k) for k in ks] == [poly.coefficient(k) for k in ks]
+
+
+def test_recurrence_and_series_hold_bounded_memory():
+    # row n holds O(n^2) bits, so keeping every row to 800 takes megabytes;
+    # the streamed routes hold three rows or terms at a time
+    qpoly_rec("omega", 200)  # warm: a memo of rows 0..200 would not count
+    tracemalloc.start()
+    try:
+        qpoly_rec("omega", 800)
+        rec_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        for _ in islice(gf_terms("omega"), 801):
+            pass
+        gf_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec_peak < 1_000_000, rec_peak
+    assert gf_peak < 1_000_000, gf_peak
 
 
 def test_gf_series_small_orders():

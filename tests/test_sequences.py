@@ -9,6 +9,7 @@ from cubefactor.sequences import (
     lucas,
     lucas_triangle,
     lucas_triangle_row,
+    lucas_triangle_rows,
     padovan,
     padovan_closed,
 )
@@ -100,3 +101,11 @@ def test_lucas_triangle_formula_matches_recurrence_to_64():
         if n >= 1:
             assert row[0] == 1 and row[-1] == 2
             assert sum(row) == 3 * 2 ** (n - 1)
+
+
+def test_lucas_triangle_rows_stream_rows_a_caller_may_change():
+    rows = lucas_triangle_rows()
+    for n in range(12):
+        row = next(rows)
+        assert row == [lucas_triangle(n, k) for k in range(n + 1)] == lucas_triangle_row(n)
+        row[:] = [0] * len(row)  # the generator must not read it again

@@ -9,18 +9,18 @@ The polynomial identities live beside the polynomials, in
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from itertools import chain, islice, takewhile
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import factors, graphs, oeis, sequences
 from .polynomials import AuditEntry, Family, _family, qpoly_rec
 
 __all__ = ["sequence_audit", "oracle_audit", "oeis_audit"]
 
-_SEQUENCES: dict[str, Callable[[int], int]] = {
-    "padovan": sequences.padovan,
-    "fibonacci": sequences.fib,
-    "lucas": sequences.lucas,
+# each name's terms from index 0, one forward pass per call
+_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {
+    name: partial(sequences._terms, name) for name in ("padovan", "fibonacci", "lucas")
 }
 
 _OEIS_CHECKS: tuple[tuple[str, str], ...] = (
@@ -272,7 +272,7 @@ def _grid_plus_pendant() -> graphs.LabeledGraph:
 def _local_terms(name: str, count: int) -> list[int]:
     if name == "lucas-triangle rows flattened":
         return list(islice(chain.from_iterable(sequences.lucas_triangle_rows()), count))
-    return [_SEQUENCES[name](n) for n in range(count)]
+    return list(islice(_SEQUENCES[name](), count))
 
 
 def oeis_audit(offline: bool) -> list[AuditEntry]:

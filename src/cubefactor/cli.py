@@ -151,9 +151,8 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be non-negative")
-    term = _SEQUENCES[args.name]
-    for n in range(args.count):
-        print(term(n))
+    for term in islice(_SEQUENCES[args.name](), args.count):
+        print(term)
     return 0
 
 
@@ -211,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
     record = oeis.fetch_bfile(args.id, offline=args.offline, cache=args.cache_dir)
-    local = [_SEQUENCES[args.against](n) for n in range(120)]
+    local = list(islice(_SEQUENCES[args.against](), 120))
     reports = oeis.scan_shifts(local, 0, record)
     if not reports:
         print(f"error: no overlap with {record.id} at any shift in [-5,5]", file=sys.stderr)

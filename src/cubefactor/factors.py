@@ -12,6 +12,14 @@ the number of parts. Three independent routes produce factors:
 * ``structural_factor``     -- the recursive lift-and-embed construction
                                that mirrors the polynomial recurrence.
 
+The first two share one search core, ``_first_min_cover``: the first
+fewest-parts cover of a vertex set by given cubes and single vertices.
+Exact search calls it once with every cube of dimension >= 1; greedy
+calls it once per dimension, since a fewest-parts cover by k-cubes and
+single vertices is a maximum k-cube packing. A vertex that no fitting cube
+reaches any more is forced: the core makes it a single vertex without
+branching on it.
+
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
 byte-identical factors.
@@ -200,53 +208,52 @@ def _max_possible_dimension(nv: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact minimum-part factor (branch-and-bound exact cover)
+# the shared search core (branch-and-bound exact cover) and its two solvers
 # ---------------------------------------------------------------------------
 
 
-def exact_min_factor(
-    g: LabeledGraph, cap: int = EXACT_SEARCH_CAP, stats: dict[str, int] | None = None
-) -> CubeFactor:
-    """A cube factor with the minimum number of parts, by exact search.
+def _first_min_cover(
+    ordered: list[InducedCube], target: int, effort: dict[str, int]
+) -> list[InducedCube]:
+    """The cubes of the first fewest-parts cover of ``target`` by cubes of
+    ``ordered`` (dimension >= 1, all inside target) and single vertices.
 
-    Branch on the lowest-indexed uncovered vertex; try covering cubes in
-    descending dimension then canonical order, and replace the incumbent
+    Branch on the lowest uncovered vertex; try its fitting cubes in
+    ``ordered`` order, then the vertex alone, and replace the incumbent
     only on a strict improvement, so the result is the first optimal cover
     in that order. Prune with the fractional bound
     ceil(sum over uncovered v of 2**-kmax(v)), where kmax(v) is the largest
-    dimension of a cube through v still disjoint from the covered set: a
-    k-part covers 2**k uncovered vertices, each with kmax >= k, so it
-    lowers the sum by at most 1. The sum is accumulated in integer units of
-    2**-top and abandoned as soon as it exceeds what the incumbent allows.
-    A visited table prunes re-reaching a covered set at no fewer parts.
+    dimension of a cube through v still disjoint from the covered set (0 if
+    none): a k-part covers 2**k uncovered vertices, each with kmax >= k, so
+    it lowers the sum by at most 1. The sum is accumulated in integer units
+    of 2**-top and abandoned as soon as it exceeds what the incumbent
+    allows. The scan that finds each uncovered vertex's first fitting cube
+    also returns the vertices with none: they are forced single vertices,
+    covered at once instead of one search node each. A visited table
+    prunes re-reaching a covered set at no fewer parts.
 
-    If ``stats`` is given, it receives the search effort: ``nodes``
-    (search calls), ``bound_prunes`` and ``memo_hits``.
+    ``effort`` has its ``nodes`` (search calls), ``bound_prunes`` and
+    ``memo_hits`` counts raised by this search's effort. The cubes come
+    back in ``ordered`` order.
     """
-    nv = g.vertex_count
-    if nv > cap:
-        raise ValueError(f"graph has {nv} vertices, above the exact-search cap {cap}")
-    levels = enumerate_cubes(g, _max_possible_dimension(nv))
-    top = len(levels) - 1
-    ordered: list[InducedCube] = [c for level in reversed(levels) for c in level]
+    top = max((c.dimension for c in ordered), default=0)
     # per vertex, its cubes in `ordered` order as (index, mask, 2**(top - dimension))
-    by_vertex: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
+    by_vertex: list[list[tuple[int, int, int]]] = [[] for _ in range(target.bit_length())]
     for idx, cube in enumerate(ordered):
         entry = (idx, _mask_of(cube.vertices), 1 << (top - cube.dimension))
         for v in cube.vertices:
             by_vertex[v].append(entry)
-    full = (1 << nv) - 1
 
-    best_count = nv + 1
-    best_choice: list[int] | None = None
+    best_count = target.bit_count() + 1
+    best_choice: list[int] = []
     choice: list[int] = []
     visited: dict[int, int] = {}
-    nodes = bound_prunes = memo_hits = 0
 
-    def bound_exceeds(covered: int, allowed: int) -> bool:
-        # sum of 2**(top - kmax(v)) over uncovered v, stopping once past allowed
-        total = 0
-        rest = ~covered & full
+    def forced_unless_pruned(covered: int, allowed: int) -> int | None:
+        # sum of 2**(top - kmax(v)) over uncovered v, stopping once past
+        # allowed (None); otherwise the uncovered vertices with kmax 0
+        total = forced = 0
+        rest = target & ~covered
         while rest:
             low = rest & -rest
             rest ^= low
@@ -254,112 +261,107 @@ def exact_min_factor(
                 if not m & covered:
                     total += w
                     break
+            else:
+                total += 1 << top
+                forced |= low
             if total > allowed:
-                return True
-        return False
+                return None
+        return forced
 
-    def search(covered: int) -> None:
-        nonlocal best_count, best_choice, nodes, bound_prunes, memo_hits
-        nodes += 1
-        if covered == full:
-            if len(choice) < best_count:
-                best_count = len(choice)
-                best_choice = list(choice)
+    def search(covered: int, parts: int) -> None:
+        nonlocal best_count, best_choice
+        effort["nodes"] += 1
+        forced = forced_unless_pruned(covered, (best_count - parts - 1) << top)
+        if forced is None:
+            effort["bound_prunes"] += 1
             return
-        if bound_exceeds(covered, (best_count - len(choice) - 1) << top):
-            bound_prunes += 1
+        covered |= forced
+        parts += forced.bit_count()
+        if covered == target:  # the bound let it through, so it is a strict improvement
+            best_count = parts
+            best_choice = list(choice)
             return
         seen = visited.get(covered)
-        if seen is not None and seen <= len(choice):
-            memo_hits += 1
+        if seen is not None and seen <= parts:
+            effort["memo_hits"] += 1
             return
-        visited[covered] = len(choice)
-        uncovered = ~covered & full
-        v = (uncovered & -uncovered).bit_length() - 1
-        for idx, m, _ in by_vertex[v]:
+        visited[covered] = parts
+        uncovered = target & ~covered
+        low = uncovered & -uncovered
+        for idx, m, _ in by_vertex[low.bit_length() - 1]:
             if m & covered:
                 continue
             choice.append(idx)
-            search(covered | m)
+            search(covered | m, parts + 1)
             choice.pop()
+        search(covered | low, parts + 1)
 
-    search(0)
-    assert best_choice is not None  # singleton cubes guarantee a cover
-    if stats is not None:
-        stats.update(nodes=nodes, bound_prunes=bound_prunes, memo_hits=memo_hits)
-    parts = sorted(
-        (ordered[idx] for idx in best_choice), key=lambda c: (-c.dimension, c.vertices)
-    )
-    return CubeFactor(tuple(parts))
+    search(0, 0)
+    return [ordered[idx] for idx in sorted(best_choice)]
 
 
-# ---------------------------------------------------------------------------
-# layered greedy (exact maximum packing per dimension, top down)
-# ---------------------------------------------------------------------------
+def exact_min_factor(
+    g: LabeledGraph, cap: int = EXACT_SEARCH_CAP, stats: dict[str, int] | None = None
+) -> CubeFactor:
+    """A cube factor with the minimum number of parts, by exact search.
+
+    One call of the shared core ``_first_min_cover`` over every induced
+    cube of dimension >= 1, in descending dimension then canonical order,
+    so the result is the first optimal cover in that order; vertices with
+    no fitting cube left are forced single vertices.
+
+    If ``stats`` is given, it receives the search effort: ``nodes``
+    (search calls), ``bound_prunes`` and ``memo_hits``.
+    """
+    levels = _levels_from_the_top(g, cap)
+    return _cover_in_layers(g.vertex_count, [[c for level in levels for c in level]], stats)
 
 
-def greedy_layered_factor(g: LabeledGraph, cap: int = EXACT_SEARCH_CAP) -> CubeFactor:
+def greedy_layered_factor(
+    g: LabeledGraph, cap: int = EXACT_SEARCH_CAP, stats: dict[str, int] | None = None
+) -> CubeFactor:
     """Factor built by taking a maximum disjoint k-cube packing for each
     dimension k from the largest down, deleting covered vertices between
-    layers. Each layer's packing is solved exactly."""
+    layers; the rest are single vertices.
+
+    Each layer's packing is exact: a fewest-parts cover of the remaining
+    vertices by k-cubes and single vertices packs the most k-cubes, so
+    layer k is one call of the shared core ``_first_min_cover`` with the
+    k-cubes inside the remaining vertices, and its forced single vertices
+    are the ones no such cube reaches. The result is the first maximum
+    packing in the core's branching order.
+
+    If ``stats`` is given, it receives the search effort summed over the
+    layers, with the keys of :func:`exact_min_factor`.
+    """
+    return _cover_in_layers(g.vertex_count, _levels_from_the_top(g, cap), stats)
+
+
+def _levels_from_the_top(g: LabeledGraph, cap: int) -> list[list[InducedCube]]:
+    # the induced cubes of dimension >= 1, one list per dimension, largest first
     nv = g.vertex_count
     if nv > cap:
         raise ValueError(f"graph has {nv} vertices, above the exact-search cap {cap}")
-    if nv == 0:
-        return CubeFactor(())
-    levels = enumerate_cubes(g, _max_possible_dimension(nv))
+    return enumerate_cubes(g, _max_possible_dimension(nv))[:0:-1]
+
+
+def _cover_in_layers(
+    nv: int, layers: list[list[InducedCube]], stats: dict[str, int] | None
+) -> CubeFactor:
+    # one core call per layer, each over the vertices the layers before it
+    # left; single vertices fill what is left at the end
+    effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
     remaining = (1 << nv) - 1
     parts: list[InducedCube] = []
-    for k in range(len(levels) - 1, 0, -1):
-        candidates = [c for c in levels[k] if _mask_of(c.vertices) & ~remaining == 0]
-        if not candidates:
-            continue
-        chosen = _max_packing(candidates, remaining, k)
-        parts.extend(chosen)
-        for c in chosen:
+    for layer in layers:
+        fitting = [c for c in layer if not _mask_of(c.vertices) & ~remaining]
+        for c in _first_min_cover(fitting, remaining, effort):
+            parts.append(c)
             remaining &= ~_mask_of(c.vertices)
-    for v in _bits(remaining):
-        parts.append(InducedCube(0, (v,)))
+    parts.extend(InducedCube(0, (v,)) for v in _bits(remaining))
+    if stats is not None:
+        stats.update(effort)
     return CubeFactor(tuple(parts))
-
-
-def _max_packing(candidates: list[InducedCube], avail: int, k: int) -> list[InducedCube]:
-    """Maximum vertex-disjoint subset of equal-dimension cubes within avail.
-
-    Branch on the lowest available vertex still coverable: either pack one
-    of the cubes containing it (canonical order) or leave it unpacked.
-    """
-    masks = [_mask_of(c.vertices) for c in candidates]
-    best_count = -1
-    best_sel: list[int] = []
-    sel: list[int] = []
-
-    def search(pool: int, count: int) -> None:
-        nonlocal best_count, best_sel
-        if count + (pool.bit_count() >> k) <= best_count:
-            return
-        branch_v = -1
-        for m in masks:
-            if m & ~pool == 0:
-                v = (m & -m).bit_length() - 1
-                branch_v = v if branch_v < 0 else min(branch_v, v)
-        if branch_v < 0:
-            if count > best_count:
-                best_count = count
-                best_sel = list(sel)
-            return
-        # vertices below branch_v can never be covered any more; drop them
-        pool &= ~((1 << branch_v) - 1)
-        bit = 1 << branch_v
-        for idx, m in enumerate(masks):
-            if m & bit and m & ~pool == 0:
-                sel.append(idx)
-                search(pool & ~m, count + 1)
-                sel.pop()
-        search(pool & ~bit, count)
-
-    search(avail, 0)
-    return [candidates[i] for i in sorted(best_sel)]
 
 
 # ---------------------------------------------------------------------------

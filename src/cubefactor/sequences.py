@@ -5,13 +5,15 @@ boundary conventions the cube-factor formulas rely on, and the (1,2)-Pascal
 triangle (Lucas triangle). Everything is plain Python ints, so values stay
 exact at every index exercised by the test suite (up to n = 500).
 
-Nothing is memoised: each term is computed from index 0 on every call,
-and the triangle's rows are streamed by one forward pass that holds only
-the row its recurrence reads.
+Nothing is memoised. The three sequences and the triangle's rows are
+streamed, each by one forward pass that holds only the terms or the row
+its recurrence reads; a single term is read from its stream, computed from
+index 0 on every call.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import count, islice
 from math import comb
 from typing import Iterator
@@ -34,31 +36,38 @@ def _check_index(n: int) -> None:
         raise ValueError(f"index must be non-negative, got {n}")
 
 
+def _terms(name: str) -> Iterator[int]:
+    """Terms 0, 1, 2, ... of "fibonacci", "lucas" or "padovan", in one forward pass.
+
+    Each is x(m + w) = x(m) + x(m + 1) run from its first w terms, the seed
+    window: w = 2 gives the Fibonacci step x(m + 2) = x(m) + x(m + 1), and
+    w = 3 gives Padovan's x(m + 3) = x(m) + x(m + 1).
+    """
+    window = deque({"fibonacci": (0, 1), "lucas": (2, 1), "padovan": (1, 1, 1)}[name])
+    while True:
+        oldest = window.popleft()
+        yield oldest
+        window.append(oldest + window[0])
+
+
+def _term(name: str, n: int) -> int:
+    _check_index(n)
+    return next(islice(_terms(name), n, None))
+
+
 def fib(n: int) -> int:
     """n-th Fibonacci number, F(0) = 0, F(1) = 1."""
-    _check_index(n)
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _term("fibonacci", n)
 
 
 def lucas(n: int) -> int:
     """n-th Lucas number, L(0) = 2, L(1) = 1."""
-    _check_index(n)
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _term("lucas", n)
 
 
 def padovan(n: int) -> int:
     """n-th Padovan number: p(0) = p(1) = p(2) = 1, p(n) = p(n-2) + p(n-3)."""
-    _check_index(n)
-    a, b, c = 1, 1, 1
-    for _ in range(n):
-        a, b, c = b, c, a + b
-    return a
+    return _term("padovan", n)
 
 
 def padovan_closed(n: int) -> int:

@@ -5,6 +5,7 @@ import json
 from cubefactor import cli
 from cubefactor.factors import factor_from_json, verify_factor
 from cubefactor.graphs import build_omega
+from cubefactor.sequences import fib
 
 TABLE_GAMMA_9 = (
     "1\n"
@@ -79,6 +80,16 @@ def test_seq_terms(capsys):
     assert code == 0 and out.split() == ["1", "1", "1", "2", "2", "3"]
     code, out, _ = run(capsys, "seq", "--name", "lucas", "--count", "3")
     assert code == 0 and out.split() == ["2", "1", "3"]
+
+
+def test_seq_long_empty_and_negative_counts(capsys):
+    code, out, _ = run(capsys, "seq", "--name", "fibonacci", "--count", "3000")
+    terms = [int(t) for t in out.split()]
+    assert code == 0 and len(terms) == 3000 and terms[-1] == fib(2999)
+    assert all(terms[n + 2] == terms[n] + terms[n + 1] for n in range(2998))
+    assert run(capsys, "seq", "--name", "padovan", "--count", "0")[:2] == (0, "")
+    code, out, _ = run(capsys, "seq", "--name", "padovan", "--count", "-1")
+    assert code == 2 and out == ""
 
 
 def test_graph_exports(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from math import comb
@@ -116,6 +117,45 @@ def first_minimum_cover(g):
     return CubeFactor(tuple(sorted(best, key=lambda c: (-c.dimension, c.vertices))))
 
 
+def first_maximum_packings(g):
+    """Brute-force reference for the layered greedy: for each dimension k
+    from the top down, walk every packing of k-cubes inside the remaining
+    vertices, with no bound and no memo, branching on the lowest vertex a
+    k-cube still fits: pack each of its k-cubes in canonical order, then
+    leave it out; keep the first packing with the most cubes and delete
+    its vertices. Single vertices fill the rest."""
+    nv = g.vertex_count
+    levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
+    remaining = (1 << nv) - 1
+    parts = []
+    for level in reversed(levels[1:]):
+        cubes = [(c, sum(1 << v for v in c.vertices)) for c in level]
+        best = None
+        chosen = []
+
+        def walk(avail):
+            nonlocal best
+            fitting = [(c, mask) for c, mask in cubes if not mask & ~avail]
+            if not fitting:
+                if best is None or len(chosen) > len(best):
+                    best = list(chosen)
+                return
+            v = min(c.vertices[0] for c, _ in fitting)
+            for cube, mask in fitting:
+                if mask >> v & 1:
+                    chosen.append(cube)
+                    walk(avail & ~mask)
+                    chosen.pop()
+            walk(avail & ~(1 << v))
+
+        walk(remaining)
+        for cube in sorted(best, key=lambda c: c.vertices):
+            parts.append(cube)
+            remaining &= ~sum(1 << v for v in cube.vertices)
+    parts.extend(InducedCube(0, (v,)) for v in range(nv) if remaining >> v & 1)
+    return CubeFactor(tuple(parts))
+
+
 @st.composite
 def family_subgraphs(draw):
     """Induced subgraphs of gamma/omega members of order <= 6 (at most 16
@@ -147,6 +187,18 @@ def test_exact_min_factor_is_the_first_optimal_cover_on_family_subgraphs(g):
 @given(small_graphs())
 def test_exact_min_factor_is_the_first_optimal_cover_on_small_graphs(g):
     assert exact_min_factor(g) == first_minimum_cover(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs())
+def test_greedy_is_the_first_maximum_packing_per_layer_on_family_subgraphs(g):
+    assert greedy_layered_factor(g) == first_maximum_packings(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_greedy_is_the_first_maximum_packing_per_layer_on_small_graphs(g):
+    assert greedy_layered_factor(g) == first_maximum_packings(g)
 
 
 def brute_force_cubes(g, k_max):
@@ -230,6 +282,48 @@ def test_exact_search_node_count_at_order_8(family, recorded):
     assert stats["nodes"] <= recorded
 
 
+def test_greedy_reports_search_effort_with_the_exact_keys():
+    stats = {}
+    factor = greedy_layered_factor(build_omega(6), stats=stats)
+    assert factor == greedy_layered_factor(build_omega(6))
+    assert set(stats) == {"nodes", "bound_prunes", "memo_hits"}
+    assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
+    # no layer to search: the keys are still there, at zero
+    stats = {}
+    greedy_layered_factor(build_gamma(0), stats=stats)
+    assert stats == {"nodes": 0, "bound_prunes": 0, "memo_hits": 0}
+
+
+# Greedy search nodes summed over the layers, recorded with the shared
+# exact-cover core; the per-dimension packing search it replaced took
+# 5,629 (gamma 11) and 59,573 (omega 12).
+@pytest.mark.parametrize(
+    "family, n, recorded", [("gamma", 11, 198), ("omega", 12, 444), ("gamma", 12, 1409)]
+)
+def test_greedy_search_node_count(family, n, recorded):
+    g = build_graph(family, n)
+    stats = {}
+    greedy_layered_factor(g, cap=g.vertex_count, stats=stats)
+    assert stats["nodes"] <= recorded
+
+
+# sha256 of factor_to_json for greedy with the cap raised to the vertex
+# count, recorded from the per-dimension packing search that preceded the
+# shared core: the factors must stay byte-identical.
+@pytest.mark.parametrize(
+    "family, n, digest",
+    [
+        ("gamma", 11, "b96522bed71e0fd538bc9c2dc603186abfadc5a933a2c8c5d4044fd681607a26"),
+        ("omega", 12, "770cde4715c5e8f368c07a21bfbcf0a2589815396c51251228b62fc9805208a6"),
+        ("gamma", 12, "cd81d7380517990924925e19d8a2966819de09d5792c06a44e666aa74367f85c"),
+    ],
+)
+def test_greedy_factor_is_byte_identical_beyond_the_cap(family, n, digest):
+    g = build_graph(family, n)
+    text = factor_to_json(g, greedy_layered_factor(g, cap=g.vertex_count))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_exact_min_factor_respects_the_cap():
     with pytest.raises(ValueError):
         exact_min_factor(build_gamma(10))
@@ -290,6 +384,32 @@ def test_solvers_are_deterministic():
     g = build_gamma(6)
     assert exact_min_factor(g) == exact_min_factor(g)
     assert greedy_layered_factor(g) == greedy_layered_factor(g)
+
+
+def single_vertex_mutations(g, factor):
+    """Every factor that differs from ``factor`` in one vertex of one part:
+    the vertex dropped, or replaced by any other vertex of the graph (the
+    part's vertices kept sorted, so only the cube, disjointness and
+    coverage checks can catch it)."""
+    for i, part in enumerate(factor.parts):
+        for j, v in enumerate(part.vertices):
+            rest = part.vertices[:j] + part.vertices[j + 1:]
+            options = [rest] + [tuple(sorted(rest + (w,))) for w in range(g.vertex_count) if w != v]
+            for vertices in options:
+                mutated = factor.parts[:i] + (InducedCube(part.dimension, vertices),) + factor.parts[i + 1:]
+                yield CubeFactor(mutated)
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+@pytest.mark.parametrize("n", range(6))
+def test_verify_factor_rejects_every_single_vertex_mutation(family, n):
+    g = build_graph(family, n)
+    for factor in (exact_min_factor(g), greedy_layered_factor(g), structural_factor(family, n, g)):
+        assert isinstance(verify_factor(g, factor), FactorProfile)
+        mutations = list(single_vertex_mutations(g, factor))
+        assert len(mutations) == g.vertex_count**2
+        for mutated in mutations:
+            assert isinstance(verify_factor(g, mutated), FactorViolation), mutated
 
 
 def test_verify_factor_coverage_violation():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
+from cubefactor.audit import _SEQUENCES
 from cubefactor.sequences import (
     binom_ext,
     binom_ext_div3,
@@ -109,3 +112,12 @@ def test_lucas_triangle_rows_stream_rows_a_caller_may_change():
         row = next(rows)
         assert row == [lucas_triangle(n, k) for k in range(n + 1)] == lucas_triangle_row(n)
         row[:] = [0] * len(row)  # the generator must not read it again
+
+
+def test_sequence_streams_match_the_single_terms_and_second_routes():
+    streams = {name: list(islice(_SEQUENCES[name](), 301)) for name in _SEQUENCES}
+    fibs, lucases, padovans = streams["fibonacci"], streams["lucas"], streams["padovan"]
+    assert fibs == [fib(n) for n in range(301)]
+    assert lucases == [lucas(n) for n in range(301)]
+    assert padovans == [padovan(n) for n in range(301)] == [padovan_closed(n) for n in range(301)]
+    assert all(lucases[n] == fibs[n - 1] + fibs[n + 1] for n in range(1, 300))

@@ -2,8 +2,10 @@
 
 Each suite returns ``AuditEntry`` values: PASS / FAIL per check, naming the
 first failing index on FAIL, and INFO for observations that do not gate.
-The polynomial identities live beside the polynomials, in
-``polynomials.identity_audit``.
+Checks over a range of indices build their entry with
+``polynomials._check``, the helper ``polynomials.identity_audit`` shares;
+each sequence and the recurrence rows are read from one forward stream
+per suite.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import partial
 from itertools import chain, islice, takewhile
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from . import factors, graphs, oeis, sequences
-from .polynomials import AuditEntry, Family, _family, qpoly_rec
+from .polynomials import AuditEntry, Family, _check, _family, qpoly_rows
 
 __all__ = ["sequence_audit", "oracle_audit", "oeis_audit"]
 
@@ -31,46 +33,39 @@ _OEIS_CHECKS: tuple[tuple[str, str], ...] = (
 )
 
 
-def _check(name: str, bad: Sequence[object], detail: str, at: str = "n=") -> AuditEntry:
-    """PASS over ``detail`` when nothing failed, else FAIL at the first failure."""
-    if bad:
-        return AuditEntry(name, "FAIL", f"first failure at {at}{bad[0]}")
-    return AuditEntry(name, "PASS", detail)
-
-
 def sequence_audit(max_n: int) -> list[AuditEntry]:
     """Closed forms against recurrences and two classic identities, n <= max_n."""
+    if max_n < 0:
+        raise ValueError(f"max_n must be non-negative, got {max_n}")
     whole, from_one = range(max_n + 1), range(1, max_n + 1)
     rows = list(islice(sequences.lucas_triangle_rows(), max_n + 1))
+    padovan = list(islice(_SEQUENCES["padovan"](), max_n + 1))
+    fib = list(islice(_SEQUENCES["fibonacci"](), max_n + 2))
     return [
         _check(
             "padovan closed-form equals recurrence",
-            [n for n in whole if sequences.padovan_closed(n) != sequences.padovan(n)],
+            (n for n in whole if sequences.padovan_closed(n) != padovan[n]),
             f"[n=0..{max_n}]",
         ),
         _check(
             "lucas-triangle recurrence rows equal the additive formula",
-            [
+            (
                 n
                 for n, row in enumerate(rows)
                 if row != [sequences.lucas_triangle(n, k) for k in range(n + 1)]
-            ],
+            ),
             f"[n=0..{max_n}]",
             at="row ",
         ),
         _check(
             "lucas-triangle row sums equal 3*2^(n-1)",
-            [n for n in from_one if sum(rows[n]) != 3 * 2 ** (n - 1)],
+            (n for n in from_one if sum(rows[n]) != 3 * 2 ** (n - 1)),
             f"[n=1..{max_n}]",
             at="row ",
         ),
         _check(
             "fibonacci cassini identity",
-            [
-                n
-                for n in from_one
-                if sequences.fib(n + 1) * sequences.fib(n - 1) - sequences.fib(n) ** 2 != (-1) ** n
-            ],
+            (n for n in from_one if fib[n + 1] * fib[n - 1] - fib[n] ** 2 != (-1) ** n),
             f"[n=1..{max_n}]",
         ),
         AuditEntry(
@@ -120,9 +115,9 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         range(max_n + 1),
     ))
     bad: dict[str, list[int]] = defaultdict(list)
-    for n in solver_ns:
+    part_counts = islice(_SEQUENCES["padovan"](), 1, None)  # padovan(n+1) for n = 0, 1, ...
+    for n, poly, parts in zip(solver_ns, qpoly_rows(fam), part_counts):
         g = built[n]
-        poly = qpoly_rec(fam, n)
         exact = factors.exact_min_factor(g)
         greedy = factors.greedy_layered_factor(g)
         structural = factors.structural_factor(fam, n, g)
@@ -131,7 +126,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
                 isinstance(factors.verify_factor(g, factor), factors.FactorViolation)
                 for factor in (exact, greedy, structural)
             ),
-            "exact": exact.part_count != sequences.padovan(n + 1),
+            "exact": exact.part_count != parts,
             "greedy": greedy.profile().counts != poly.coeffs,
             "structural": structural.profile().counts != poly.coeffs,
             "profile": exact.profile().counts != poly.coeffs,

@@ -17,7 +17,11 @@ is memoised, so row n costs O(n) rows of work and bounded memory.
 ``identity_audit`` replays every identity and case-split formula as a
 prediction and reports PASS / FAIL / INFO per entry; predictions are never
 used as the computation path, so a wrong prediction shows up in the report
-instead of poisoning the numbers.
+instead of poisoning the numbers. Every check over a range of indices,
+here and in ``audit``, builds its PASS / FAIL entry with one helper,
+``_check``, which reads a lazy stream of failures and names the first;
+the audit reads the Fibonacci, Lucas and Padovan numbers from one stream
+each.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from enum import Enum
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
-from .sequences import binom_ext, binom_ext_div3, fib, lucas, padovan
+from .sequences import _terms, binom_ext, binom_ext_div3
 
 __all__ = [
     "Family",
@@ -356,6 +360,19 @@ class AuditEntry:
         return f"{self.status} {self.name}: {self.detail}"
 
 
+def _check(name: str, failures: Iterable[object], detail: str, at: str = "n=") -> AuditEntry:
+    """PASS over ``detail`` when ``failures`` is empty, else FAIL at the first
+    failure; the iterable is read only up to that first failure."""
+    for first in failures:
+        return AuditEntry(name, "FAIL", f"first failure at {at}{first}")
+    return AuditEntry(name, "PASS", detail)
+
+
+def _misses(triples: Iterable[tuple[int, object, object]]) -> Iterator[str]:
+    # (n, expected, actual) triples -> one failure per disagreement
+    return (f"{n}: expected {e}, got {a}" for n, e, a in triples if e != a)
+
+
 @dataclass
 class AuditReport:
     family: Family
@@ -381,22 +398,6 @@ class AuditReport:
         return json.dumps(payload, separators=(",", ":"))
 
 
-def _first_mismatch(pairs: Iterable[tuple[int, int, int]]) -> tuple[int, int, int] | None:
-    # pairs of (n, expected, actual); returns the first disagreement
-    for n, expected, actual in pairs:
-        if expected != actual:
-            return n, expected, actual
-    return None
-
-
-def _equality_entry(name, pairs, ok_detail) -> AuditEntry:
-    miss = _first_mismatch(pairs)
-    if miss is None:
-        return AuditEntry(name, "PASS", ok_detail)
-    n, expected, actual = miss
-    return AuditEntry(name, "FAIL", f"first failure at n={n}: expected {expected}, got {actual}")
-
-
 def identity_audit(family: Family | str, n_max: int) -> AuditReport:
     """Audit every polynomial identity and case-split prediction up to n_max.
 
@@ -410,62 +411,38 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
     report = AuditReport(fam, n_max)
     add = report.entries.append
     polys = list(islice(qpoly_rows(fam), n_max + 1))
-    rng = f"[n=0..{n_max}]"
+    fib, lucas, padovan = (
+        list(islice(_terms(name), n_max + 3)) for name in ("fibonacci", "lucas", "padovan")
+    )
+    f, whole, rng = fam.value, range(n_max + 1), f"[n=0..{n_max}]"
 
-    # value identities
-    add(_equality_entry(
-        f"{fam.value} eval-at-1 equals padovan(n+1)",
-        ((n, padovan(n + 1), eval_at(polys[n], 1)) for n in range(n_max + 1)),
-        rng,
-    ))
+    # value identities and route agreement
+    add(_check(f"{f} eval-at-1 equals padovan(n+1)",
+               _misses((n, padovan[n + 1], eval_at(polys[n], 1)) for n in whole), rng))
     if fam is Family.GAMMA:
-        add(_equality_entry(
-            "gamma eval-at-2 equals fibonacci(n+2)",
-            ((n, fib(n + 2), eval_at(polys[n], 2)) for n in range(n_max + 1)),
-            rng,
-        ))
+        add(_check("gamma eval-at-2 equals fibonacci(n+2)",
+                   _misses((n, fib[n + 2], eval_at(polys[n], 2)) for n in whole), rng))
     else:
-        add(_equality_entry(
-            "omega eval-at-2 equals lucas(n)",
-            ((n, lucas(n), eval_at(polys[n], 2)) for n in range(2, n_max + 1)),
-            f"[n=2..{n_max}]",
-        ))
-
-    # route agreement
+        add(_check("omega eval-at-2 equals lucas(n)",
+                   _misses((n, lucas[n], eval_at(polys[n], 2)) for n in whole[2:]),
+                   f"[n=2..{n_max}]"))
     lo = 0 if fam is Family.GAMMA else 2
-    def closed_pairs():
-        for n in range(lo, n_max + 1):
-            for k in range(polys[n].degree + 2):
-                yield n, polys[n].coefficient(k), q_closed(fam, n, k)
-    add(_equality_entry(
-        f"{fam.value} closed-form coefficients equal recurrence",
-        closed_pairs(),
-        f"[n={lo}..{n_max}, all k]",
-    ))
+    add(_check(f"{f} closed-form coefficients equal recurrence", _misses(
+        (n, polys[n].coefficient(k), q_closed(fam, n, k))
+        for n in whole[lo:] for k in range(polys[n].degree + 2)
+    ), f"[n={lo}..{n_max}, all k]"))
     series = gf_series(fam, n_max)
-    add(_equality_entry(
-        f"{fam.value} series-expansion terms equal recurrence",
-        ((n, 0, 0 if series.terms[n] == polys[n].coeffs else 1) for n in range(n_max + 1)),
-        rng,
-    ))
-    add(_equality_entry(
-        f"{fam.value} padovan series equals recurrence padovan",
-        ((n, padovan(n), v) for n, v in enumerate(padovan_gf_series(n_max))),
-        rng,
-    ))
+    add(_check(f"{f} series-expansion terms equal recurrence",
+               _misses((n, 0, int(series.terms[n] != polys[n].coeffs)) for n in whole), rng))
+    add(_check(f"{f} padovan series equals recurrence padovan",
+               _misses((n, padovan[n], v) for n, v in enumerate(padovan_gf_series(n_max))), rng))
 
     # structural counts
     if fam is Family.GAMMA:
-        add(_equality_entry(
-            "gamma nonzero-count equals floor((n+4)/3)",
-            ((n, (n + 4) // 3, polys[n].nonzero_count) for n in range(n_max + 1)),
-            rng,
-        ))
-        add(_equality_entry(
-            "gamma degree equals ceil(n/2)",
-            ((n, (n + 1) // 2, polys[n].degree) for n in range(n_max + 1)),
-            rng,
-        ))
+        add(_check("gamma nonzero-count equals floor((n+4)/3)",
+                   _misses((n, (n + 4) // 3, polys[n].nonzero_count) for n in whole), rng))
+        add(_check("gamma degree equals ceil(n/2)",
+                   _misses((n, (n + 1) // 2, polys[n].degree) for n in whole), rng))
         add(AuditEntry(
             "gamma degree convention",
             "INFO",
@@ -473,200 +450,103 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
             f"(degree {polys[1].degree})",
         ))
     else:
-        miss = _first_mismatch(
-            (n, (n + 5) // 3, polys[n].nonzero_count) for n in range(4, n_max + 1)
-        )
-        if miss is None:
-            add(AuditEntry(
-                "omega nonzero-count equals floor((n+5)/3)", "PASS", f"[n=4..{n_max}]",
-            ))
-        else:
-            n, expected, actual = miss
-            add(AuditEntry(
-                "omega nonzero-count equals floor((n+5)/3)",
-                "FAIL",
-                f"first failure at n={n}: predicted {expected}, got {actual}; "
-                "observed count is floor(n/2)+1 minus 1 when 3 divides n",
-            ))
-        add(_equality_entry(
-            "omega degree equals floor(n/2)",
-            ((n, n // 2, polys[n].degree) for n in range(2, n_max + 1)),
-            f"[n=2..{n_max}]",
-        ))
+        add(_check("omega nonzero-count equals floor((n+5)/3)", (
+            f"{n}: predicted {(n + 5) // 3}, got {polys[n].nonzero_count}; "
+            "observed count is floor(n/2)+1 minus 1 when 3 divides n"
+            for n in whole[4:] if polys[n].nonzero_count != (n + 5) // 3
+        ), f"[n=4..{n_max}]"))
+        add(_check("omega degree equals floor(n/2)",
+                   _misses((n, n // 2, polys[n].degree) for n in whole[2:]), f"[n=2..{n_max}]"))
 
-    # diagonal slices, oracle side from the recurrence polynomials
-    profiles = [_profile(polys, n, (n_max - n) // 2) for n in range(n_max + 1)]
+    # diagonal slices, oracle side from the recurrence polynomials; every
+    # case split reads n as 3m-1, 3m or 3m+1 (n % 3 = 2, 0, 1)
+    profiles = [_profile(polys, n, (n_max - n) // 2) for n in whole]
+    split = [(n, (n + 1) // 3) for n in whole]
 
     if fam is Family.GAMMA:
-        def anti_expected(n: int) -> int:
-            if n % 3 == 2:
-                return 2 ** ((n + 1) // 3)
-            if n % 3 == 0:
-                return 2 ** (n // 3)
-            return 0
-        add(_equality_entry(
-            "gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0",
-            ((n, anti_expected(n), profiles[n].anti_sum) for n in range(n_max + 1)),
-            rng,
-        ))
+        # every slice vanishes on n = 3m+1
+        add(_check("gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0", _misses(
+            (n, 2**m if n % 3 != 1 else 0, profiles[n].anti_sum) for n, m in split
+        ), rng))
+        add(_check("gamma anti-diagonal per-k values follow the C(m,k) case split", _misses(
+            (n, binom_ext(m, k) if n % 3 != 1 else 0, value)
+            for n, m in split for k, value in enumerate(profiles[n].anti_terms)
+        ), rng))
+        add(_check(
+            "gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0", _misses(
+                (n, binom_ext(m + k, k) if n % 3 != 1 else 0, value)
+                for n, m in split for k, value in enumerate(profiles[n].shifted_terms)
+            ), rng))
 
-        def anti_perk_pairs():
-            for n in range(n_max + 1):
-                for k in range(n + 1):
-                    if n % 3 == 2:
-                        expected = binom_ext((n + 1) // 3, k)
-                    elif n % 3 == 0:
-                        expected = binom_ext(n // 3, k)
-                    else:
-                        expected = 0
-                    yield n, expected, profiles[n].anti_terms[k]
-        add(_equality_entry(
-            "gamma anti-diagonal per-k values follow the C(m,k) case split",
-            anti_perk_pairs(),
-            rng,
-        ))
-
-        def shifted_pairs():
-            for n in range(n_max + 1):
-                for k, value in enumerate(profiles[n].shifted_terms):
-                    if n % 3 == 2:
-                        expected = binom_ext((n + 1) // 3 + k, k)
-                    elif n % 3 == 0:
-                        expected = binom_ext(n // 3 + k, k)
-                    else:
-                        expected = 0
-                    yield n, expected, value
-        add(_equality_entry(
-            "gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0",
-            shifted_pairs(),
-            rng,
-        ))
-
-        # skew sums: scan fibonacci index shifts, report the one that matches;
+        # skew sums: scan fibonacci index shifts, report the ones that match;
         # a negative predicted index counts as a mismatch for that shift
-        def fib_or_none(i: int) -> int | None:
-            return fib(i) if i >= 0 else None
+        def skew_matches(n: int, m: int, shift: int) -> bool:
+            if n % 3 == 1:
+                return profiles[n].skew_sum == 0
+            return m + shift >= 0 and profiles[n].skew_sum == fib[m + shift]
 
-        matching_shifts = []
-        for shift in range(-2, 4):
-            ok = True
-            for n in range(n_max + 1):
-                s = profiles[n].skew_sum
-                if n % 3 == 2:
-                    ok = s == fib_or_none((n + 1) // 3 + shift)
-                elif n % 3 == 0:
-                    ok = s == fib_or_none(n // 3 + shift)
-                else:
-                    ok = s == 0
-                if not ok:
-                    break
-            if ok:
-                matching_shifts.append(shift)
+        matching_shifts = [
+            shift for shift in range(-2, 4) if all(skew_matches(n, m, shift) for n, m in split)
+        ]
         add(AuditEntry(
             "gamma skew-diagonal sum vs fibonacci index",
             "INFO",
             f"predicted fib(m) on n=3m-1,3m; matching shifts {matching_shifts} "
             f"(observed fib(m+1)) {rng}",
         ))
-    else:
-        def anti_expected(n: int) -> int:
-            if n % 3 == 2:
-                return 2 ** ((n + 1) // 3 - 1)
-            if n % 3 == 0:
-                return 2 ** (n // 3 - 1)
-            return 3 * 2 ** ((n - 1) // 3 - 1)
-        add(_equality_entry(
-            "omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split",
-            ((n, anti_expected(n), profiles[n].anti_sum) for n in range(3, n_max + 1)),
-            f"[n=3..{n_max}]",
-        ))
+        # the same split on n+k, read off the closed form
+        add(_check("gamma two-term closed form follows the C(m,k) case split", _misses(
+            (n, binom_ext((n + k + 1) // 3, k) if (n + k) % 3 != 1 else 0, q_closed(fam, n, k))
+            for n in whole for k in range(polys[n].degree + 2)
+        ), rng))
+        return report
 
-        def anti_perk_pairs():
-            # the per-k case split restates the closed form; valid for
-            # inner index n-k >= 2 and k >= 2
-            for n in range(n_max + 1):
-                for k in range(2, n - 1):
-                    if n % 3 == 2:
-                        expected = binom_ext((n + 1) // 3 - 1, k)
-                    elif n % 3 == 0:
-                        expected = binom_ext(n // 3 - 1, k - 1)
-                    else:
-                        expected = _y_ext((n - 1) // 3, k)
-                    yield n, expected, profiles[n].anti_terms[k]
-        add(_equality_entry(
-            "omega anti-diagonal per-k values follow the closed-form case split",
-            anti_perk_pairs(),
-            f"[n=0..{n_max}, k>=2, n-k>=2]",
-        ))
+    # omega
+    add(_check("omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split", _misses(
+        (n, 2 ** (m - 1) * (3 if n % 3 == 1 else 1), profiles[n].anti_sum) for n, m in split[3:]
+    ), f"[n=3..{n_max}]"))
 
-        # shifted-index prediction: audit the printed reading against the
-        # substituted one and report which matches
-        printed_ok = True
-        printed_example = None
-        substituted_ok = True
-        substituted_example = None
-        for n in range(n_max + 1):
-            if n == 1:
-                continue
+    def anti_term(n: int, m: int, k: int) -> int:
+        # the per-k case split restates the closed form
+        if n % 3 == 1:
+            return _y_ext(m, k)
+        return binom_ext(m - 1, k if n % 3 == 2 else k - 1)
+
+    # valid for inner index n-k >= 2 and k >= 2
+    add(_check("omega anti-diagonal per-k values follow the closed-form case split", _misses(
+        (n, anti_term(n, m, k), profiles[n].anti_terms[k])
+        for n, m in split for k in range(2, n - 1)
+    ), f"[n=0..{n_max}, k>=2, n-k>=2]"))
+
+    # shifted-index prediction: audit the printed reading against the
+    # substituted one and report which matches
+    def readings() -> Iterator[tuple[int, int, int, int, int]]:
+        for n, m in split:
             for k, value in enumerate(profiles[n].shifted_terms):
-                if k == 0:
+                if n == 1 or k == 0:
                     continue
-                if n % 3 == 2:
-                    m = (n + 1) // 3
-                    printed, substituted = binom_ext(m + k, k), binom_ext(m + k - 1, k)
-                elif n % 3 == 0:
-                    m = n // 3
-                    printed, substituted = binom_ext(m + k - 1, k), binom_ext(m + k - 1, k - 1)
-                else:
-                    m = (n - 1) // 3
+                if n % 3 == 1:
                     printed = substituted = _y_ext(m + k, k)
-                if printed != value and printed_example is None:
-                    printed_ok = False
-                    printed_example = (n, k, printed, value)
-                if substituted != value and substituted_example is None:
-                    substituted_ok = False
-                    substituted_example = (n, k, substituted, value)
-        detail = (
-            f"printed reading matches: {printed_ok}"
-            + (f" (first miss n={printed_example[0]}, k={printed_example[1]}: "
-               f"predicted {printed_example[2]}, got {printed_example[3]})"
-               if printed_example else "")
-            + f"; substituted reading matches: {substituted_ok}"
-            + (f" (first miss n={substituted_example[0]}, k={substituted_example[1]})"
-               if substituted_example else "")
-        )
-        add(AuditEntry("omega shifted-index values q_k(n+2k), dual reading", "INFO", detail))
-
-        def skew_pairs():
-            for n in range(6, n_max + 1):
-                if n % 3 == 2:
-                    expected = fib((n + 1) // 3)
-                elif n % 3 == 0:
-                    expected = fib(n // 3 - 1)
+                elif n % 3 == 2:
+                    printed, substituted = binom_ext(m + k, k), binom_ext(m + k - 1, k)
                 else:
-                    expected = lucas((n - 1) // 3)
-                yield n, expected, profiles[n].skew_sum
-        add(_equality_entry(
-            "omega skew-diagonal sum follows the fib/lucas case split",
-            skew_pairs(),
-            f"[n=6..{n_max}]",
-        ))
+                    printed, substituted = binom_ext(m + k - 1, k), binom_ext(m + k - 1, k - 1)
+                yield n, k, printed, substituted, value
 
-    if fam is Family.GAMMA:
-        def detailed_pairs():
-            for n in range(n_max + 1):
-                for k in range(polys[n].degree + 2):
-                    if (n + k) % 3 == 2:
-                        expected = binom_ext((n + k + 1) // 3, k)
-                    elif (n + k) % 3 == 0:
-                        expected = binom_ext((n + k) // 3, k)
-                    else:
-                        expected = 0
-                    yield n, expected, q_closed(fam, n, k)
-        add(_equality_entry(
-            "gamma two-term closed form follows the C(m,k) case split",
-            detailed_pairs(),
-            rng,
-        ))
-
+    printed_miss = next((
+        f" (first miss n={n}, k={k}: predicted {p}, got {v})"
+        for n, k, p, _, v in readings() if p != v
+    ), "")
+    substituted_miss = next(
+        (f" (first miss n={n}, k={k})" for n, k, _, sub, v in readings() if sub != v), ""
+    )
+    add(AuditEntry(
+        "omega shifted-index values q_k(n+2k), dual reading",
+        "INFO",
+        f"printed reading matches: {not printed_miss}{printed_miss}; "
+        f"substituted reading matches: {not substituted_miss}{substituted_miss}",
+    ))
+    add(_check("omega skew-diagonal sum follows the fib/lucas case split", _misses(
+        (n, (fib[m - 1], lucas[m], fib[m])[n % 3], profiles[n].skew_sum) for n, m in split[6:]
+    ), f"[n=6..{n_max}]"))
     return report

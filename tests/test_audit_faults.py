@@ -1,0 +1,217 @@
+"""The audits' FAIL paths under injected faults.
+
+The goldens reach a single FAIL line, so these tests corrupt one value on
+the computed side of each check and pin every line the audits print: a
+recurrence coefficient on a row of each residue of n mod 3 (plus n=6, below
+the omega nonzero-count's known first failure), one closed-form
+coefficient, one Padovan closed-form term and one Lucas-triangle entry.
+Faults enter through module attributes the audits look up at call time.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from cubefactor import audit, polynomials, sequences
+from cubefactor.polynomials import CubeFactorPolynomial, identity_audit
+
+EXPECTED = {
+    ('row', 6, 0, 'gamma'): [
+        'FAIL gamma eval-at-1 equals padovan(n+1): first failure at n=6: expected 5, got 6',
+        'FAIL gamma eval-at-2 equals fibonacci(n+2): first failure at n=6: expected 21, got 22',
+        'FAIL gamma closed-form coefficients equal recurrence: first failure at n=6: expected 2, got 1',
+        'FAIL gamma series-expansion terms equal recurrence: first failure at n=6: expected 0, got 1',
+        'PASS gamma padovan series equals recurrence padovan: [n=0..30]',
+        'PASS gamma nonzero-count equals floor((n+4)/3): [n=0..30]',
+        'PASS gamma degree equals ceil(n/2): [n=0..30]',
+        'INFO gamma degree convention: degree follows ceil(n/2); the floor(n/2) reading disagrees first at n=1 (degree 1)',
+        'FAIL gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0: first failure at n=6: expected 4, got 5',
+        'FAIL gamma anti-diagonal per-k values follow the C(m,k) case split: first failure at n=6: expected 1, got 2',
+        'FAIL gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0: first failure at n=6: expected 1, got 2',
+        'INFO gamma skew-diagonal sum vs fibonacci index: predicted fib(m) on n=3m-1,3m; matching shifts [] (observed fib(m+1)) [n=0..30]',
+        'PASS gamma two-term closed form follows the C(m,k) case split: [n=0..30]',
+    ],
+    ('row', 6, 0, 'omega'): [
+        'FAIL omega eval-at-1 equals padovan(n+1): first failure at n=6: expected 5, got 6',
+        'FAIL omega eval-at-2 equals lucas(n): first failure at n=6: expected 18, got 19',
+        'FAIL omega closed-form coefficients equal recurrence: first failure at n=6: expected 1, got 0',
+        'FAIL omega series-expansion terms equal recurrence: first failure at n=6: expected 0, got 1',
+        'PASS omega padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL omega nonzero-count equals floor((n+5)/3): first failure at n=6: predicted 3, got 4; observed count is floor(n/2)+1 minus 1 when 3 divides n',
+        'PASS omega degree equals floor(n/2): [n=2..30]',
+        'FAIL omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split: first failure at n=6: expected 2, got 3',
+        'PASS omega anti-diagonal per-k values follow the closed-form case split: [n=0..30, k>=2, n-k>=2]',
+        'INFO omega shifted-index values q_k(n+2k), dual reading: printed reading matches: False (first miss n=0, k=1: predicted 0, got 1); substituted reading matches: True',
+        'FAIL omega skew-diagonal sum follows the fib/lucas case split: first failure at n=6: expected 1, got 2',
+    ],
+    ('row', 9, 1, 'gamma'): [
+        'FAIL gamma eval-at-1 equals padovan(n+1): first failure at n=9: expected 12, got 13',
+        'FAIL gamma eval-at-2 equals fibonacci(n+2): first failure at n=9: expected 89, got 91',
+        'FAIL gamma closed-form coefficients equal recurrence: first failure at n=9: expected 1, got 0',
+        'FAIL gamma series-expansion terms equal recurrence: first failure at n=9: expected 0, got 1',
+        'PASS gamma padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL gamma nonzero-count equals floor((n+4)/3): first failure at n=9: expected 4, got 5',
+        'PASS gamma degree equals ceil(n/2): [n=0..30]',
+        'INFO gamma degree convention: degree follows ceil(n/2); the floor(n/2) reading disagrees first at n=1 (degree 1)',
+        'FAIL gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0: first failure at n=10: expected 0, got 1',
+        'FAIL gamma anti-diagonal per-k values follow the C(m,k) case split: first failure at n=10: expected 0, got 1',
+        'FAIL gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0: first failure at n=7: expected 0, got 1',
+        'INFO gamma skew-diagonal sum vs fibonacci index: predicted fib(m) on n=3m-1,3m; matching shifts [] (observed fib(m+1)) [n=0..30]',
+        'PASS gamma two-term closed form follows the C(m,k) case split: [n=0..30]',
+    ],
+    ('row', 9, 1, 'omega'): [
+        'FAIL omega eval-at-1 equals padovan(n+1): first failure at n=9: expected 12, got 13',
+        'FAIL omega eval-at-2 equals lucas(n): first failure at n=9: expected 76, got 78',
+        'FAIL omega closed-form coefficients equal recurrence: first failure at n=9: expected 5, got 4',
+        'FAIL omega series-expansion terms equal recurrence: first failure at n=9: expected 0, got 1',
+        'PASS omega padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL omega nonzero-count equals floor((n+5)/3): first failure at n=8: predicted 4, got 5; observed count is floor(n/2)+1 minus 1 when 3 divides n',
+        'PASS omega degree equals floor(n/2): [n=2..30]',
+        'FAIL omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split: first failure at n=10: expected 12, got 13',
+        'PASS omega anti-diagonal per-k values follow the closed-form case split: [n=0..30, k>=2, n-k>=2]',
+        'INFO omega shifted-index values q_k(n+2k), dual reading: printed reading matches: False (first miss n=0, k=1: predicted 0, got 1); substituted reading matches: False (first miss n=7, k=1)',
+        'FAIL omega skew-diagonal sum follows the fib/lucas case split: first failure at n=13: expected 7, got 8',
+    ],
+    ('row', 10, 0, 'gamma'): [
+        'FAIL gamma eval-at-1 equals padovan(n+1): first failure at n=10: expected 16, got 17',
+        'FAIL gamma eval-at-2 equals fibonacci(n+2): first failure at n=10: expected 144, got 145',
+        'FAIL gamma closed-form coefficients equal recurrence: first failure at n=10: expected 1, got 0',
+        'FAIL gamma series-expansion terms equal recurrence: first failure at n=10: expected 0, got 1',
+        'PASS gamma padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL gamma nonzero-count equals floor((n+4)/3): first failure at n=10: expected 4, got 5',
+        'PASS gamma degree equals ceil(n/2): [n=0..30]',
+        'INFO gamma degree convention: degree follows ceil(n/2); the floor(n/2) reading disagrees first at n=1 (degree 1)',
+        'FAIL gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0: first failure at n=10: expected 0, got 1',
+        'FAIL gamma anti-diagonal per-k values follow the C(m,k) case split: first failure at n=10: expected 0, got 1',
+        'FAIL gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0: first failure at n=10: expected 0, got 1',
+        'INFO gamma skew-diagonal sum vs fibonacci index: predicted fib(m) on n=3m-1,3m; matching shifts [] (observed fib(m+1)) [n=0..30]',
+        'PASS gamma two-term closed form follows the C(m,k) case split: [n=0..30]',
+    ],
+    ('row', 10, 0, 'omega'): [
+        'FAIL omega eval-at-1 equals padovan(n+1): first failure at n=10: expected 16, got 17',
+        'FAIL omega eval-at-2 equals lucas(n): first failure at n=10: expected 123, got 124',
+        'FAIL omega closed-form coefficients equal recurrence: first failure at n=10: expected 2, got 1',
+        'FAIL omega series-expansion terms equal recurrence: first failure at n=10: expected 0, got 1',
+        'PASS omega padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL omega nonzero-count equals floor((n+5)/3): first failure at n=8: predicted 4, got 5; observed count is floor(n/2)+1 minus 1 when 3 divides n',
+        'PASS omega degree equals floor(n/2): [n=2..30]',
+        'FAIL omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split: first failure at n=10: expected 12, got 13',
+        'PASS omega anti-diagonal per-k values follow the closed-form case split: [n=0..30, k>=2, n-k>=2]',
+        'INFO omega shifted-index values q_k(n+2k), dual reading: printed reading matches: False (first miss n=0, k=1: predicted 0, got 1); substituted reading matches: True',
+        'FAIL omega skew-diagonal sum follows the fib/lucas case split: first failure at n=10: expected 4, got 5',
+    ],
+    ('row', 11, 2, 'gamma'): [
+        'FAIL gamma eval-at-1 equals padovan(n+1): first failure at n=11: expected 21, got 22',
+        'FAIL gamma eval-at-2 equals fibonacci(n+2): first failure at n=11: expected 233, got 237',
+        'FAIL gamma closed-form coefficients equal recurrence: first failure at n=11: expected 1, got 0',
+        'FAIL gamma series-expansion terms equal recurrence: first failure at n=11: expected 0, got 1',
+        'PASS gamma padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL gamma nonzero-count equals floor((n+4)/3): first failure at n=11: expected 5, got 6',
+        'PASS gamma degree equals ceil(n/2): [n=0..30]',
+        'INFO gamma degree convention: degree follows ceil(n/2); the floor(n/2) reading disagrees first at n=1 (degree 1)',
+        'FAIL gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0: first failure at n=13: expected 0, got 1',
+        'FAIL gamma anti-diagonal per-k values follow the C(m,k) case split: first failure at n=13: expected 0, got 1',
+        'FAIL gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0: first failure at n=7: expected 0, got 1',
+        'INFO gamma skew-diagonal sum vs fibonacci index: predicted fib(m) on n=3m-1,3m; matching shifts [] (observed fib(m+1)) [n=0..30]',
+        'PASS gamma two-term closed form follows the C(m,k) case split: [n=0..30]',
+    ],
+    ('row', 11, 2, 'omega'): [
+        'FAIL omega eval-at-1 equals padovan(n+1): first failure at n=11: expected 21, got 22',
+        'FAIL omega eval-at-2 equals lucas(n): first failure at n=11: expected 199, got 203',
+        'FAIL omega closed-form coefficients equal recurrence: first failure at n=11: expected 10, got 9',
+        'FAIL omega series-expansion terms equal recurrence: first failure at n=11: expected 0, got 1',
+        'PASS omega padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL omega nonzero-count equals floor((n+5)/3): first failure at n=8: predicted 4, got 5; observed count is floor(n/2)+1 minus 1 when 3 divides n',
+        'PASS omega degree equals floor(n/2): [n=2..30]',
+        'FAIL omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split: first failure at n=13: expected 24, got 25',
+        'FAIL omega anti-diagonal per-k values follow the closed-form case split: first failure at n=13: expected 9, got 10',
+        'INFO omega shifted-index values q_k(n+2k), dual reading: printed reading matches: False (first miss n=0, k=1: predicted 0, got 1); substituted reading matches: False (first miss n=7, k=2)',
+        'FAIL omega skew-diagonal sum follows the fib/lucas case split: first failure at n=19: expected 18, got 19',
+    ],
+    ('closed', 12, 2, 'gamma'): [
+        'PASS gamma eval-at-1 equals padovan(n+1): [n=0..30]',
+        'PASS gamma eval-at-2 equals fibonacci(n+2): [n=0..30]',
+        'FAIL gamma closed-form coefficients equal recurrence: first failure at n=12: expected 10, got 11',
+        'PASS gamma series-expansion terms equal recurrence: [n=0..30]',
+        'PASS gamma padovan series equals recurrence padovan: [n=0..30]',
+        'PASS gamma nonzero-count equals floor((n+4)/3): [n=0..30]',
+        'PASS gamma degree equals ceil(n/2): [n=0..30]',
+        'INFO gamma degree convention: degree follows ceil(n/2); the floor(n/2) reading disagrees first at n=1 (degree 1)',
+        'PASS gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0: [n=0..30]',
+        'PASS gamma anti-diagonal per-k values follow the C(m,k) case split: [n=0..30]',
+        'PASS gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0: [n=0..30]',
+        'INFO gamma skew-diagonal sum vs fibonacci index: predicted fib(m) on n=3m-1,3m; matching shifts [1] (observed fib(m+1)) [n=0..30]',
+        'FAIL gamma two-term closed form follows the C(m,k) case split: first failure at n=12: expected 10, got 11',
+    ],
+    ('closed', 12, 2, 'omega'): [
+        'PASS omega eval-at-1 equals padovan(n+1): [n=0..30]',
+        'PASS omega eval-at-2 equals lucas(n): [n=2..30]',
+        'FAIL omega closed-form coefficients equal recurrence: first failure at n=12: expected 6, got 7',
+        'PASS omega series-expansion terms equal recurrence: [n=0..30]',
+        'PASS omega padovan series equals recurrence padovan: [n=0..30]',
+        'FAIL omega nonzero-count equals floor((n+5)/3): first failure at n=8: predicted 4, got 5; observed count is floor(n/2)+1 minus 1 when 3 divides n',
+        'PASS omega degree equals floor(n/2): [n=2..30]',
+        'PASS omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split: [n=3..30]',
+        'PASS omega anti-diagonal per-k values follow the closed-form case split: [n=0..30, k>=2, n-k>=2]',
+        'INFO omega shifted-index values q_k(n+2k), dual reading: printed reading matches: False (first miss n=0, k=1: predicted 0, got 1); substituted reading matches: True',
+        'PASS omega skew-diagonal sum follows the fib/lucas case split: [n=6..30]',
+    ],
+    ('padovan_closed', 17): [
+        'FAIL padovan closed-form equals recurrence: first failure at n=17',
+        'PASS lucas-triangle recurrence rows equal the additive formula: [n=0..30]',
+        'PASS lucas-triangle row sums equal 3*2^(n-1): [n=1..30]',
+        'PASS fibonacci cassini identity: [n=1..30]',
+        'PASS binomial extension is zero outside its support except C(-1,-1)=1: grid [-4..6]^2',
+    ],
+    ('lucas_triangle', 12, 5): [
+        'PASS padovan closed-form equals recurrence: [n=0..30]',
+        'FAIL lucas-triangle recurrence rows equal the additive formula: first failure at row 12',
+        'PASS lucas-triangle row sums equal 3*2^(n-1): [n=1..30]',
+        'PASS fibonacci cassini identity: [n=1..30]',
+        'PASS binomial extension is zero outside its support except C(-1,-1)=1: grid [-4..6]^2',
+    ],
+}
+
+ROW_CASES = sorted({key[1:3] for key in EXPECTED if key[0] == "row"})
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+@pytest.mark.parametrize("n_bad, k_bad", ROW_CASES)
+def test_identity_audit_under_a_bumped_recurrence_coefficient(monkeypatch, family, n_bad, k_bad):
+    clean = polynomials.qpoly_rows
+
+    def bumped(fam):
+        for poly in clean(fam):
+            if poly.n == n_bad:
+                coeffs = list(poly.coeffs)
+                coeffs[k_bad] += 1
+                poly = CubeFactorPolynomial(poly.family, poly.n, tuple(coeffs))
+            yield poly
+
+    monkeypatch.setattr(polynomials, "qpoly_rows", bumped)
+    assert identity_audit(family, 30).lines() == EXPECTED[("row", n_bad, k_bad, family)]
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+def test_identity_audit_under_a_wrong_closed_form_coefficient(monkeypatch, family):
+    clean = polynomials.q_closed
+    monkeypatch.setattr(
+        polynomials, "q_closed", lambda fam, n, k: clean(fam, n, k) + ((n, k) == (12, 2))
+    )
+    assert identity_audit(family, 30).lines() == EXPECTED[("closed", 12, 2, family)]
+
+
+def test_sequence_audit_under_a_wrong_padovan_closed_form(monkeypatch):
+    clean = sequences.padovan_closed
+    monkeypatch.setattr(sequences, "padovan_closed", lambda n: clean(n) + (n == 17))
+    lines = [e.line() for e in audit.sequence_audit(30)]
+    assert lines == EXPECTED[("padovan_closed", 17)]
+
+
+def test_sequence_audit_under_a_wrong_lucas_triangle_entry(monkeypatch):
+    clean = sequences.lucas_triangle
+    monkeypatch.setattr(
+        sequences, "lucas_triangle", lambda n, k: clean(n, k) + ((n, k) == (12, 5))
+    )
+    lines = [e.line() for e in audit.sequence_audit(30)]
+    assert lines == EXPECTED[("lucas_triangle", 12, 5)]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
-from cubefactor import cli
+import pytest
+
+from cubefactor import cli, sequences
 from cubefactor.factors import factor_from_json, verify_factor
 from cubefactor.graphs import build_omega
 from cubefactor.sequences import fib
@@ -213,3 +216,31 @@ def test_oracle_audit_names_the_construction_cap():
         "INFO omega orders skipped: solvers skip n=9..17 (over the 64-vertex exact-search cap); "
         "graphs skip n=17..17 (over the construction cap n=16)"
     )
+
+
+@pytest.mark.parametrize("max_n", [-1, -3])
+def test_sequence_audit_rejects_a_negative_max_n(max_n):
+    from cubefactor.audit import sequence_audit
+
+    with pytest.raises(ValueError, match=f"^max_n must be non-negative, got {max_n}$"):
+        sequence_audit(max_n)
+
+
+def test_verify_identities_reads_each_sequence_once(capsys):
+    # count the steps of every fibonacci / lucas / padovan stream: one
+    # stream per sequence and suite keeps them linear in --max-n
+    steps = 0
+
+    def count_steps(frame, event, arg):
+        nonlocal steps
+        if event == "call" and frame.f_code is sequences._terms.__code__:
+            steps += 1
+
+    sys.setprofile(count_steps)
+    try:
+        code = cli.run(["verify", "--suite", "identities", "--max-n", "120"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 1
+    assert steps <= 10 * 120

@@ -20,6 +20,10 @@ single vertices is a maximum k-cube packing. A vertex that no fitting cube
 reaches any more is forced: the core makes it a single vertex without
 branching on it.
 
+Every ``InducedCube`` carries ``mask``, the bit set of its vertices,
+computed once when the cube is made: enumeration's join, the search core
+and ``verify_factor`` read it instead of rebuilding it.
+
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
 byte-identical factors.
@@ -28,7 +32,7 @@ byte-identical factors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import LabeledGraph, _bits, build_graph
 from .polynomials import Family, _family
@@ -55,6 +59,14 @@ EXACT_SEARCH_CAP = 64
 class InducedCube:
     dimension: int
     vertices: tuple[int, ...]  # sorted vertex ids, length 2**dimension
+    # bit set of the vertices, computed once; left out of repr, == and hash
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = 0
+        for v in self.vertices:
+            mask |= 1 << v  # a negative id raises ValueError here
+        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -106,13 +118,6 @@ def _fits(dimension: int, size: int) -> bool:
     return 0 <= dimension <= size.bit_length() and size == 1 << dimension
 
 
-def _mask_of(vertices: tuple[int, ...]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -140,7 +145,6 @@ def enumerate_cubes(
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     nv = g.vertex_count
     levels: list[list[InducedCube]] = [[InducedCube(0, (v,)) for v in range(nv)]]
-    masks: list[int] = [1 << v for v in range(nv)]
     joins = 0
     for k in range(1, k_max + 1):
         prev = levels[k - 1]
@@ -151,25 +155,22 @@ def enumerate_cubes(
                 through[v].append(j)
         found: set[tuple[int, ...]] = set()
         for i, a in enumerate(prev):
-            mask_a = masks[i]
             reach = 0
             for x in a.vertices:
                 reach |= g.adj[x]
-            reach &= ~mask_a
+            reach &= ~a.mask
             tried: set[int] = set()
             for w in _bits(g.adj[a.vertices[0]] & reach):
                 for j in through[w]:
-                    if j <= i or j in tried or masks[j] & ~reach:
+                    if j <= i or j in tried or prev[j].mask & ~reach:
                         continue
                     tried.add(j)
                     joins += 1
-                    joined = _join_cubes(g, a, mask_a, prev[j], masks[j])
+                    joined = _join_cubes(g, a, prev[j])
                     if joined is not None:
                         found.add(joined)
-        cubes = [InducedCube(k, verts) for verts in sorted(found)]
-        levels.append(cubes)
-        masks = [_mask_of(c.vertices) for c in cubes]
-        if not cubes:
+        levels.append([InducedCube(k, verts) for verts in sorted(found)])
+        if not found:
             levels.extend([] for _ in range(k + 1, k_max + 1))
             break
     if stats is not None:
@@ -177,34 +178,24 @@ def enumerate_cubes(
     return levels
 
 
-def _join_cubes(
-    g: LabeledGraph, a: InducedCube, mask_a: int, b: InducedCube, mask_b: int
-) -> tuple[int, ...] | None:
+def _join_cubes(g: LabeledGraph, a: InducedCube, b: InducedCube) -> tuple[int, ...] | None:
     # cross edges must form a perfect matching that maps a onto b
-    # edge-preservingly; equal edge counts then force an isomorphism
+    # edge-preservingly (each side having exactly one cross edge per vertex
+    # makes phi a bijection); equal edge counts then force an isomorphism
     phi: dict[int, int] = {}
     for u in a.vertices:
-        cross = g.adj[u] & mask_b
+        cross = g.adj[u] & b.mask
         if cross.bit_count() != 1:
             return None
         phi[u] = cross.bit_length() - 1
     for w in b.vertices:
-        if (g.adj[w] & mask_a).bit_count() != 1:
+        if (g.adj[w] & a.mask).bit_count() != 1:
             return None
-    if len(set(phi.values())) != len(a.vertices):
-        return None
     for u in a.vertices:
-        for v in _bits(g.adj[u] & mask_a):
+        for v in _bits(g.adj[u] & a.mask):
             if u < v and not g.has_edge(phi[u], phi[v]):
                 return None
     return tuple(sorted(a.vertices + b.vertices))
-
-
-def _max_possible_dimension(nv: int) -> int:
-    k = 0
-    while 2 ** (k + 1) <= nv:
-        k += 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +231,7 @@ def _first_min_cover(
     # per vertex, its cubes in `ordered` order as (index, mask, 2**(top - dimension))
     by_vertex: list[list[tuple[int, int, int]]] = [[] for _ in range(target.bit_length())]
     for idx, cube in enumerate(ordered):
-        entry = (idx, _mask_of(cube.vertices), 1 << (top - cube.dimension))
+        entry = (idx, cube.mask, 1 << (top - cube.dimension))
         for v in cube.vertices:
             by_vertex[v].append(entry)
 
@@ -342,7 +333,7 @@ def _levels_from_the_top(g: LabeledGraph, cap: int) -> list[list[InducedCube]]:
     nv = g.vertex_count
     if nv > cap:
         raise ValueError(f"graph has {nv} vertices, above the exact-search cap {cap}")
-    return enumerate_cubes(g, _max_possible_dimension(nv))[:0:-1]
+    return enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1]
 
 
 def _cover_in_layers(
@@ -354,10 +345,10 @@ def _cover_in_layers(
     remaining = (1 << nv) - 1
     parts: list[InducedCube] = []
     for layer in layers:
-        fitting = [c for c in layer if not _mask_of(c.vertices) & ~remaining]
+        fitting = [c for c in layer if not c.mask & ~remaining]
         for c in _first_min_cover(fitting, remaining, effort):
             parts.append(c)
-            remaining &= ~_mask_of(c.vertices)
+            remaining &= ~c.mask
     parts.extend(InducedCube(0, (v,)) for v in _bits(remaining))
     if stats is not None:
         stats.update(effort)
@@ -445,7 +436,7 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
         return False
     if size == 1:
         return True
-    members = _mask_of(vertices)
+    members = sum(1 << v for v in vertices)  # the vertices are distinct
     local = {v: g.adj[v] & members for v in vertices}
     if any(a.bit_count() != dimension for a in local.values()):
         return False
@@ -495,7 +486,7 @@ def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | Factor
     nv = g.vertex_count
     covered = 0
     for i, part in enumerate(factor.parts):
-        if any(v < 0 or v >= nv for v in part.vertices):
+        if any(v >= nv for v in part.vertices):  # ids are never negative
             return FactorViolation("bad-vertex", f"part {i} references a vertex outside the graph", i)
         if tuple(sorted(part.vertices)) != part.vertices:
             return FactorViolation("bad-vertex", f"part {i} vertices are not sorted", i)
@@ -505,15 +496,14 @@ def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | Factor
                 f"part {i} does not induce a {part.dimension}-cube",
                 i,
             )
-        mask = _mask_of(part.vertices)
-        if mask & covered:
-            overlap = next(_bits(mask & covered))
+        if part.mask & covered:
+            overlap = next(_bits(part.mask & covered))
             return FactorViolation(
                 "disjointness",
                 f"part {i} reuses vertex {g.labels[overlap]!r}",
                 i,
             )
-        covered |= mask
+        covered |= part.mask
     if covered != (1 << nv) - 1:
         missing = next(_bits(~covered & ((1 << nv) - 1)))
         return FactorViolation("coverage", f"vertex {g.labels[missing]!r} is uncovered", None)

@@ -11,6 +11,7 @@ factor construction and the decomposition checks can extract them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
@@ -70,11 +71,10 @@ class LabeledGraph:
         return self.adj[v].bit_count()
 
     def index_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except AttributeError:
-            object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
-            return self._index[label]
+        i = bisect_left(self.labels, label)
+        if i == len(self.labels) or self.labels[i] != label:
+            raise KeyError(label)
+        return i
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -251,27 +251,21 @@ def custom_graph(labels: list[str], edges: list[tuple[str, str]]) -> LabeledGrap
 
 def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
     """Extract an annotated subcopy, relabeled, and verify it is the
-    named smaller member (label-for-label and edge-for-edge)."""
+    named smaller member: the subcopy with its prefix stripped, assembled
+    as a graph, must have the member's labels and adjacency."""
     if name not in g.subcopies:
         known = ", ".join(sorted(g.subcopies)) or "none"
         raise ValueError(f"unknown annotation {name!r} (known: {known})")
     sub = g.subcopies[name]
     target = build_graph(sub.target_family, sub.target_n)
-    members = set(sub.vertices)
-    relabeled = {g.labels[v]: g.labels[v][len(sub.prefix):] for v in sub.vertices}
-    if sorted(relabeled.values()) != sorted(target.labels):
-        raise RuntimeError(f"subcopy {name!r} does not relabel onto the target vertex set")
-    for u in sub.vertices:
-        for v in _bits(g.adj[u]):
-            if v in members and u < v:
-                a, b = relabeled[g.labels[u]], relabeled[g.labels[v]]
-                if not target.has_edge(target.index_of(a), target.index_of(b)):
-                    raise RuntimeError(f"subcopy {name!r} has an edge missing from the target")
-    induced_edges = sum(
-        1 for u in sub.vertices for v in _bits(g.adj[u]) if v in members and u < v
-    )
-    if induced_edges != target.edge_count:
-        raise RuntimeError(f"subcopy {name!r} edge count differs from the target")
+    stripped = {v: g.labels[v][len(sub.prefix):] for v in sub.vertices}
+    edges = [(stripped[u], stripped[v]) for u, v in g.edges() if u in stripped and v in stripped]
+    try:
+        copy = _assemble(target.family, target.n, list(stripped.values()), edges, {})
+    except ValueError:  # two members strip to the same label
+        copy = None
+    if copy is None or (copy.labels, copy.adj) != (target.labels, target.adj):
+        raise RuntimeError(f"subcopy {name!r} is not the {target.family} member of order {target.n}")
     return target
 
 

@@ -53,6 +53,21 @@ def test_enumerate_cubes_trivial_graph():
     assert levels == [[InducedCube(0, (0,))]]
 
 
+def test_induced_cube_mask_stays_out_of_repr_eq_and_hash():
+    cube = InducedCube(2, (0, 1, 3, 6))
+    assert cube.mask == 0b1001011
+    assert repr(cube) == "InducedCube(dimension=2, vertices=(0, 1, 3, 6))"
+    assert cube == InducedCube(2, (0, 1, 3, 6)) != InducedCube(1, (0, 1, 3, 6))
+    assert hash(cube) == hash((2, (0, 1, 3, 6)))
+    with pytest.raises(TypeError):
+        InducedCube(0, (0,), 1)  # the mask is derived, never passed
+
+
+def test_induced_cube_rejects_a_negative_vertex_id():
+    with pytest.raises(ValueError):
+        InducedCube(1, (-1, 0))
+
+
 def test_enumerate_dimension_one_is_the_edge_set():
     for family in ("gamma", "omega"):
         for n in range(7):

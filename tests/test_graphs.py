@@ -147,6 +147,14 @@ def test_canonical_subgraph_extracts_smaller_members():
     assert canonical_subgraph(build_omega(2), "first").vertex_count == 2
 
 
+def test_index_of_finds_every_label_and_raises_key_error_on_a_miss():
+    for g in (build_gamma(5), build_omega(5), build_omega(0)):
+        assert [g.index_of(lab) for lab in g.labels] == list(range(g.vertex_count))
+        for missing in ("", "01", "2", "zz", g.labels[-1] + "0"):
+            with pytest.raises(KeyError):
+                g.index_of(missing)
+
+
 def test_canonical_subgraph_unknown_name():
     with pytest.raises(ValueError):
         canonical_subgraph(build_gamma(0), "first")

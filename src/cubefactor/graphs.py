@@ -257,7 +257,8 @@ def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
         known = ", ".join(sorted(g.subcopies)) or "none"
         raise ValueError(f"unknown annotation {name!r} (known: {known})")
     sub = g.subcopies[name]
-    target = build_graph(sub.target_family, sub.target_n)
+    # the target is smaller than g, which is built already, so no cap applies
+    target = build_graph(sub.target_family, sub.target_n, max_n=sub.target_n)
     stripped = {v: g.labels[v][len(sub.prefix):] for v in sub.vertices}
     edges = [(stripped[u], stripped[v]) for u, v in g.edges() if u in stripped and v in stripped]
     try:

@@ -155,6 +155,13 @@ def test_index_of_finds_every_label_and_raises_key_error_on_a_miss():
                 g.index_of(missing)
 
 
+def test_canonical_subgraph_of_a_member_above_the_default_cap():
+    g = build_omega(18, max_n=18)
+    first = canonical_subgraph(g, "first")
+    assert (first.family, first.n) == ("omega", 17)
+    assert first.vertex_count == expected_vertex_count("omega", 17)
+
+
 def test_canonical_subgraph_unknown_name():
     with pytest.raises(ValueError):
         canonical_subgraph(build_gamma(0), "first")

@@ -531,8 +531,14 @@ def factor_to_json(g: LabeledGraph, factor: CubeFactor) -> str:
 
 def factor_from_json(g: LabeledGraph, text: str) -> CubeFactor:
     """Parse a factor back against a graph; accepts the object form or a
-    bare list of parts. Malformed input and unknown labels raise ValueError."""
+    bare list of parts. Malformed input, an object written for another
+    graph (its family or n differs from g's) and unknown labels raise
+    ValueError."""
     data = json.loads(text)
+    if isinstance(data, dict):
+        family, n = data.get("family", g.family), data.get("n", g.n)
+        if (family, n) != (g.family, g.n):
+            raise ValueError(f"malformed factor: made for {family} n={n}, not {g.family} n={g.n}")
     raw_parts = data.get("parts") if isinstance(data, dict) else data
     if not isinstance(raw_parts, list):
         raise ValueError("malformed factor: expected a list of parts or an object with one")

@@ -490,6 +490,16 @@ def test_factor_json_round_trip():
     assert factor_from_json(g, json.dumps(payload["parts"])) == factor
 
 
+def test_factor_json_rejects_a_factor_written_for_another_graph():
+    omega, gamma = build_omega(1), build_gamma(1)
+    assert omega.labels == gamma.labels  # so only the family can tell them apart
+    text = factor_to_json(omega, structural_factor("omega", 1, omega))
+    with pytest.raises(ValueError, match="^malformed.*omega n=1.*gamma n=1"):
+        factor_from_json(gamma, text)
+    # the bare list of parts carries no graph, so it is still accepted
+    assert factor_from_json(gamma, json.dumps(json.loads(text)["parts"])).part_count == 1
+
+
 def test_factor_json_rejects_unknown_labels():
     g = build_gamma(2)
     with pytest.raises(ValueError):

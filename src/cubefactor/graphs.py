@@ -266,7 +266,7 @@ def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
     except ValueError:  # two members strip to the same label
         copy = None
     if copy is None or (copy.labels, copy.adj) != (target.labels, target.adj):
-        raise RuntimeError(f"subcopy {name!r} is not the {target.family} member of order {target.n}")
+        raise RuntimeError(f"subcopy {name!r} does not match {target.family} n={target.n}")
     return target
 
 

@@ -163,7 +163,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -195,7 +195,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -227,7 +227,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -259,7 +259,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -291,7 +291,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'FAIL omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -323,7 +323,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -355,7 +355,7 @@ EXPECTED = {
         'FAIL omega dimension-1 cubes are exactly the edge set: first failure at n=6',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -387,7 +387,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'FAIL omega order-4 member is the grid-plus-pendant graph: no isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -419,7 +419,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'FAIL omega canonical subcopies equal freshly built members: first failure at n=6 (first)',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -451,7 +451,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'FAIL omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
@@ -483,7 +483,7 @@ EXPECTED = {
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
-        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..12 within range]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'FAIL omega exports are deterministic: [n=5]',
@@ -540,3 +540,19 @@ def test_canonical_subgraph_rejects_an_extra_induced_edge():
     g = _with_subcopy(g, third, _toggled(g, u, v))
     with pytest.raises(RuntimeError, match="subcopy 'bad'"):
         canonical_subgraph(g, "bad")
+
+
+CROSS_EDGES = "omega cross edges form a perfect matching on the smaller copy"
+
+
+def test_omega_cross_edge_entry_names_every_order_it_checked():
+    assert not [e for e in audit.oracle_audit("omega", 3) if e.name == CROSS_EDGES]
+    [entry] = [e for e in audit.oracle_audit("omega", 16) if e.name == CROSS_EDGES]
+    assert entry.line() == f"PASS {CROSS_EDGES}: [n=4..16]"
+
+
+def test_omega_cross_edge_entry_reaches_the_construction_cap(monkeypatch):
+    clean = audit._second_copy_matched
+    monkeypatch.setattr(audit, "_second_copy_matched", lambda g: g.n != 14 and clean(g))
+    [entry] = [e for e in audit.oracle_audit("omega", 16) if e.name == CROSS_EDGES]
+    assert entry.line() == f"FAIL {CROSS_EDGES}: first failure at n=14"

@@ -512,6 +512,15 @@ def test_canonical_subgraph_rejects_labels_that_do_not_strip_onto_the_target():
         canonical_subgraph(g, "bad")
 
 
+def test_canonical_subgraph_rejects_two_members_stripping_to_one_label():
+    g = build_gamma(5)
+    first = g.subcopies["first"]  # "00101" is in it and strips to "0101", as "10101" does
+    extra = (g.index_of("10101"),)
+    g = _with_subcopy(g, dataclasses.replace(first, vertices=tuple(sorted(first.vertices + extra))))
+    with pytest.raises(RuntimeError, match="subcopy 'bad'"):
+        canonical_subgraph(g, "bad")
+
+
 def _toggled(g, u, v):
     adj = list(g.adj)
     adj[u] ^= 1 << v

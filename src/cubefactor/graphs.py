@@ -5,8 +5,11 @@ consecutive 1s, adjacent at Hamming distance 1. The omega family is built
 recursively: paths for n <= 3, and for n >= 4 a copy of member n-1
 (labels prefixed "0") plus a copy of member n-2 (labels prefixed "10")
 joined by a perfect matching onto the canonical n-2 subcopy of the n-1
-part. Subcopy annotations record the recursion parts so the structural
-factor construction and the decomposition checks can extract them.
+part. Subcopy annotations record the recursion parts, so the
+decomposition checks can extract them: ``canonical_subgraph`` strips a
+part's prefix, assembles it as a graph and compares it with the freshly
+built smaller member. (The structural factor builds its parts from the
+same label prefixes and does not read the annotations.)
 """
 
 from __future__ import annotations

@@ -486,7 +486,7 @@ def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | Factor
     nv = g.vertex_count
     covered = 0
     for i, part in enumerate(factor.parts):
-        if any(v >= nv for v in part.vertices):  # ids are never negative
+        if part.mask >> nv:
             return FactorViolation("bad-vertex", f"part {i} references a vertex outside the graph", i)
         if tuple(sorted(part.vertices)) != part.vertices:
             return FactorViolation("bad-vertex", f"part {i} vertices are not sorted", i)

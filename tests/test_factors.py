@@ -23,7 +23,7 @@ from cubefactor.factors import (
     structural_factor,
     verify_factor,
 )
-from cubefactor.graphs import build_gamma, build_graph, build_omega, custom_graph
+from cubefactor.graphs import build_gamma, build_graph, build_omega, custom_graph, find_isomorphism
 from cubefactor.polynomials import qpoly_rec
 from cubefactor.sequences import padovan
 
@@ -244,6 +244,35 @@ def test_enumerate_cubes_matches_brute_force_on_small_graphs(g):
 def test_enumerate_cubes_matches_brute_force_on_family_subgraphs(g):
     k_max = max(g.vertex_count.bit_length() - 1, 0)
     assert enumerate_cubes(g, k_max) == brute_force_cubes(g, k_max)
+
+
+def hypercube_graph(k):
+    """Q_k on the k-bit strings, adjacent when they differ in one bit."""
+    labels = [format(i, f"0{k}b") if k else "" for i in range(2**k)]
+    edges = [(labels[i], labels[i ^ 1 << b]) for i in range(2**k) for b in range(k) if i >> b & 1]
+    return custom_graph(labels, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_is_induced_cube_matches_an_isomorphism_check_on_small_graphs(g, rng):
+    for k in range(4):
+        cube = hypercube_graph(k)
+        for subset in itertools.combinations(range(g.vertex_count), 2**k):
+            edges = [
+                (g.labels[u], g.labels[v])
+                for u, v in itertools.combinations(subset, 2) if g.has_edge(u, v)
+            ]
+            induced = custom_graph([g.labels[v] for v in subset], edges)
+            expected = find_isomorphism(induced, cube) is not None
+            assert _is_induced_cube(g, subset, k) is expected
+            assert not _is_induced_cube(g, subset, k - 1)
+            assert not _is_induced_cube(g, subset, k + 1)
+            shuffled = list(subset)
+            rng.shuffle(shuffled)
+            assert _is_induced_cube(g, tuple(shuffled), k) is expected
+            if k:
+                assert not _is_induced_cube(g, subset[:-1] + subset[:1], k)
 
 
 # Cube polynomial of Fibonacci cubes (Klavzar & Mollard, "Cube polynomial

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .graphs import LabeledGraph, _bits, build_graph
 from .polynomials import Family, _family
@@ -421,13 +422,19 @@ def structural_factor(
 
 
 def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int) -> bool:
-    """Exact hypercube recognition on the induced subgraph.
+    """Exact hypercube recognition on the induced subgraph, by coordinates.
 
-    Assigns each vertex a coordinate mask by BFS from the lowest vertex
-    (a vertex of a k-cube IS its coordinate vector once the root's k
-    neighbours get the unit masks), then confirms adjacency is exactly
-    Hamming distance 1 over all pairs. The final all-pairs check makes
-    the recognition sound; the BFS makes it complete.
+    Once the size fits, the vertices are distinct and every induced degree
+    is ``dimension`` (k), each vertex gets a coordinate: the root
+    ``vertices[0]`` gets 0, its neighbours the unit vectors, and each later
+    vertex, level by level in BFS order, the OR of its neighbours'
+    coordinates one level up. The part is a k-cube exactly when the
+    coordinates are distinct and adjacency is Hamming distance 1 over all
+    pairs. Sound: every coordinate lies in [0, 2^k), so 2^k distinct ones
+    fill {0,1}^k and the pair check makes the map an isomorphism onto Q_k.
+    Complete: in a k-cube a vertex at distance d >= 2 has exactly d
+    neighbours one level up, each differing from it in one bit, so their OR
+    is the vertex's own vector.
     """
     size = len(vertices)
     if not _fits(dimension, size):
@@ -442,39 +449,20 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
         return False
 
     root = vertices[0]
-    coord: dict[int, int] = {root: 0}
-    for i, u in enumerate(_bits(local[root])):
-        coord[u] = 1 << i
-    frontier = list(_bits(local[root]))
-    dist = 1
-    while frontier:
-        nxt = []
-        dist += 1
-        for u in frontier:
+    coord = {root: 0}
+    level = {u: 1 << i for i, u in enumerate(_bits(local[root]))}
+    while level:
+        coord.update(level)
+        below, level = level, {}
+        for u, c in below.items():
             for w in _bits(local[u]):
-                if w in coord or w in nxt:
-                    continue
-                below = [coord[x] for x in _bits(local[w]) if x in coord]
-                below = [m for m in below if m.bit_count() == dist - 1]
-                if len(below) != dist:
-                    return False
-                merged = 0
-                for m in below:
-                    merged |= m
-                if merged.bit_count() != dist:
-                    return False
-                coord[w] = merged
-                nxt.append(w)
-        frontier = nxt
-    if len(coord) != size or len(set(coord.values())) != size:
-        return False
-    verts = list(vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            is_edge = bool(local[u] >> v & 1)
-            if is_edge != ((coord[u] ^ coord[v]).bit_count() == 1):
-                return False
-    return True
+                if w not in coord:
+                    level[w] = level.get(w, 0) | c
+    # a vertex the BFS never reached leaves fewer distinct coordinates
+    return len(set(coord.values())) == size and all(
+        bool(local[u] >> v & 1) == ((coord[u] ^ coord[v]).bit_count() == 1)
+        for u, v in combinations(vertices, 2)
+    )
 
 
 def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | FactorViolation:

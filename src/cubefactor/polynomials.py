@@ -10,6 +10,12 @@ routes compute the same coefficients:
 * ``gf_series``  -- truncated expansion of the rational generating function
                     in y, with polynomial-in-x coefficients.
 
+Every generating function here -- the two families' and Padovan's
+(1 + y) / (1 - y^2 - y^3) -- is one call of a single expander,
+``_expand_rational``, with its own numerator over 1 - x*y^2 - y^3. The
+expander shares no loop with the recurrence (only ``_strip`` and
+``_family``), so the audit's comparison of the two routes means something.
+
 The recurrence and the series are streamed (``qpoly_rows``, ``gf_terms``):
 one forward pass holds only the three rows or terms it reads, and nothing
 is memoised, so row n costs O(n) rows of work and bounded memory.
@@ -200,9 +206,12 @@ class SeriesExpansion:
 def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:
     """Expand numerator / (1 - x*y^2 - y^3) in y, one term at a time.
 
-    Exact polynomial long division: the quotient terms R satisfy
+    ``numerator`` maps a power of y to its coefficients in x. Exact
+    polynomial long division: the quotient terms R satisfy
     R[n] = numerator[n] + x * R[n-2] + R[n-3], which is the
-    multiply-accumulate form of the denominator's geometric series.
+    multiply-accumulate form of the denominator's geometric series. Every
+    generating function of this module is one call: ``gf_terms`` with the
+    family numerators, ``padovan_gf_series`` with 1 + y.
     """
     r3 = r2 = r1 = ()  # R[n-3], R[n-2], R[n-1]; empty before R[0]
     for n in count():
@@ -216,26 +225,25 @@ def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...
         yield r1
 
 
+# each family's numerator over 1 - x*y^2 - y^3, as {power of y: coefficients in x}
+_NUMERATOR: dict[Family, dict[int, list[int]]] = {
+    Family.GAMMA: {0: [1], 1: [0, 1], 2: [1]},
+    Family.OMEGA: {0: [1], 1: [0, 1], 2: [1], 3: [-1, 2, -1], 4: [1, -1]},
+}
+
+
 def gf_terms(family: Family | str) -> Iterator[tuple[int, ...]]:
     """Coefficients of y^0, y^1, ... in the family's generating function.
 
     gamma:  (1 + x*y + y^2) / (1 - x*y^2 - y^3)
-    omega:  (1 + y)(1 + y - y^3) / (1 - x*y^2 - y^3) + (x - 2)*y, the
-            correction added to the y^1 term on output, not fed back.
+    omega:  (1 + y)(1 + y - y^3) / (1 - x*y^2 - y^3) + (x - 2)*y
+
+    Omega's correction is folded into its numerator:
+    (1 + y)(1 + y - y^3) + (x - 2)*y*(1 - x*y^2 - y^3)
+    = 1 + x*y + y^2 - (x - 1)^2*y^3 + (1 - x)*y^4,
+    so both series are one ``_expand_rational`` of the family's numerator.
     """
-    fam = _family(family)
-    if fam is Family.GAMMA:
-        yield from _expand_rational({0: [1], 1: [0, 1], 2: [1]})
-        return
-    # (1 + y)(1 + y - y^3) = 1 + 2y + y^2 - y^3 - y^4
-    terms = _expand_rational({0: [1], 1: [2], 2: [1], 3: [-1], 4: [-1]})
-    yield next(terms)
-    raw = next(terms)
-    corrected = list(raw) + [0] * max(0, 2 - len(raw))
-    corrected[0] -= 2
-    corrected[1] += 1
-    yield _strip(corrected)
-    yield from terms
+    return _expand_rational(_NUMERATOR[_family(family)])
 
 
 def gf_series(family: Family | str, order: int) -> SeriesExpansion:
@@ -247,18 +255,15 @@ def gf_series(family: Family | str, order: int) -> SeriesExpansion:
 
 
 def padovan_gf_series(order: int) -> list[int]:
-    """Padovan numbers from the generating function (1+y) / (1 - y^2 - y^3)."""
+    """Padovan numbers from the generating function (1+y) / (1 - y^2 - y^3).
+
+    That is the expansion of (1 + y) / (1 - x*y^2 - y^3) at x = 1, so the
+    numbers are the ``_expand_rational`` terms evaluated at 1, with no
+    recurrence of their own.
+    """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    out: list[int] = []
-    for n in range(order + 1):
-        value = 1 if n <= 1 else 0
-        if n >= 2:
-            value += out[n - 2]
-        if n >= 3:
-            value += out[n - 3]
-        out.append(value)
-    return out
+    return [eval_at(term, 1) for term in islice(_expand_rational({0: [1], 1: [1]}), order + 1)]
 
 
 def eval_at(poly: CubeFactorPolynomial | Sequence[int], x: int) -> int:

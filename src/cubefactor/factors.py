@@ -98,10 +98,6 @@ class CubeFactor:
 class FactorProfile:
     counts: tuple[int, ...]  # counts[k] = number of dimension-k parts
 
-    @property
-    def total_parts(self) -> int:
-        return sum(self.counts)
-
     def covered_vertices(self) -> int:
         return sum(c * 2**k for k, c in enumerate(self.counts))
 

@@ -384,10 +384,6 @@ class AuditReport:
     n_max: int
     entries: list[AuditEntry] = field(default_factory=list)
 
-    @property
-    def all_pass(self) -> bool:
-        return not any(e.status == "FAIL" for e in self.entries)
-
     def lines(self) -> list[str]:
         return [e.line() for e in self.entries]
 

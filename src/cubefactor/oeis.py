@@ -32,7 +32,8 @@ __all__ = [
 ]
 
 CACHE_ENV = "CUBEFACTOR_CACHE"
-_ID_PATTERN = re.compile(r"^A\d{6}$")
+# an OEIS id: "A" (optional) and one to six ASCII digits, zero-filled to six
+_ID_PATTERN = re.compile(r"A?([0-9]{1,6})")
 
 
 class BFileError(ValueError):
@@ -95,13 +96,10 @@ def cache_dir(override: str | os.PathLike | None = None) -> Path:
 
 
 def _normalize_id(id: str) -> str:
-    candidate = id.strip().upper()
-    if not candidate.startswith("A"):
-        candidate = "A" + candidate
-    candidate = "A" + candidate[1:].zfill(6)
-    if not _ID_PATTERN.match(candidate):
+    match = _ID_PATTERN.fullmatch(id.strip().upper())
+    if match is None:
         raise ValueError(f"not an OEIS id: {id!r}")
-    return candidate
+    return "A" + match.group(1).zfill(6)
 
 
 def fetch_bfile(

@@ -156,6 +156,14 @@ def test_oeis_offline_cold_cache_exit_code(capsys, tmp_path, monkeypatch):
     assert "cache" in err
 
 
+def test_oeis_rejects_an_id_with_no_digits(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CUBEFACTOR_CACHE", str(tmp_path))
+    code, out, err = run(capsys, "oeis", "--id", "", "--against", "padovan", "--offline")
+    assert code == 2
+    assert out == ""
+    assert "not an OEIS id" in err
+
+
 def test_oeis_scan_against_cached_fixture(capsys, tmp_path):
     terms = [1, 0, 0]
     while len(terms) < 140:

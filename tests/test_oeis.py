@@ -136,8 +136,11 @@ def test_fetch_names_a_malformed_cached_file(tmp_path, content):
 def test_fetch_normalizes_ids(tmp_path):
     (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n", encoding="utf-8")
     assert fetch_bfile("45", offline=True, cache=tmp_path).terms == (0, 1, 1)
-    with pytest.raises(ValueError):
-        fetch_bfile("A12345678", offline=True, cache=tmp_path)
+    assert fetch_bfile(" a45 ", offline=True, cache=tmp_path).id == "A000045"
+    # no digits, too many, or digits outside ASCII (Arabic-Indic 4 and 5)
+    for bad in ("A12345678", "", "A", " a ", "\u0664\u0665", "A\u0664\u0665"):
+        with pytest.raises(ValueError, match="not an OEIS id"):
+            fetch_bfile(bad, offline=True, cache=tmp_path)
 
 
 def test_cache_env_variable_is_honoured(tmp_path, monkeypatch):

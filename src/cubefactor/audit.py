@@ -86,9 +86,11 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
 
 def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     """Built graphs and the three factor solvers against the sequences and
-    the recurrence coefficients. Graphs are built up to the construction
-    cap and the solvers run up to the exact-search cap; an INFO entry names
-    the orders either cap skipped."""
+    the recurrence coefficients, and the cube-independent witness (a lower
+    bound no solver shares) against padovan(n+1) and ``check_witness``.
+    Graphs are built up to the construction cap and the solvers run up to
+    the exact-search cap; an INFO entry names the orders either cap
+    skipped."""
     fam = _family(family)
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
@@ -121,7 +123,9 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         exact = factors.exact_min_factor(g)
         greedy = factors.greedy_layered_factor(g)
         structural = factors.structural_factor(fam, n, g)
+        witness = factors.cube_independent_set(g)
         failed = {
+            "witness": len(witness) != parts or bool(factors.check_witness(g, witness)),
             "verify": any(
                 isinstance(factors.verify_factor(g, factor), factors.FactorViolation)
                 for factor in (exact, greedy, structural)
@@ -138,6 +142,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     rng = f"[n=0..{hi}]"
     entries += [
         _check(f"{f} exact-min part count equals padovan(n+1)", bad["exact"], rng),
+        _check(f"{f} cube-independent witness has padovan(n+1) vertices", bad["witness"], rng),
         _check(f"{f} greedy-layered profile equals recurrence coefficients", bad["greedy"], rng),
         _check(f"{f} structural profile equals recurrence coefficients", bad["structural"], rng),
         _check(f"{f} verify-factor passes on all three solvers", bad["verify"], rng),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -14,7 +15,10 @@ from cubefactor.factors import (
     FactorProfile,
     FactorViolation,
     InducedCube,
+    _first_min_cover,
     _is_induced_cube,
+    check_witness,
+    cube_independent_set,
     enumerate_cubes,
     exact_min_factor,
     factor_from_json,
@@ -66,6 +70,19 @@ def test_induced_cube_mask_stays_out_of_repr_eq_and_hash():
 def test_induced_cube_rejects_a_negative_vertex_id():
     with pytest.raises(ValueError):
         InducedCube(1, (-1, 0))
+
+
+def test_a_huge_vertex_id_is_rejected_without_building_its_mask():
+    tracemalloc.start()
+    try:
+        cube = InducedCube(0, (10**8,))
+        outcome = verify_factor(build_gamma(2), CubeFactor((cube,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(outcome, FactorViolation)
+    assert outcome.kind == "bad-vertex"
+    assert peak < 1_000_000  # the mask, 10**8 + 1 bits, would take 12.5 MB
 
 
 def test_enumerate_dimension_one_is_the_edge_set():
@@ -246,6 +263,114 @@ def test_enumerate_cubes_matches_brute_force_on_family_subgraphs(g):
     assert enumerate_cubes(g, k_max) == brute_force_cubes(g, k_max)
 
 
+def assert_witness_matches_brute_force(g, subset):
+    """cube_independent_set meets no brute-force cube twice and is no larger
+    than the first minimum cover; check_witness lists exactly the pairs of
+    ``subset`` that some brute-force cube of dimension >= 1 contains."""
+    cubes = [c for level in brute_force_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[1:]
+             for c in level]
+    witness = cube_independent_set(g)
+    assert list(witness) == sorted(set(witness))
+    assert all(len(set(c.vertices) & set(witness)) <= 1 for c in cubes)
+    assert check_witness(g, witness) == []
+    assert len(witness) <= first_minimum_cover(g).part_count
+    shared = {
+        (u, v) for u, v in itertools.combinations(sorted(set(subset)), 2)
+        if any(u in c.vertices and v in c.vertices for c in cubes)
+    }
+    assert check_witness(g, subset) == sorted(shared)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.data())
+def test_witness_matches_brute_force_on_small_graphs(g, data):
+    subset = data.draw(st.lists(st.integers(0, max(g.vertex_count - 1, 0)), max_size=g.vertex_count))
+    assert_witness_matches_brute_force(g, subset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs(), st.data())
+def test_witness_matches_brute_force_on_family_subgraphs(g, data):
+    subset = data.draw(st.lists(st.integers(0, max(g.vertex_count - 1, 0)), max_size=g.vertex_count))
+    assert_witness_matches_brute_force(g, subset)
+
+
+def check_early_stop(g):
+    """Exact search told the witness size returns the cover the untold core
+    returns, in no more nodes, and reports the witness size."""
+    stats = {}
+    factor = exact_min_factor(g, stats=stats)
+    lower = len(cube_independent_set(g))
+    assert stats["lower_bound"] == lower <= factor.part_count
+    nv = g.vertex_count
+    ordered = [c for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1] for c in level]
+    told = dict(nodes=0, bound_prunes=0, memo_hits=0)
+    untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
+    full = (1 << nv) - 1
+    cover = _first_min_cover(ordered, full, told, lower)
+    assert cover == _first_min_cover(ordered, full, untold)
+    assert told == {key: stats[key] for key in told}
+    assert told["nodes"] <= untold["nodes"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_the_witness_only_cuts_exact_search_on_small_graphs(g):
+    check_early_stop(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs())
+def test_the_witness_only_cuts_exact_search_on_family_subgraphs(g):
+    check_early_stop(g)
+
+
+def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
+    # the path 2-0-1-3: the first cube through 0 is the edge 01, which
+    # strands 2 and 3 (three parts); the second, 02, leads to the optimum
+    # 02, 13, which the witness {2, 3} proves. The search stops there, at
+    # node 4; told nothing it tries the two single-vertex branches too.
+    # So a tight witness does not bound the nodes by part count + 1: that
+    # holds only when the first descent is optimal, as on the ladders.
+    g = custom_graph(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d")])
+    stats = {}
+    factor = exact_min_factor(g, stats=stats)
+    assert [p.vertices for p in factor.parts] == [(0, 2), (1, 3)]
+    assert cube_independent_set(g) == (2, 3)
+    assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
+    untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
+    _first_min_cover(enumerate_cubes(g, 1)[1], 0b1111, untold)
+    assert untold["nodes"] == 6
+
+
+def test_check_witness_rejects_ids_outside_the_graph():
+    with pytest.raises(ValueError):
+        check_witness(build_gamma(2), [0, 3])
+    with pytest.raises(ValueError):
+        check_witness(build_gamma(2), [-1])
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+def test_the_witness_has_padovan_vertices_up_to_order_11(family):
+    for n in range(12):
+        g = build_graph(family, n)
+        witness = cube_independent_set(g)
+        assert len(witness) == padovan(n + 1)
+        assert check_witness(g, witness) == []
+
+
+# Certified at the benchmark's probe ceiling: the witness is tight, so the
+# search stops at its first cover, one node per part plus the root at most.
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+def test_exact_min_factor_certifies_order_12(family):
+    g = build_graph(family, 12)
+    stats = {}
+    factor = exact_min_factor(g, cap=g.vertex_count, stats=stats)
+    assert factor.part_count == stats["lower_bound"] == 28
+    assert stats["nodes"] <= 29
+    assert verify_factor(g, factor).counts == qpoly_rec(family, 12).coeffs
+
+
 def hypercube_graph(k):
     """Q_k on the k-bit strings, adjacent when they differ in one bit."""
     labels = [format(i, f"0{k}b") if k else "" for i in range(2**k)]
@@ -309,17 +434,31 @@ def test_enumeration_join_count(family, n, recorded):
     assert stats["joins"] <= recorded
 
 
+def without(g, *labels):
+    """The subgraph of g induced by all vertices but ``labels``."""
+    keep = [v for v in range(g.vertex_count) if g.labels[v] not in labels]
+    edges = [(g.labels[u], g.labels[v]) for u, v in g.edges() if u in keep and v in keep]
+    return custom_graph([g.labels[v] for v in keep], edges)
+
+
 def test_exact_min_factor_reports_search_effort():
     stats = {}
     factor = exact_min_factor(build_omega(6), stats=stats)
     assert factor == exact_min_factor(build_omega(6))
-    assert set(stats) == {"nodes", "bound_prunes", "memo_hits"}
+    assert set(stats) == {"nodes", "bound_prunes", "memo_hits", "lower_bound"}
+    assert stats["lower_bound"] == factor.part_count == 5
+    # the witness of this subgraph (three vertices drawn with seed 0) has 7
+    # vertices and the optimum 8 parts, so the search must prove optimality
+    stats = {}
+    factor = exact_min_factor(without(build_gamma(6), "000001", "010101", "100000"), stats=stats)
+    assert stats["lower_bound"] < factor.part_count
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
 
 
-# Search nodes recorded with the per-vertex fractional bound; node counts
-# are deterministic, so a weaker bound or a lost prune shows on any machine.
-@pytest.mark.parametrize("family, recorded", [("gamma", 1844), ("omega", 1086)])
+# Search nodes recorded with the witness as lower bound; node counts are
+# deterministic, so a weaker witness or a lost stop shows on any machine.
+# Before the witness the search took 1,843 (gamma) and 1,085 (omega).
+@pytest.mark.parametrize("family, recorded", [("gamma", 9), ("omega", 9)])
 def test_exact_search_node_count_at_order_8(family, recorded):
     stats = {}
     assert exact_min_factor(build_graph(family, 8), stats=stats).part_count == 9

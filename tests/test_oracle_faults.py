@@ -3,9 +3,10 @@
 
 Every oracle line in the goldens is PASS, so each test here corrupts one
 result on the computed side of ``oracle_audit`` and pins every line it
-prints at max_n 9: a solver's factor at one or two orders, a verification
-verdict, an expected vertex count, a dropped dimension-1 cube, a failed
-isomorphism, a subcopy extraction, the JSON parser and the exporter.
+prints at max_n 9: a solver's factor at one or two orders, the witness's
+size or independence at one order, a verification verdict, an expected
+vertex count, a dropped dimension-1 cube, a failed isomorphism, a subcopy
+extraction, the JSON parser and the exporter.
 Faults enter through module attributes the audit looks up at call time.
 """
 
@@ -17,7 +18,7 @@ import pytest
 
 from cubefactor import audit, factors, graphs
 from cubefactor.factors import CubeFactor, FactorViolation, InducedCube
-from cubefactor.graphs import build_gamma, build_omega, canonical_subgraph
+from cubefactor.graphs import _bits, build_gamma, build_omega, canonical_subgraph
 
 
 def _split_last_edge(factor):
@@ -66,6 +67,27 @@ def extra_greedy_part(mp):
 
 def extra_structural_part(mp):
     _faulted_solver(mp, "structural_factor", {4}, _split_last_edge)
+
+
+def short_witness(mp):
+    # one vertex fewer at n=6: the size no longer matches padovan(n+1)
+    clean = factors.cube_independent_set
+    mp.setattr(factors, "cube_independent_set", lambda g: clean(g)[: -1 if g.n == 6 else None])
+
+
+def clashing_witness(mp):
+    # the right size at n=4, but the last vertex is swapped for a neighbour
+    # of the first, so check_witness finds a shared edge
+    clean = factors.cube_independent_set
+
+    def witness(g):
+        kept = clean(g)
+        if g.n != 4:
+            return kept
+        neighbour = next(v for v in _bits(g.adj[kept[0]]) if v not in kept)
+        return kept[:-1] + (neighbour,)
+
+    mp.setattr(factors, "cube_independent_set", witness)
 
 
 def rejecting_verify(mp):
@@ -131,8 +153,8 @@ FAULTS = {
     f.__name__: f
     for f in (
         extra_exact_part, reshaped_exact_profile, extra_greedy_part, extra_structural_part,
-        rejecting_verify, wrong_vertex_count, missing_edge_cube, no_isomorphism,
-        rejected_subcopy, reversed_json, drifting_export,
+        short_witness, clashing_witness, rejecting_verify, wrong_vertex_count,
+        missing_edge_cube, no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
     )
 }
 
@@ -141,6 +163,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'FAIL gamma exact-min part count equals padovan(n+1): first failure at n=7',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -156,6 +179,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'FAIL omega exact-min part count equals padovan(n+1): first failure at n=7',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -173,6 +197,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'FAIL gamma verify-factor passes on all three solvers: first failure at n=5',
@@ -188,6 +213,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'FAIL omega verify-factor passes on all three solvers: first failure at n=5',
@@ -205,6 +231,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'FAIL gamma greedy-layered profile equals recurrence coefficients: first failure at n=8',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -220,6 +247,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'FAIL omega greedy-layered profile equals recurrence coefficients: first failure at n=8',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -237,6 +265,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'FAIL gamma structural profile equals recurrence coefficients: first failure at n=4',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -252,6 +281,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'FAIL omega structural profile equals recurrence coefficients: first failure at n=4',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -269,6 +299,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'FAIL gamma verify-factor passes on all three solvers: first failure at n=5',
@@ -284,6 +315,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'FAIL omega verify-factor passes on all three solvers: first failure at n=5',
@@ -301,6 +333,7 @@ EXPECTED = {
         'FAIL gamma vertex count equals fib(n+2): first failure at n=3',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -316,6 +349,7 @@ EXPECTED = {
         'FAIL omega vertex count equals lucas(n): first failure at n=3',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -333,6 +367,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -348,6 +383,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -365,6 +401,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -380,6 +417,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -397,6 +435,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -412,6 +451,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -429,6 +469,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -444,6 +485,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -461,6 +503,7 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
@@ -476,6 +519,7 @@ EXPECTED = {
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
         'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
@@ -487,6 +531,74 @@ EXPECTED = {
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'FAIL omega exports are deterministic: [n=5]',
+        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('short_witness', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'FAIL gamma cube-independent witness has padovan(n+1) vertices: first failure at n=6',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('short_witness', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'FAIL omega cube-independent witness has padovan(n+1) vertices: first failure at n=6',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('clashing_witness', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'FAIL gamma cube-independent witness has padovan(n+1) vertices: first failure at n=4',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('clashing_witness', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'FAIL omega cube-independent witness has padovan(n+1) vertices: first failure at n=4',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
         'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
 }

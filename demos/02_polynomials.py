@@ -30,7 +30,7 @@ for family in Family:
     lo = 0 if family is Family.GAMMA else 2
     for n in range(41):
         poly = qpoly_rec(family, n)
-        assert series.terms[n] == poly.coeffs
+        assert series[n] == poly.coeffs
         if n >= lo:
             assert all(
                 q_closed(family, n, k) == poly.coefficient(k)

@@ -6,10 +6,9 @@
 from cubefactor import identity_audit
 
 for family in ("gamma", "omega"):
-    report = identity_audit(family, 40)
-    print(f"== {family}, n <= {report.n_max} ==")
-    for line in report.lines():
-        print(" ", line)
+    print(f"== {family}, n <= 40 ==")
+    for entry in identity_audit(family, 40):
+        print(" ", entry.line())
     print()
 
 # Three entries deserve a closer look:

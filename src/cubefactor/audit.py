@@ -1,29 +1,23 @@
 """The audit suites behind ``cubefactor verify``.
 
-Each suite returns ``AuditEntry`` values: PASS / FAIL per check, naming the
+Each suite returns a list of ``AuditEntry`` values, as
+``polynomials.identity_audit`` does: PASS / FAIL per check, naming the
 first failing index on FAIL, and INFO for observations that do not gate.
 Checks over a range of indices build their entry with
 ``polynomials._check``, the helper ``polynomials.identity_audit`` shares;
-each sequence and the recurrence rows are read from one forward stream
-per suite.
+each sequence (a ``sequences._terms`` stream) and the recurrence rows are
+read from one forward stream per suite.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from itertools import chain, islice, takewhile
-from typing import Callable, Iterator
 
 from . import factors, graphs, oeis, sequences
 from .polynomials import AuditEntry, Family, _check, _family, qpoly_rows
 
 __all__ = ["sequence_audit", "oracle_audit", "oeis_audit"]
-
-# each name's terms from index 0, one forward pass per call
-_SEQUENCES: dict[str, Callable[[], Iterator[int]]] = {
-    name: partial(sequences._terms, name) for name in ("padovan", "fibonacci", "lucas")
-}
 
 _OEIS_CHECKS: tuple[tuple[str, str], ...] = (
     ("A000931", "padovan"),
@@ -39,8 +33,8 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     whole, from_one = range(max_n + 1), range(1, max_n + 1)
     rows = list(islice(sequences.lucas_triangle_rows(), max_n + 1))
-    padovan = list(islice(_SEQUENCES["padovan"](), max_n + 1))
-    fib = list(islice(_SEQUENCES["fibonacci"](), max_n + 2))
+    padovan = list(islice(sequences._terms("padovan"), max_n + 1))
+    fib = list(islice(sequences._terms("fibonacci"), max_n + 2))
     return [
         _check(
             "padovan closed-form equals recurrence",
@@ -88,9 +82,9 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     """Built graphs and the three factor solvers against the sequences and
     the recurrence coefficients, and the cube-independent witness (a lower
     bound no solver shares) against padovan(n+1) and ``check_witness``.
-    Graphs are built up to the construction cap and the solvers run up to
-    the exact-search cap; an INFO entry names the orders either cap
-    skipped."""
+    Graphs are built up to the construction cap and the solvers run on the
+    built graphs up to the exact-search cap; an INFO entry names the orders
+    either cap skipped."""
     fam = _family(family)
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
@@ -112,12 +106,13 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         ),
     ]
 
+    # the solvers' cap is on the built graph, so the range is read off the
+    # built graphs, never off the vertex-count formula the audit checks
     solver_ns = list(takewhile(
-        lambda n: graphs.expected_vertex_count(fam, n) <= factors.EXACT_SEARCH_CAP,
-        range(max_n + 1),
+        lambda n: built[n].vertex_count <= factors.EXACT_SEARCH_CAP, build_ns
     ))
     bad: dict[str, list[int]] = defaultdict(list)
-    part_counts = islice(_SEQUENCES["padovan"](), 1, None)  # padovan(n+1) for n = 0, 1, ...
+    part_counts = islice(sequences._terms("padovan"), 1, None)  # padovan(n+1) for n = 0, 1, ...
     for n, poly, parts in zip(solver_ns, qpoly_rows(fam), part_counts):
         g = built[n]
         exact = factors.exact_min_factor(g)
@@ -271,7 +266,7 @@ def _grid_plus_pendant() -> graphs.LabeledGraph:
 def _local_terms(name: str, count: int) -> list[int]:
     if name == "lucas-triangle rows flattened":
         return list(islice(chain.from_iterable(sequences.lucas_triangle_rows()), count))
-    return list(islice(_SEQUENCES[name](), count))
+    return list(islice(sequences._terms(name), count))
 
 
 def oeis_audit(offline: bool) -> list[AuditEntry]:

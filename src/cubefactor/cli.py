@@ -15,7 +15,6 @@ from itertools import islice
 from typing import Sequence
 
 from . import audit, factors, graphs, oeis, polynomials, sequences
-from .audit import _SEQUENCES
 from .polynomials import Family
 
 
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     triangle.add_argument("--rows", type=int, required=True)
 
     seq = sub.add_parser("seq", help="sequence terms, one per line")
-    seq.add_argument("--name", choices=sorted(_SEQUENCES), required=True)
+    seq.add_argument("--name", choices=sorted(sequences._SEEDS), required=True)
     seq.add_argument("--count", type=int, required=True)
 
     graph = sub.add_parser("graph", help="graph export")
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oeis_cmd = sub.add_parser("oeis", help="shift-scan comparison against a b-file")
     oeis_cmd.add_argument("--id", required=True)
-    oeis_cmd.add_argument("--against", choices=sorted(_SEQUENCES), required=True)
+    oeis_cmd.add_argument("--against", choices=sorted(sequences._SEEDS), required=True)
     oeis_cmd.add_argument("--offline", action="store_true")
     oeis_cmd.add_argument("--cache-dir", default=None)
 
@@ -151,7 +150,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 def _cmd_seq(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise ValueError("--count must be non-negative")
-    for term in islice(_SEQUENCES[args.name](), args.count):
+    for term in islice(sequences._terms(args.name), args.count):
         print(term)
     return 0
 
@@ -192,8 +191,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("identities", "all"):
         sections.append(("sequence identities", audit.sequence_audit(args.max_n)))
         for fam in Family:
-            report = polynomials.identity_audit(fam, args.max_n)
-            sections.append((f"polynomial identities: {fam.value}", report.entries))
+            title = f"polynomial identities: {fam.value}"
+            sections.append((title, polynomials.identity_audit(fam, args.max_n)))
     if args.suite in ("oracle", "all"):
         for fam in Family:
             sections.append((f"graph oracle: {fam.value}", audit.oracle_audit(fam, args.max_n)))
@@ -210,7 +209,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
     record = oeis.fetch_bfile(args.id, offline=args.offline, cache=args.cache_dir)
-    local = list(islice(_SEQUENCES[args.against](), 120))
+    local = list(islice(sequences._terms(args.against), 120))
     reports = oeis.scan_shifts(local, 0, record)
     if not reports:
         print(f"error: no overlap with {record.id} at any shift in [-5,5]", file=sys.stderr)

@@ -124,9 +124,6 @@ class CubeFactor:
 class FactorProfile:
     counts: tuple[int, ...]  # counts[k] = number of dimension-k parts
 
-    def covered_vertices(self) -> int:
-        return sum(c * 2**k for k, c in enumerate(self.counts))
-
 
 @dataclass(frozen=True)
 class FactorViolation:

@@ -34,6 +34,9 @@ __all__ = [
 CACHE_ENV = "CUBEFACTOR_CACHE"
 # an OEIS id: "A" (optional) and one to six ASCII digits, zero-filled to six
 _ID_PATTERN = re.compile(r"A?([0-9]{1,6})")
+# a b-file field as render_bfile writes it; int() alone would also take
+# "1_0", "+5" and non-ASCII digits
+_INT_PATTERN = re.compile(r"-?[0-9]+")
 
 
 class BFileError(ValueError):
@@ -65,7 +68,9 @@ def parse_bfile(text: str, id: str | None = None) -> SequenceRecord:
         if len(fields) != 2:
             raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
-            index, value = int(fields[0]), int(fields[1])
+            if not all(_INT_PATTERN.fullmatch(f) for f in fields):
+                raise ValueError
+            index, value = int(fields[0]), int(fields[1])  # can still hit the digit limit
         except ValueError:
             raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from None
         if offset is None:
@@ -186,14 +191,11 @@ def compare(
 
 
 def scan_shifts(
-    local_terms: Sequence[int],
-    local_start: int,
-    remote: SequenceRecord,
-    shifts: Sequence[int] = tuple(range(-5, 6)),
+    local_terms: Sequence[int], local_start: int, remote: SequenceRecord
 ) -> list[MatchReport]:
-    """Compare at every shift in the window, skipping empty overlaps."""
+    """Compare at every shift in the window [-5, 5], skipping empty overlaps."""
     reports = []
-    for shift in shifts:
+    for shift in range(-5, 6):
         try:
             reports.append(compare(local_terms, local_start, remote, shift))
         except ValueError:

@@ -21,9 +21,10 @@ one forward pass holds only the three rows or terms it reads, and nothing
 is memoised, so row n costs O(n) rows of work and bounded memory.
 
 ``identity_audit`` replays every identity and case-split formula as a
-prediction and reports PASS / FAIL / INFO per entry; predictions are never
-used as the computation path, so a wrong prediction shows up in the report
-instead of poisoning the numbers. Every check over a range of indices,
+prediction and returns a list of PASS / FAIL / INFO ``AuditEntry`` values,
+the shape every suite in ``audit`` returns; predictions are never used as
+the computation path, so a wrong prediction shows up as an entry instead
+of poisoning the numbers. Every check over a range of indices,
 here and in ``audit``, builds its PASS / FAIL entry with one helper,
 ``_check``, which reads a lazy stream of failures and names the first;
 the audit reads the Fibonacci, Lucas and Padovan numbers from one stream
@@ -33,7 +34,7 @@ each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
@@ -43,10 +44,8 @@ from .sequences import _terms, binom_ext, binom_ext_div3
 __all__ = [
     "Family",
     "CubeFactorPolynomial",
-    "SeriesExpansion",
     "DiagonalProfile",
     "AuditEntry",
-    "AuditReport",
     "qpoly_rows",
     "qpoly_rec",
     "q_closed",
@@ -59,7 +58,6 @@ __all__ = [
     "identity_audit",
     "poly_to_json",
     "poly_from_json",
-    "triangle_csv",
 ]
 
 
@@ -194,15 +192,6 @@ def q_closed(family: Family | str, n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Truncated power-series expansion in y; terms[n] is a poly in x."""
-
-    family: Family
-    order: int
-    terms: tuple[tuple[int, ...], ...]
-
-
 def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:
     """Expand numerator / (1 - x*y^2 - y^3) in y, one term at a time.
 
@@ -246,12 +235,13 @@ def gf_terms(family: Family | str) -> Iterator[tuple[int, ...]]:
     return _expand_rational(_NUMERATOR[_family(family)])
 
 
-def gf_series(family: Family | str, order: int) -> SeriesExpansion:
-    """The terms of :func:`gf_terms` up to the given order in y."""
+def gf_series(family: Family | str, order: int) -> tuple[tuple[int, ...], ...]:
+    """The terms of :func:`gf_terms` up to the given order in y; term n is
+    a polynomial in x."""
     fam = _family(family)
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
-    return SeriesExpansion(fam, order, tuple(islice(gf_terms(fam), order + 1)))
+    return tuple(islice(gf_terms(fam), order + 1))
 
 
 def padovan_gf_series(order: int) -> list[int]:
@@ -341,15 +331,6 @@ def poly_from_json(text: str) -> CubeFactorPolynomial:
     )
 
 
-def triangle_csv(family: Family | str, rows: int) -> str:
-    """Coefficient triangle as CSV, one polynomial per row, n = 0..rows-1."""
-    fam = _family(family)
-    if rows < 0:
-        raise ValueError(f"rows must be non-negative, got {rows}")
-    lines = [",".join(str(c) for c in poly.coeffs) for poly in islice(qpoly_rows(fam), rows)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # identity audit
 # ---------------------------------------------------------------------------
@@ -378,28 +359,7 @@ def _misses(triples: Iterable[tuple[int, object, object]]) -> Iterator[str]:
     return (f"{n}: expected {e}, got {a}" for n, e, a in triples if e != a)
 
 
-@dataclass
-class AuditReport:
-    family: Family
-    n_max: int
-    entries: list[AuditEntry] = field(default_factory=list)
-
-    def lines(self) -> list[str]:
-        return [e.line() for e in self.entries]
-
-    def to_json(self) -> str:
-        payload = {
-            "family": self.family.value,
-            "n_max": self.n_max,
-            "entries": [
-                {"name": e.name, "status": e.status, "detail": e.detail}
-                for e in self.entries
-            ],
-        }
-        return json.dumps(payload, separators=(",", ":"))
-
-
-def identity_audit(family: Family | str, n_max: int) -> AuditReport:
+def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
     """Audit every polynomial identity and case-split prediction up to n_max.
 
     Each entry is PASS/FAIL with the first failing index, or INFO for the
@@ -409,8 +369,8 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
     fam = _family(family)
     if n_max < 5:
         raise ValueError(f"n_max must be at least 5, got {n_max}")
-    report = AuditReport(fam, n_max)
-    add = report.entries.append
+    entries: list[AuditEntry] = []
+    add = entries.append
     polys = list(islice(qpoly_rows(fam), n_max + 1))
     fib, lucas, padovan = (
         list(islice(_terms(name), n_max + 3)) for name in ("fibonacci", "lucas", "padovan")
@@ -434,7 +394,7 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
     ), f"[n={lo}..{n_max}, all k]"))
     series = gf_series(fam, n_max)
     add(_check(f"{f} series-expansion terms equal recurrence",
-               _misses((n, 0, int(series.terms[n] != polys[n].coeffs)) for n in whole), rng))
+               _misses((n, 0, int(series[n] != polys[n].coeffs)) for n in whole), rng))
     add(_check(f"{f} padovan series equals recurrence padovan",
                _misses((n, padovan[n], v) for n, v in enumerate(padovan_gf_series(n_max))), rng))
 
@@ -500,7 +460,7 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
             (n, binom_ext((n + k + 1) // 3, k) if (n + k) % 3 != 1 else 0, q_closed(fam, n, k))
             for n in whole for k in range(polys[n].degree + 2)
         ), rng))
-        return report
+        return entries
 
     # omega
     add(_check("omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split", _misses(
@@ -550,4 +510,4 @@ def identity_audit(family: Family | str, n_max: int) -> AuditReport:
     add(_check("omega skew-diagonal sum follows the fib/lucas case split", _misses(
         (n, (fib[m - 1], lucas[m], fib[m])[n % 3], profiles[n].skew_sum) for n, m in split[6:]
     ), f"[n=6..{n_max}]"))
-    return report
+    return entries

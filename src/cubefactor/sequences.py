@@ -36,14 +36,18 @@ def _check_index(n: int) -> None:
         raise ValueError(f"index must be non-negative, got {n}")
 
 
+# each streamed sequence by name, with its first terms: the seed window of ``_terms``
+_SEEDS: dict[str, tuple[int, ...]] = {"fibonacci": (0, 1), "lucas": (2, 1), "padovan": (1, 1, 1)}
+
+
 def _terms(name: str) -> Iterator[int]:
-    """Terms 0, 1, 2, ... of "fibonacci", "lucas" or "padovan", in one forward pass.
+    """Terms 0, 1, 2, ... of a sequence named in ``_SEEDS``, in one forward pass.
 
     Each is x(m + w) = x(m) + x(m + 1) run from its first w terms, the seed
     window: w = 2 gives the Fibonacci step x(m + 2) = x(m) + x(m + 1), and
     w = 3 gives Padovan's x(m + 3) = x(m) + x(m + 1).
     """
-    window = deque({"fibonacci": (0, 1), "lucas": (2, 1), "padovan": (1, 1, 1)}[name])
+    window = deque(_SEEDS[name])
     while True:
         oldest = window.popleft()
         yield oldest

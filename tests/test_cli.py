@@ -60,6 +60,13 @@ def test_table_omega_golden(capsys):
     assert code == 0 and out == TABLE_OMEGA_9
 
 
+def test_table_csv_layout(capsys):
+    code, out, _ = run(capsys, "table", "--family", "gamma", "--rows", "3", "--csv")
+    assert code == 0 and out == "1\n0,1\n1,1\n"
+    code, out, _ = run(capsys, "table", "--family", "omega", "--rows", "0", "--csv")
+    assert code == 0 and out == ""
+
+
 def test_triangle_golden(capsys):
     code, out, _ = run(capsys, "triangle", "--rows", "6")
     assert code == 0 and out == TRIANGLE_6

@@ -45,6 +45,11 @@ def test_parse_gap_and_malformed_lines():
         parse_bfile("0 1\n1 2 3\n")
     with pytest.raises(BFileError, match="line 1"):
         parse_bfile("zero one\n")
+    # int() alone would read these as 10, 3, offset 1 and 5; render_bfile
+    # writes none of them
+    for text in ("0 1_0\n", "0 \u0663\n", "\u0661 5\n", "0 +5\n"):
+        with pytest.raises(BFileError, match="line 1: non-integer field"):
+            parse_bfile(text)
     with pytest.raises(BFileError):
         parse_bfile("# nothing but comments\n")
 

@@ -5,7 +5,8 @@ Every oracle line in the goldens is PASS, so each test here corrupts one
 result on the computed side of ``oracle_audit`` and pins every line it
 prints at max_n 9: a solver's factor at one or two orders, the witness's
 size or independence at one order, a verification verdict, an expected
-vertex count, a dropped dimension-1 cube, a failed isomorphism, a subcopy
+vertex count too high at one order or too low at the first order past the
+exact-search cap, a dropped dimension-1 cube, a failed isomorphism, a subcopy
 extraction, the JSON parser and the exporter.
 Faults enter through module attributes the audit looks up at call time.
 """
@@ -106,6 +107,13 @@ def wrong_vertex_count(mp):
     mp.setattr(graphs, "expected_vertex_count", lambda fam, n: clean(fam, n) + (n == 3))
 
 
+def undercounted_vertices(mp):
+    # the formula under-counts n=9 by 30, below the exact-search cap, while
+    # the built graph stays above it: the solvers must not be handed it
+    clean = graphs.expected_vertex_count
+    mp.setattr(graphs, "expected_vertex_count", lambda fam, n: clean(fam, n) - 30 * (n == 9))
+
+
 def missing_edge_cube(mp):
     clean = factors.enumerate_cubes
 
@@ -154,7 +162,7 @@ FAULTS = {
     for f in (
         extra_exact_part, reshaped_exact_profile, extra_greedy_part, extra_structural_part,
         short_witness, clashing_witness, rejecting_verify, wrong_vertex_count,
-        missing_edge_cube, no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
+        undercounted_vertices, missing_edge_cube, no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
     )
 }
 
@@ -347,6 +355,40 @@ EXPECTED = {
     ],
     ('wrong_vertex_count', 'omega'): [
         'FAIL omega vertex count equals lucas(n): first failure at n=3',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('undercounted_vertices', 'gamma'): [
+        'FAIL gamma vertex count equals fib(n+2): first failure at n=9',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('undercounted_vertices', 'omega'): [
+        'FAIL omega vertex count equals lucas(n): first failure at n=9',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
         'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',

@@ -4,8 +4,9 @@ from itertools import islice
 
 import pytest
 
-from cubefactor.audit import _SEQUENCES
 from cubefactor.sequences import (
+    _SEEDS,
+    _terms,
     binom_ext,
     binom_ext_div3,
     fib,
@@ -115,7 +116,7 @@ def test_lucas_triangle_rows_stream_rows_a_caller_may_change():
 
 
 def test_sequence_streams_match_the_single_terms_and_second_routes():
-    streams = {name: list(islice(_SEQUENCES[name](), 301)) for name in _SEQUENCES}
+    streams = {name: list(islice(_terms(name), 301)) for name in _SEEDS}
     fibs, lucases, padovans = streams["fibonacci"], streams["lucas"], streams["padovan"]
     assert fibs == [fib(n) for n in range(301)]
     assert lucases == [lucas(n) for n in range(301)]

@@ -30,9 +30,16 @@ search computes the same witness from its own cubes and stops at the
 first cover of |S| parts, which is then the first optimal cover in search
 order, the one the full search returns.
 
-Every ``InducedCube`` carries ``mask``, the bit set of its vertices,
-computed on first use and kept: enumeration's join, the search core and
-``verify_factor`` read it instead of rebuilding it.
+``enumerate_cubes`` builds the (k+1)-cubes by joining pairs of k-cubes
+and offers each cube to the join test once, through its canonical split:
+the half holding its least vertex m, and the half holding m's largest
+neighbour in the cube. Its docstring has the proof; it needs no duplicate
+check and holds on any graph.
+
+Every ``InducedCube`` carries ``mask``, the bit set of its vertices, set
+by enumeration when it forms the cube, otherwise computed on first use,
+and kept: the search core and ``verify_factor`` read it instead of
+rebuilding it.
 
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
@@ -149,14 +156,32 @@ def enumerate_cubes(
     """All induced k-cubes for k = 0..k_max, canonically ordered per level.
 
     Level 0 is the single vertices. Level k+1 joins two disjoint level-k
-    cubes whose connecting edges form a perfect matching that is an
-    isomorphism between them; since any hypercube splits that way along
-    each direction, the level-by-level join finds every induced cube.
+    cubes a and b whose connecting edges form a perfect matching phi that
+    is an isomorphism between them (the join test checks the matching both
+    ways and that phi preserves edges).
 
-    A cube a is offered only the later cubes b that pass through a
-    neighbour of min(a) outside a and lie inside reach(a), the neighbours
-    of a outside a (so b is disjoint from a). Nothing joinable is lost: the
-    match of min(a) lies in b, and every vertex of b has its match in a.
+    Each (k+1)-cube is offered to the join test exactly once, through its
+    canonical split. With m = min(a), the cube a is offered only the later
+    cubes b that hold a neighbour w of m as their only neighbour of m,
+    where w lies above m and above every neighbour of m in a, and that lie
+    inside reach(a), the neighbours of a outside a (so b is disjoint
+    from a).
+
+    Proof. Let C be an induced (k+1)-cube and m = min(C). If a and b join
+    to C, each edge uv of a makes a 4-cycle u, v, phi(v), phi(u) of C, and
+    opposite edges of a 4-cycle of a hypercube run in one direction; a is
+    connected, so the 2**k cross edges are all the edges of one direction.
+    So C splits in exactly k+1 ways, one per neighbour w of m in C: a is
+    the half holding m and b the half holding w. In the split at w, the
+    neighbours of m in a are the other k neighbours of m in C, and w is
+    the only one in b, so the rule admits the split exactly when w is the
+    largest neighbour of m in C. That split is reached: every vertex of b
+    has its match in a, so b lies inside reach(a), and min(b) > m puts b
+    after a in level order. It is offered once, since b holds one
+    neighbour of m and so is found through one w only. Conversely, a pair
+    that joins is the admitted split of the cube it forms, so no cube is
+    formed twice and a level needs no duplicate check. The proof uses
+    adjacency alone, so it holds on any graph, not only on the families.
 
     If ``stats`` is given, it receives ``joins``, the number of pairs
     offered to the join test.
@@ -164,60 +189,72 @@ def enumerate_cubes(
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     nv = g.vertex_count
+    adj = g.adj
+    prev = [((v,), 1 << v) for v in range(nv)]  # the last level as (sorted vertices, mask)
     levels: list[list[InducedCube]] = [[InducedCube(0, (v,)) for v in range(nv)]]
     joins = 0
     for k in range(1, k_max + 1):
-        prev = levels[k - 1]
-        # through[v]: indices of the level-(k-1) cubes containing v, in level order
+        # through[v]: indices of the level-(k-1) cubes containing v, in level
+        # order, so a's partners are read from the end down to a
         through: list[list[int]] = [[] for _ in range(nv)]
-        for j, c in enumerate(prev):
-            for v in c.vertices:
+        for j, (verts, _) in enumerate(prev):
+            for v in verts:
                 through[v].append(j)
-        masks = [c.mask for c in prev]  # a list index is cheaper than the attribute
-        found: set[tuple[int, ...]] = set()
-        for i, a in enumerate(prev):
+        joined: list[tuple[tuple[int, ...], int]] = []
+        for i, (a, a_mask) in enumerate(prev):
             reach = 0
-            for x in a.vertices:
-                reach |= g.adj[x]
-            reach &= ~masks[i]
-            tried: set[int] = set()
-            for w in _bits(g.adj[a.vertices[0]] & reach):
-                for j in through[w]:
-                    if j <= i or j in tried or masks[j] & ~reach:
+            for x in a:
+                reach |= adj[x]
+            reach &= ~a_mask
+            near = adj[a[0]]
+            # candidates w: neighbours of m = a[0] outside a, above m and above
+            # every neighbour of m in a
+            above = (near & a_mask | 1 << a[0]).bit_length()
+            candidates = (near & reach) >> above << above
+            while candidates:
+                w = candidates & -candidates
+                candidates ^= w
+                for j in reversed(through[w.bit_length() - 1]):
+                    if j <= i:
+                        break
+                    b, b_mask = prev[j]
+                    if b_mask & near != w or b_mask & ~reach:
                         continue
-                    tried.add(j)
                     joins += 1
-                    joined = _join_cubes(g, a, prev[j])
-                    if joined is not None:
-                        found.add(joined)
-        levels.append([InducedCube(k, verts) for verts in sorted(found)])
-        if not found:
-            levels.extend([] for _ in range(k + 1, k_max + 1))
-            break
+                    if _is_join(adj, a, a_mask, b, b_mask):
+                        joined.append((tuple(sorted(a + b)), a_mask | b_mask))
+        prev = sorted(joined)
+        levels.append([InducedCube(k, verts) for verts, _ in prev])
+        for cube, (_, mask) in zip(levels[k], prev):
+            object.__setattr__(cube, "mask", mask)  # known already: spare the lazy build
     if stats is not None:
         stats.update(joins=joins)
     return levels
 
 
-def _join_cubes(g: LabeledGraph, a: InducedCube, b: InducedCube) -> tuple[int, ...] | None:
+def _is_join(adj: tuple[int, ...], a: tuple[int, ...], a_mask: int, b: tuple[int, ...], b_mask: int) -> bool:
     # cross edges must form a perfect matching that maps a onto b
     # edge-preservingly (each side having exactly one cross edge per vertex
     # makes phi a bijection); equal edge counts then force an isomorphism
-    a_mask, b_mask = a.mask, b.mask
-    phi: dict[int, int] = {}
-    for u in a.vertices:
-        cross = g.adj[u] & b_mask
+    phi: dict[int, int] = {}  # vertex of a -> the bit of its match in b
+    for u in a:
+        cross = adj[u] & b_mask
         if cross.bit_count() != 1:
-            return None
-        phi[u] = cross.bit_length() - 1
-    for w in b.vertices:
-        if (g.adj[w] & a_mask).bit_count() != 1:
-            return None
-    for u in a.vertices:
-        for v in _bits(g.adj[u] & a_mask):
-            if u < v and not g.has_edge(phi[u], phi[v]):
-                return None
-    return tuple(sorted(a.vertices + b.vertices))
+            return False
+        phi[u] = cross
+    for x in b:
+        if (adj[x] & a_mask).bit_count() != 1:
+            return False
+    for u in a:
+        image = 0
+        rest = adj[u] & a_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            image |= phi[low.bit_length() - 1]
+        if image & ~adj[phi[u].bit_length() - 1]:
+            return False
+    return True
 
 
 def _levels_from_the_top(g: LabeledGraph) -> list[list[InducedCube]]:

@@ -56,15 +56,19 @@ class SequenceRecord:
 
 def parse_bfile(text: str, id: str | None = None) -> SequenceRecord:
     """Parse b-file text: '#' comment lines, then "index value" data lines
-    with consecutive indices. The offset is the first index seen."""
+    with consecutive indices. The offset is the first index seen.
+
+    Lines end at a line feed (a carriage return before it is dropped) and
+    fields are separated by spaces and tabs, the only separators b-files
+    use; other Unicode line breaks and spaces separate nothing."""
     offset: int | None = None
     expected: int | None = None
     terms: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        fields = re.split("[ \t]+", line)
         if len(fields) != 2:
             raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:

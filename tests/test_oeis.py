@@ -54,6 +54,14 @@ def test_parse_gap_and_malformed_lines():
         parse_bfile("# nothing but comments\n")
 
 
+def test_parse_splits_only_on_newlines_and_ascii_blanks():
+    # str.splitlines, str.strip and str.split would accept every one of these
+    for text in ("0 5\x1c1 7\x852 9\n", "0 5\u20281 7\n", "0 5\r1 7\n", "0\u20035\n", "0 5\u3000\n"):
+        with pytest.raises(BFileError, match="line 1"):
+            parse_bfile(text)
+    assert parse_bfile("# crlf\r\n0 5\r\n1\t 7 \r\n").terms == (5, 7)
+
+
 def test_render_parse_round_trip():
     record = SequenceRecord("A000045", 0, tuple(fib(n) for n in range(30)))
     assert parse_bfile(render_bfile(record), id="A000045") == record

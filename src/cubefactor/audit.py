@@ -80,8 +80,11 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
 
 def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     """Built graphs and the three factor solvers against the sequences and
-    the recurrence coefficients, and the cube-independent witness (a lower
-    bound no solver shares) against padovan(n+1) and ``check_witness``.
+    the recurrence coefficients, and the cube-independent witness against
+    padovan(n+1) and ``check_witness``. Exact search builds the same
+    witness from its own cubes as its lower bound; what the audit adds is
+    its own ``cube_independent_set`` call and ``check_witness``'s scan of
+    every cube.
     Graphs are built up to the construction cap and the solvers run on the
     built graphs up to the exact-search cap; an INFO entry names the orders
     either cap skipped."""
@@ -163,22 +166,20 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         ],
         rng,
     ))
-    split_lo = 3 if fam is Family.GAMMA else 5
-    split_ns = build_ns[split_lo:]
+    # ranges come off the built annotations: the split's here, omega's
+    # cross edges' below
+    split = ("cube-pair-0", "second", "third")
+    split_ns = [n for n in build_ns if set(split) <= built[n].subcopies.keys()]
     if split_ns:
         entries.append(_check(
             f"{f} recursion split partitions the vertex set",
             [
                 n
                 for n in split_ns
-                if sorted(
-                    v
-                    for name in ("cube-pair-0", "second", "third")
-                    for v in built[n].subcopies[name].vertices
-                )
+                if sorted(v for name in split for v in built[n].subcopies[name].vertices)
                 != list(range(built[n].vertex_count))
             ],
-            f"[n={split_lo}..{split_ns[-1]}]",
+            f"[n={split_ns[0]}..{split_ns[-1]}]",
         ))
     entries.append(_check(
         f"{f} canonical subcopies equal freshly built members",
@@ -192,10 +193,11 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     ))
 
     if fam is Family.OMEGA and len(built) > 4:
+        cross_ns = [n for n in build_ns if "second" in built[n].subcopies]
         entries.append(_check(
             "omega cross edges form a perfect matching on the smaller copy",
-            [n for n in build_ns[4:] if not _second_copy_matched(built[n])],
-            f"[n=4..{build_ns[-1]}]",
+            [n for n in cross_ns if not _second_copy_matched(built[n])],
+            f"[n={cross_ns[0]}..{cross_ns[-1]}]",
         ))
         iso = graphs.find_isomorphism(built[4], _grid_plus_pendant())
         entries.append(AuditEntry(

@@ -157,8 +157,10 @@ def enumerate_cubes(
 
     Level 0 is the single vertices. Level k+1 joins two disjoint level-k
     cubes a and b whose connecting edges form a perfect matching phi that
-    is an isomorphism between them (the join test checks the matching both
-    ways and that phi preserves edges).
+    is an isomorphism between them. The join test ``_is_join`` makes two
+    checks: each vertex of a has exactly one neighbour in b, and phi
+    preserves edges; that phi is onto b follows from how b is offered
+    (its docstring has the argument).
 
     Each (k+1)-cube is offered to the join test exactly once, through its
     canonical split. With m = min(a), the cube a is offered only the later
@@ -221,7 +223,7 @@ def enumerate_cubes(
                     if b_mask & near != w or b_mask & ~reach:
                         continue
                     joins += 1
-                    if _is_join(adj, a, a_mask, b, b_mask):
+                    if _is_join(adj, a, a_mask, b_mask):
                         joined.append((tuple(sorted(a + b)), a_mask | b_mask))
         prev = sorted(joined)
         levels.append([InducedCube(k, verts) for verts, _ in prev])
@@ -232,19 +234,24 @@ def enumerate_cubes(
     return levels
 
 
-def _is_join(adj: tuple[int, ...], a: tuple[int, ...], a_mask: int, b: tuple[int, ...], b_mask: int) -> bool:
-    # cross edges must form a perfect matching that maps a onto b
-    # edge-preservingly (each side having exactly one cross edge per vertex
-    # makes phi a bijection); equal edge counts then force an isomorphism
+def _is_join(adj: tuple[int, ...], a: tuple[int, ...], a_mask: int, b_mask: int) -> bool:
+    """Whether the cross edges between the k-cubes a and b form a perfect
+    matching phi that preserves edges, so that a and b span a (k+1)-cube.
+
+    Two checks: each vertex of a has exactly one neighbour in b, and phi
+    maps every edge of a onto an edge of b. Equal edge counts then make
+    phi an isomorphism. That each vertex of b also has exactly one
+    neighbour in a needs no check where ``enumerate_cubes`` offers b: b
+    lies inside reach(a), so each of its 2**k vertices has a neighbour in
+    a, and the first check leaves exactly 2**k cross edges, none to spare.
+    So phi is onto b, a bijection.
+    """
     phi: dict[int, int] = {}  # vertex of a -> the bit of its match in b
     for u in a:
         cross = adj[u] & b_mask
         if cross.bit_count() != 1:
             return False
         phi[u] = cross
-    for x in b:
-        if (adj[x] & a_mask).bit_count() != 1:
-            return False
     for u in a:
         image = 0
         rest = adj[u] & a_mask
@@ -653,12 +660,14 @@ def factor_to_json(g: LabeledGraph, factor: CubeFactor) -> str:
 def factor_from_json(g: LabeledGraph, text: str) -> CubeFactor:
     """Parse a factor back against a graph; accepts the object form or a
     bare list of parts. Malformed input, an object written for another
-    graph (its family or n differs from g's) and unknown labels raise
-    ValueError."""
+    graph (its family or n differs from g's, or n is not a JSON integer)
+    and unknown labels raise ValueError."""
     data = json.loads(text)
     if isinstance(data, dict):
         family, n = data.get("family", g.family), data.get("n", g.n)
-        if (family, n) != (g.family, g.n):
+        # not bool or float: true == 1 and 2.0 == 2; a family equal to
+        # g's is a string
+        if type(n) is not int or (family, n) != (g.family, g.n):
             raise ValueError(f"malformed factor: made for {family} n={n}, not {g.family} n={g.n}")
     raw_parts = data.get("parts") if isinstance(data, dict) else data
     if not isinstance(raw_parts, list):

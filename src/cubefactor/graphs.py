@@ -5,11 +5,19 @@ consecutive 1s, adjacent at Hamming distance 1. The omega family is built
 recursively: paths for n <= 3, and for n >= 4 a copy of member n-1
 (labels prefixed "0") plus a copy of member n-2 (labels prefixed "10")
 joined by a perfect matching onto the canonical n-2 subcopy of the n-1
-part. Subcopy annotations record the recursion parts, so the
-decomposition checks can extract them: ``canonical_subgraph`` strips a
-part's prefix, assembles it as a graph and compares it with the freshly
-built smaller member. (The structural factor builds its parts from the
-same label prefixes and does not read the annotations.)
+part.
+
+Both families split into the same recursion parts, and one table,
+``_PARTS``, is the only record of them: each part's label prefix, its
+order drop and the first order of each family that has it ("0" one
+down, "10" and "00" two down, "010" three down; gamma from orders
+1/2/3/3, omega from 4/4/5/5, its path bases having the leading path as
+their first part). Both builders annotate each member with the parts
+read off it, omega's construction reads its embedding prefix from it,
+and the audit reads its ranges off the annotations. ``canonical_subgraph``
+strips a part's prefix, assembles it as a graph and compares it with the
+freshly built smaller member. (The structural factor builds its parts
+from the same label prefixes and does not read the annotations.)
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .polynomials import Family, _family
 from .sequences import fib, lucas
@@ -41,10 +49,10 @@ DEFAULT_MAX_N = 16
 
 @dataclass(frozen=True)
 class Subcopy:
-    """Annotated vertex subset isomorphic to a smaller family member."""
+    """Annotated vertex subset isomorphic to a smaller member of the
+    graph's own family."""
 
     vertices: tuple[int, ...]
-    target_family: Family
     target_n: int
     prefix: str  # stripped from each member label to give the target label
 
@@ -101,7 +109,7 @@ def _assemble(
     n: int,
     labels: list[str],
     edge_pairs: list[tuple[str, str]],
-    subcopy_specs: dict[str, tuple[list[str], Family, int, str]],
+    subcopy_specs: dict[str, tuple[list[str], int, str]],
 ) -> LabeledGraph:
     ordered = tuple(sorted(labels))
     index = {lab: i for i, lab in enumerate(ordered)}
@@ -113,10 +121,34 @@ def _assemble(
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     subcopies = {
-        name: Subcopy(tuple(sorted(index[lab] for lab in members)), target_fam, target_n, prefix)
-        for name, (members, target_fam, target_n, prefix) in subcopy_specs.items()
+        name: Subcopy(tuple(sorted(index[lab] for lab in members)), target_n, prefix)
+        for name, (members, target_n, prefix) in subcopy_specs.items()
     }
     return LabeledGraph(family, n, ordered, tuple(adj), subcopies)
+
+
+# the recursion parts: name -> (label prefix, order drop, first order per family)
+_PARTS: dict[str, tuple[str, int, dict[Family, int]]] = {
+    "first": ("0", 1, {Family.GAMMA: 1, Family.OMEGA: 4}),
+    "second": ("10", 2, {Family.GAMMA: 2, Family.OMEGA: 4}),
+    "cube-pair-0": ("00", 2, {Family.GAMMA: 3, Family.OMEGA: 5}),
+    "third": ("010", 3, {Family.GAMMA: 3, Family.OMEGA: 5}),
+}
+
+
+def _subcopy_specs(
+    fam: Family, n: int, labels: Sequence[str]
+) -> dict[str, tuple[list[str], int, str]]:
+    # the parts member n has, as name -> (member labels, target order, prefix)
+    if 0 < n < _PARTS["first"][2][fam]:
+        # an omega path base: its canonical smaller member is the leading
+        # path, labels unchanged
+        return {"first": ([str(i) for i in range(n)], n - 1, "")}
+    return {
+        name: ([s for s in labels if s.startswith(prefix)], n - drop, prefix)
+        for name, (prefix, drop, start) in _PARTS.items()
+        if n >= start[fam]
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +190,12 @@ def build_gamma(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
                 t = s[:i] + "1" + s[i + 1:]
                 if t in present:
                     edges.append((s, t))
-
-    def sub(prefix: str, target_n: int) -> tuple[list[str], Family, int, str]:
-        return [s for s in labels if s.startswith(prefix)], Family.GAMMA, target_n, prefix
-
-    subs: dict[str, tuple[list[str], Family, int, str]] = {}
-    if n >= 1:
-        subs["first"] = sub("0", n - 1)
-    if n >= 2:
-        subs["second"] = sub("10", n - 2)
-    if n >= 3:
-        subs["cube-pair-0"] = sub("00", n - 2)
-        subs["third"] = sub("010", n - 3)
-    return _assemble("gamma", n, labels, edges, subs)
+    return _assemble("gamma", n, labels, edges, _subcopy_specs(Family.GAMMA, n, labels))
 
 
 # ---------------------------------------------------------------------------
 # omega family
 # ---------------------------------------------------------------------------
-
-
-def _omega_embed(m: int, label: str) -> str:
-    # canonical embedding of member m-1 into member m: the "0"-prefixed part
-    # for m >= 4, the leading path vertices (same labels) for the path bases
-    if m >= 4:
-        return "0" + label
-    return label
 
 
 @lru_cache(maxsize=None)
@@ -195,11 +207,13 @@ def _omega_parts(n: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
         return labels, edges
     a_labels, a_edges = _omega_parts(n - 1)
     b_labels, b_edges = _omega_parts(n - 2)
+    # member n-2 sits in member n-1 as its first part
+    _, _, embed = _subcopy_specs(Family.OMEGA, n - 1, a_labels)["first"]
     labels = tuple("0" + w for w in a_labels) + tuple("10" + w for w in b_labels)
     edges = (
         tuple(("0" + u, "0" + v) for u, v in a_edges)
         + tuple(("10" + u, "10" + v) for u, v in b_edges)
-        + tuple(("10" + w, "0" + _omega_embed(n - 1, w)) for w in b_labels)
+        + tuple(("10" + w, "0" + embed + w) for w in b_labels)
     )
     return labels, edges
 
@@ -207,24 +221,8 @@ def _omega_parts(n: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
 def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
     """Matchable-Lucas-cube reconstruction of order n with annotations."""
     _check_cap(n, max_n)
-    labels_t, edges_t = _omega_parts(n)
-    labels = list(labels_t)
-    edges = list(edges_t)
-
-    def sub(prefix: str, target_n: int) -> tuple[list[str], Family, int, str]:
-        return [s for s in labels if s.startswith(prefix)], Family.OMEGA, target_n, prefix
-
-    subs: dict[str, tuple[list[str], Family, int, str]] = {}
-    if 1 <= n <= 3:
-        # canonical smaller member = leading path vertices, labels unchanged
-        subs["first"] = ([str(i) for i in range(n)], Family.OMEGA, n - 1, "")
-    elif n >= 4:
-        subs["first"] = sub("0", n - 1)
-        subs["second"] = sub("10", n - 2)
-        if n >= 5:
-            subs["cube-pair-0"] = sub("00", n - 2)
-            subs["third"] = sub("010", n - 3)
-    return _assemble("omega", n, labels, edges, subs)
+    labels, edges = _omega_parts(n)
+    return _assemble("omega", n, list(labels), list(edges), _subcopy_specs(Family.OMEGA, n, labels))
 
 
 def build_graph(family: Family | str, n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
@@ -261,7 +259,7 @@ def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
         raise ValueError(f"unknown annotation {name!r} (known: {known})")
     sub = g.subcopies[name]
     # the target is smaller than g, which is built already, so no cap applies
-    target = build_graph(sub.target_family, sub.target_n, max_n=sub.target_n)
+    target = build_graph(g.family, sub.target_n, max_n=sub.target_n)
     stripped = {v: g.labels[v][len(sub.prefix):] for v in sub.vertices}
     edges = [(stripped[u], stripped[v]) for u, v in g.edges() if u in stripped and v in stripped]
     try:

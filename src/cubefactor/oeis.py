@@ -34,8 +34,8 @@ __all__ = [
 CACHE_ENV = "CUBEFACTOR_CACHE"
 # an OEIS id: "A" (optional) and one to six ASCII digits, zero-filled to six
 _ID_PATTERN = re.compile(r"A?([0-9]{1,6})")
-# a b-file field as render_bfile writes it; int() alone would also take
-# "1_0", "+5" and non-ASCII digits
+# a decimal integer as render_bfile and poly_to_json write it; int() alone
+# would also take "1_0", "+5", " 5" and non-ASCII digits
 _INT_PATTERN = re.compile(r"-?[0-9]+")
 
 

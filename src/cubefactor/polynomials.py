@@ -39,6 +39,7 @@ from enum import Enum
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
+from .oeis import _INT_PATTERN
 from .sequences import _terms, binom_ext, binom_ext_div3
 
 __all__ = [
@@ -105,9 +106,6 @@ class CubeFactorPolynomial:
         if k < 0:
             return 0
         return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    def __call__(self, x: int) -> int:
-        return eval_at(self, x)
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
@@ -323,7 +321,9 @@ def poly_from_json(text: str) -> CubeFactorPolynomial:
         and isinstance(data.get("family"), str)
         and type(data.get("n")) is int  # not bool: JSON true/false decode to bools
         and isinstance(data.get("coeffs"), list)
-        and all(type(c) in (str, int) for c in data["coeffs"])
+        and all(
+            type(c) is int or type(c) is str and _INT_PATTERN.fullmatch(c) for c in data["coeffs"]
+        )
     ):
         raise ValueError("malformed polynomial: expected an object with family, n and coeffs")
     return CubeFactorPolynomial(

@@ -712,6 +712,14 @@ def test_factor_json_rejects_a_factor_written_for_another_graph():
     assert factor_from_json(gamma, json.dumps(json.loads(text)["parts"])).part_count == 1
 
 
+@pytest.mark.parametrize("n, bad", [(1, "true"), (2, "2.0")])
+def test_factor_json_rejects_an_order_that_is_not_an_integer(n, bad):
+    g = build_gamma(n)
+    text = factor_to_json(g, structural_factor("gamma", n, g)).replace(f'"n":{n}', f'"n":{bad}')
+    with pytest.raises(ValueError, match="^malformed"):
+        factor_from_json(g, text)
+
+
 def test_factor_json_rejects_unknown_labels():
     g = build_gamma(2)
     with pytest.raises(ValueError):

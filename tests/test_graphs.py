@@ -176,7 +176,7 @@ def test_every_annotation_checks_out():
             for name in sorted(g.subcopies):
                 sub = canonical_subgraph(g, name)  # raises on any mismatch
                 target = g.subcopies[name]
-                assert sub.family == target.target_family.value
+                assert sub.family == g.family
                 assert sub.n == target.target_n
 
 

@@ -259,6 +259,10 @@ def test_poly_json_exact_format_and_round_trip():
         '{"family":"gamma","n":1,"coeffs":5}',
         '{"family":"gamma","n":true,"coeffs":["0","1"]}',
         '{"family":"gamma","n":1,"coeffs":["0",true]}',
+        '{"family":"gamma","n":1,"coeffs":["1_0"]}',
+        '{"family":"gamma","n":1,"coeffs":[" 5"]}',
+        '{"family":"gamma","n":1,"coeffs":["\u0663"]}',
+        '{"family":"gamma","n":1,"coeffs":["+2"]}',
     ],
 )
 def test_poly_json_rejects_malformed_shapes(text):

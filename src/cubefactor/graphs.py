@@ -261,7 +261,9 @@ def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
     # the target is smaller than g, which is built already, so no cap applies
     target = build_graph(g.family, sub.target_n, max_n=sub.target_n)
     stripped = {v: g.labels[v][len(sub.prefix):] for v in sub.vertices}
-    edges = [(stripped[u], stripped[v]) for u, v in g.edges() if u in stripped and v in stripped]
+    mask = sum(1 << v for v in stripped)
+    # the subcopy's own edges, read off its vertices' neighbour sets
+    edges = [(stripped[u], stripped[v]) for u in stripped for v in _bits(g.adj[u] & mask) if u < v]
     try:
         copy = _assemble(target.family, target.n, list(stripped.values()), edges, {})
     except ValueError:  # two members strip to the same label

@@ -18,7 +18,12 @@ expander shares no loop with the recurrence (only ``_strip`` and
 
 The recurrence and the series are streamed (``qpoly_rows``, ``gf_terms``):
 one forward pass holds only the three rows or terms it reads, and nothing
-is memoised, so row n costs O(n) rows of work and bounded memory.
+is memoised, so memory stays bounded. Each step builds the new row as
+x times one earlier row (a list with a leading 0), zero-padded to the
+longest input, then adds the other rows into it by slice assignment of
+``map(operator.add, ...)``: whole rows are added in C, not one
+coefficient at a time in Python. Each route writes its own step,
+``_shift_add`` for the recurrence and the loop body of the expander.
 
 ``identity_audit`` replays every identity and case-split formula as a
 prediction and returns a list of PASS / FAIL / INFO ``AuditEntry`` values,
@@ -37,6 +42,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .oeis import _INT_PATTERN
@@ -115,12 +121,10 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _shift_add(shifted: Sequence[int], plain: Sequence[int]) -> tuple[int, ...]:
-    # x * shifted + plain, as coefficient arrays
-    out = [0] * max(len(shifted) + 1, len(plain))
-    for i, c in enumerate(shifted):
-        out[i + 1] += c
-    for i, c in enumerate(plain):
-        out[i] += c
+    # x * shifted + plain, as coefficient arrays; one row addition in C
+    out = [0, *shifted]
+    out += [0] * (len(plain) - len(out))
+    out[: len(plain)] = map(add, out, plain)
     return _strip(out)
 
 
@@ -202,12 +206,11 @@ def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...
     """
     r3 = r2 = r1 = ()  # R[n-3], R[n-2], R[n-1]; empty before R[0]
     for n in count():
-        acc = list(numerator.get(n, [0]))
-        acc += [0] * (max(len(r2) + 1, len(r3)) - len(acc))
-        for i, c in enumerate(r2):
-            acc[i + 1] += c
-        for i, c in enumerate(r3):
-            acc[i] += c
+        term = numerator.get(n, ())
+        acc = [0, *r2]  # x * R[n-2]
+        acc += [0] * (max(len(r3), len(term)) - len(acc))
+        acc[: len(r3)] = map(add, acc, r3)
+        acc[: len(term)] = map(add, acc, term)
         r3, r2, r1 = r2, r1, _strip(acc)
         yield r1
 

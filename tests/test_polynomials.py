@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubefactor.polynomials import (
+    _NUMERATOR,
     Family,
+    _expand_rational,
+    _shift_add,
     antidiagonal_profile,
     eval_at,
     gf_series,
@@ -93,6 +96,67 @@ def test_closed_form_equals_recurrence_at_sampled_n(family, n):
     poly = qpoly_rec(family, n)
     ks = range(poly.degree + 2)
     assert [q_closed(family, n, k) for k in ks] == [poly.coefficient(k) for k in ks]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_closed_form_equals_recurrence_at_3000(family):
+    # the order the benchmark's poly commands compute, at every k
+    poly = qpoly_rec(family, 3000)
+    ks = range(poly.degree + 2)
+    assert [q_closed(family, 3000, k) for k in ks] == [poly.coefficient(k) for k in ks]
+
+
+def test_shift_add_pads_either_row():
+    assert _shift_add((1,), (1, 2, 3, 4)) == (1, 3, 3, 4)  # plain longer than x * shifted
+    assert _shift_add((1, 1, 1), (2,)) == (2, 1, 1, 1)
+    assert _shift_add((), (1, 2)) == (1, 2)
+    assert _shift_add((1, 2), ()) == (0, 1, 2)
+    assert _shift_add((), ()) == (0,)
+    assert _shift_add((-1, 0), (0, 1)) == (0,)  # cancels down to the zero row
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.lists(st.integers(-3, 3), max_size=6)] * 2)
+def test_shift_add_matches_a_per_coefficient_loop(shifted, plain):
+    out = [0] * max(len(shifted) + 1, len(plain))
+    for i, c in enumerate(shifted):
+        out[i + 1] += c
+    for i, c in enumerate(plain):
+        out[i] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    assert _shift_add(shifted, plain) == tuple(out)
+
+
+def _naive_expansion(numerator, order):
+    # R[n][i] = numerator[n][i] + R[n-2][i-1] + R[n-3][i], one coefficient at a
+    # time over a fixed width, trailing zeros stripped at the end
+    width = order + max(map(len, numerator.values())) + 1
+    rows = []
+    for n in range(order + 1):
+        num = numerator.get(n, [])
+        rows.append([
+            (num[i] if i < len(num) else 0)
+            + (rows[n - 2][i - 1] if n >= 2 and i >= 1 else 0)
+            + (rows[n - 3][i] if n >= 3 else 0)
+            for i in range(width)
+        ])
+    terms = []
+    for row in rows:
+        while len(row) > 1 and row[-1] == 0:
+            row = row[:-1]
+        terms.append(tuple(row))
+    return terms
+
+
+@pytest.mark.parametrize("numerator", [
+    {0: [1], 2: [0, 0, 0, 0, 5]},  # a numerator term longer than the running rows
+    {0: [1], 4: [0, 0, -1, 0, 0]},  # y^4 cancels x^2 * y^4 into the zero term
+    {0: [1], 1: [0, 3], 6: [-1, 0, 0, -2]},
+    _NUMERATOR[Family.OMEGA],  # -(x - 1)^2 at y^3 leaves 2x: trailing zeros cancel
+])
+def test_expand_rational_matches_a_per_coefficient_reference(numerator):
+    assert list(islice(_expand_rational(numerator), 60)) == _naive_expansion(numerator, 59)
 
 
 def test_recurrence_and_series_hold_bounded_memory():

@@ -26,9 +26,19 @@ holds at most one vertex of S, so every factor has at least |S| parts
 (weak LP duality for set cover; Lovasz, Discrete Math. 13, 1975).
 ``cube_independent_set`` picks S greedily from the enumerated cubes and
 ``check_witness`` lists the pairs of a given S that share a cube. Exact
-search computes the same witness from its own cubes and stops at the
+search computes the same witness from its own cube table and stops at the
 first cover of |S| parts, which is then the first optimal cover in search
 order, the one the full search returns.
+
+The core bounds every node twice: by the fractional bound, read off the
+ORs of the still-fitting cube masks it passes down one list per
+dimension, and, where that lets the node through, by the same greedy
+witness walked again over the uncovered vertices and the cubes that still
+fit. The walk is skipped while the uncovered vertices are too few to
+exceed what the incumbent allows, as on the first descent. A valid lower
+bound prunes only nodes below which no cover strictly beats the
+incumbent, and only strict improvements replace it, so neither bound
+changes which cover the core returns.
 
 ``enumerate_cubes`` builds the (k+1)-cubes by joining pairs of k-cubes
 and offers each cube to the join test once, through its canonical split:
@@ -50,8 +60,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable
+from operator import or_
+from typing import Iterable, NamedTuple
 
 from .graphs import LabeledGraph, _bits, build_graph
 from .polynomials import Family, _family
@@ -278,6 +290,31 @@ def _all_cubes(g: LabeledGraph) -> list[InducedCube]:
 # ---------------------------------------------------------------------------
 
 
+class _CubeTable(NamedTuple):
+    """The cubes of one cover search, read by vertex. Built once per search
+    and shared by the search core and the witness walk."""
+
+    ordered: list[InducedCube]  # dimension >= 1, all inside target
+    target: int  # the vertex set to cover
+    through: list[list[tuple[int, int]]]  # per vertex: (index in ordered, mask) of its cubes
+    unions: list[int]  # per vertex: its own bit and the masks of its cubes
+    order: list[tuple[int, int]]  # target's vertices as (id, bit), fewest conflicts first, ties by id
+
+
+def _cube_table(ordered: list[InducedCube], target: int) -> _CubeTable:
+    through: list[list[tuple[int, int]]] = [[] for _ in range(target.bit_length())]
+    unions = [1 << v for v in range(target.bit_length())]
+    for idx, cube in enumerate(ordered):
+        mask = cube.mask
+        entry = (idx, mask)
+        for v in cube.vertices:
+            through[v].append(entry)
+            unions[v] |= mask
+    conflicts = [u.bit_count() for u in unions]
+    order = sorted(_bits(target), key=conflicts.__getitem__)  # stable: ties stay in id order
+    return _CubeTable(ordered, target, through, unions, [(v, 1 << v) for v in order])
+
+
 def cube_independent_set(g: LabeledGraph) -> tuple[int, ...]:
     """A witness: sorted vertex ids no two of which lie in one induced cube.
 
@@ -285,24 +322,41 @@ def cube_independent_set(g: LabeledGraph) -> tuple[int, ...]:
     vertices, since a part holds at most one of them. The witness is
     greedy: vertices are visited by fewest conflicts (the vertices sharing
     a cube of dimension >= 1 with them), ties by id, and a vertex is kept
-    unless a vertex kept before it conflicts with it.
+    unless a vertex kept before it conflicts with it. It is the root walk
+    of ``_cube_independent``, the walk exact search repeats at its nodes.
     """
-    return _cube_independent(g.vertex_count, _all_cubes(g))
+    table = _cube_table(_all_cubes(g), (1 << g.vertex_count) - 1)
+    return tuple(sorted(_cube_independent(table, 0, g.vertex_count)))
 
 
-def _cube_independent(nv: int, cubes: list[InducedCube]) -> tuple[int, ...]:
-    # conflict[v]: the union of the cubes (dimension >= 1) through v
-    conflict = [0] * nv
-    for c in cubes:
-        for v in c.vertices:
-            conflict[v] |= c.mask
+def _cube_independent(table: _CubeTable, covered: int, limit: int) -> list[int]:
+    """The witness walk: vertices of the target outside ``covered``, no two
+    of which lie in one cube of the table that misses ``covered``. A cover
+    of the uncovered vertices by those cubes and single vertices has a part
+    for each of them, so it has at least as many parts as the walk keeps.
+
+    The vertices are visited in ``table.order``, the order of fewest
+    conflicts over all the table's cubes (the conflicts at the root), and a
+    vertex is kept unless a vertex kept before it blocks it. A kept vertex
+    blocks the cubes through it that still fit: its precomputed union if
+    that misses ``covered``, otherwise the OR of those cubes. The walk stops
+    as soon as it keeps more than ``limit`` vertices.
+    """
     kept: list[int] = []
-    blocked = 0
-    for v in sorted(range(nv), key=lambda v: (conflict[v].bit_count(), v)):
-        if not blocked >> v & 1:
+    free = table.target & ~covered
+    for v, bit in table.order:
+        if free & bit:
             kept.append(v)
-            blocked |= conflict[v]
-    return tuple(sorted(kept))
+            if len(kept) > limit:
+                break
+            block = table.unions[v]
+            if block & covered:
+                block = bit
+                for _, mask in table.through[v]:
+                    if not mask & covered:
+                        block |= mask
+            free &= ~block
+    return kept
 
 
 def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, int]]:
@@ -328,25 +382,42 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
 # ---------------------------------------------------------------------------
 
 
-def _first_min_cover(
-    ordered: list[InducedCube], target: int, effort: dict[str, int], lower: int = 0
-) -> list[InducedCube]:
-    """The cubes of the first fewest-parts cover of ``target`` by cubes of
-    ``ordered`` (dimension >= 1, all inside target) and single vertices.
+def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) -> list[InducedCube]:
+    """The cubes of the first fewest-parts cover of ``table.target`` by the
+    cubes of ``table.ordered`` (dimension >= 1, all inside the target) and
+    single vertices.
 
     Branch on the lowest uncovered vertex; try its fitting cubes in
     ``ordered`` order, then the vertex alone, and replace the incumbent
     only on a strict improvement, so the result is the first optimal cover
-    in that order. Prune with the fractional bound
-    ceil(sum over uncovered v of 2**-kmax(v)), where kmax(v) is the largest
-    dimension of a cube through v still disjoint from the covered set (0 if
-    none): a k-part covers 2**k uncovered vertices, each with kmax >= k, so
-    it lowers the sum by at most 1. The sum is accumulated in integer units
-    of 2**-top and abandoned as soon as it exceeds what the incumbent
-    allows. The scan that finds each uncovered vertex's first fitting cube
-    also returns the vertices with none: they are forced single vertices,
-    covered at once instead of one search node each. A visited table
-    prunes re-reaching a covered set at no fewer parts.
+    in that order. Each node is bounded twice before it branches.
+
+    * The fractional bound ceil(sum over uncovered v of 2**-kmax(v)), where
+      kmax(v) is the largest dimension of a cube through v still disjoint
+      from the covered set (0 if none): a k-part covers 2**k uncovered
+      vertices, each with kmax >= k, so it lowers the sum by at most 1. The
+      still-fitting cube masks travel down the recursion, one list per
+      dimension, and each child keeps those that miss its new part. So the
+      vertices of kmax d are the bits of the OR of dimension d's list minus
+      those of the higher dimensions, and the sum, in integer units of
+      2**-top, is read off the ORs' bit counts. The uncovered vertices
+      outside every list are forced single vertices, covered at once
+      instead of one search node each.
+    * The witness walk ``_cube_independent`` over the still-fitting cubes:
+      a cover of what is left has at least as many parts as the walk keeps.
+      It stops as soon as the forced vertices and the kept ones are more
+      than the incumbent allows. It is skipped when the uncovered vertices
+      are too few to exceed that allowance, as on the first descent, where
+      the incumbent allows one part per vertex.
+
+    A visited table prunes re-reaching a covered set at no fewer parts.
+
+    Neither bound changes the result. A valid lower bound prunes a node
+    only when every cover below it has at least as many parts as the
+    incumbent; such a cover would not have replaced the incumbent, since
+    only strict improvements do. So the search passes the same covers to
+    the incumbent in the same order, and returns the same first optimal
+    cover, with any valid bound or none.
 
     ``lower`` is a lower bound on the part count of every cover, such as a
     witness size. The search stops as soon as a cover reaches it: that
@@ -357,43 +428,29 @@ def _first_min_cover(
     ``memo_hits`` counts raised by this search's effort. The cubes come
     back in ``ordered`` order.
     """
-    top = max((c.dimension for c in ordered), default=0)
-    # per vertex, its cubes in `ordered` order as (index, mask, 2**(top - dimension))
-    by_vertex: list[list[tuple[int, int, int]]] = [[] for _ in range(target.bit_length())]
-    for idx, cube in enumerate(ordered):
-        entry = (idx, cube.mask, 1 << (top - cube.dimension))
-        for v in cube.vertices:
-            by_vertex[v].append(entry)
-
+    ordered, target, through = table.ordered, table.target, table.through
+    by_dimension: dict[int, list[int]] = {}
+    for cube in ordered:
+        by_dimension.setdefault(cube.dimension, []).append(cube.mask)
+    dims = sorted(by_dimension, reverse=True)
+    top = dims[0] if dims else 0
+    shifts = [top - d for d in dims]
     best_count = target.bit_count() + 1
     best_choice: list[int] = []
     choice: list[int] = []
     visited: dict[int, int] = {}
 
-    def forced_unless_pruned(covered: int, allowed: int) -> int | None:
-        # sum of 2**(top - kmax(v)) over uncovered v, stopping once past
-        # allowed (None); otherwise the uncovered vertices with kmax 0
-        total = forced = 0
-        rest = target & ~covered
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            for _, m, w in by_vertex[low.bit_length() - 1]:
-                if not m & covered:
-                    total += w
-                    break
-            else:
-                total += 1 << top
-                forced |= low
-            if total > allowed:
-                return None
-        return forced
-
-    def search(covered: int, parts: int) -> None:
+    def search(covered: int, parts: int, levels: list[list[int]]) -> None:
+        # levels[i]: the masks of the dimension-dims[i] cubes that still fit
         nonlocal best_count, best_choice
         effort["nodes"] += 1
-        forced = forced_unless_pruned(covered, (best_count - parts - 1) << top)
-        if forced is None:
+        total = reached = 0
+        for level, shift in zip(levels, shifts):
+            new = reduce(or_, level, 0) & ~reached
+            total += new.bit_count() << shift
+            reached |= new
+        forced = target & ~covered & ~reached
+        if total + (forced.bit_count() << top) > (best_count - parts - 1) << top:
             effort["bound_prunes"] += 1
             return
         covered |= forced
@@ -407,19 +464,23 @@ def _first_min_cover(
             effort["memo_hits"] += 1
             return
         visited[covered] = parts
+        allowed = best_count - parts - 1
         uncovered = target & ~covered
+        if uncovered.bit_count() > allowed and len(_cube_independent(table, covered, allowed)) > allowed:
+            effort["bound_prunes"] += 1
+            return
         low = uncovered & -uncovered
-        for idx, m, _ in by_vertex[low.bit_length() - 1]:
-            if m & covered:
+        for idx, mask in through[low.bit_length() - 1]:
+            if mask & covered:
                 continue
             choice.append(idx)
-            search(covered | m, parts + 1)
+            search(covered | mask, parts + 1, [[m for m in level if not m & mask] for level in levels])
             choice.pop()
             if best_count <= lower:
                 return
-        search(covered | low, parts + 1)
+        search(covered | low, parts + 1, [[m for m in level if not m & low] for level in levels])
 
-    search(0, 0)
+    search(0, 0, [by_dimension[d] for d in dims])
     return [ordered[idx] for idx in sorted(best_choice)]
 
 
@@ -432,19 +493,22 @@ def exact_min_factor(
     cube of dimension >= 1, in descending dimension then canonical order,
     so the result is the first optimal cover in that order; vertices with
     no fitting cube left are forced single vertices. The witness of
-    :func:`cube_independent_set`, taken from the same cubes, is the lower
-    bound: the search stops at the first cover of that many parts.
+    :func:`cube_independent_set`, the root walk over the same cube table,
+    is the lower bound: the search stops at the first cover of that many
+    parts.
 
     If ``stats`` is given, it receives the search effort: ``nodes``
     (search calls), ``bound_prunes`` and ``memo_hits``, and
     ``lower_bound``, the witness size.
     """
     _check_cap(g, cap)
-    cubes = _all_cubes(g)
-    lower = len(_cube_independent(g.vertex_count, cubes))
-    factor = _cover_in_layers(g.vertex_count, [cubes], stats, lower)
+    nv = g.vertex_count
+    table = _cube_table(_all_cubes(g), (1 << nv) - 1)
+    lower = len(_cube_independent(table, 0, nv))
+    effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
+    factor = _with_single_vertices(nv, _first_min_cover(table, effort, lower))
     if stats is not None:
-        stats["lower_bound"] = lower
+        stats.update(effort, lower_bound=lower)
     return factor
 
 
@@ -467,7 +531,17 @@ def greedy_layered_factor(
     greedy computes no witness.
     """
     _check_cap(g, cap)
-    return _cover_in_layers(g.vertex_count, _levels_from_the_top(g), stats)
+    effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
+    remaining = (1 << g.vertex_count) - 1
+    parts: list[InducedCube] = []
+    for layer in _levels_from_the_top(g):
+        fitting = [c for c in layer if not c.mask & ~remaining]
+        for c in _first_min_cover(_cube_table(fitting, remaining), effort):
+            parts.append(c)
+            remaining &= ~c.mask
+    if stats is not None:
+        stats.update(effort)
+    return _with_single_vertices(g.vertex_count, parts)
 
 
 def _check_cap(g: LabeledGraph, cap: int) -> None:
@@ -475,24 +549,11 @@ def _check_cap(g: LabeledGraph, cap: int) -> None:
         raise ValueError(f"graph has {g.vertex_count} vertices, above the exact-search cap {cap}")
 
 
-def _cover_in_layers(
-    nv: int, layers: list[list[InducedCube]], stats: dict[str, int] | None, lower: int = 0
-) -> CubeFactor:
-    # one core call per layer, each over the vertices the layers before it
-    # left, with `lower` as every layer's lower bound (exact search has one
-    # layer); single vertices fill what is left at the end
-    effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    remaining = (1 << nv) - 1
-    parts: list[InducedCube] = []
-    for layer in layers:
-        fitting = [c for c in layer if not c.mask & ~remaining]
-        for c in _first_min_cover(fitting, remaining, effort, lower):
-            parts.append(c)
-            remaining &= ~c.mask
-    parts.extend(InducedCube(0, (v,)) for v in _bits(remaining))
-    if stats is not None:
-        stats.update(effort)
-    return CubeFactor(tuple(parts))
+def _with_single_vertices(nv: int, parts: list[InducedCube]) -> CubeFactor:
+    # the parts, then each vertex of 0..nv-1 they leave uncovered as a single vertex
+    left = (1 << nv) - 1 & ~reduce(or_, (c.mask for c in parts), 0)
+    singles = [InducedCube(0, (v,)) for v in _bits(left)]
+    return CubeFactor((*parts, *singles))
 
 
 # ---------------------------------------------------------------------------

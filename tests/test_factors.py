@@ -15,6 +15,8 @@ from cubefactor.factors import (
     FactorProfile,
     FactorViolation,
     InducedCube,
+    _cube_independent,
+    _cube_table,
     _first_min_cover,
     _is_induced_cube,
     check_witness,
@@ -348,9 +350,9 @@ def check_early_stop(g):
     ordered = [c for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1] for c in level]
     told = dict(nodes=0, bound_prunes=0, memo_hits=0)
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    full = (1 << nv) - 1
-    cover = _first_min_cover(ordered, full, told, lower)
-    assert cover == _first_min_cover(ordered, full, untold)
+    table = _cube_table(ordered, (1 << nv) - 1)
+    cover = _first_min_cover(table, told, lower)
+    assert cover == _first_min_cover(table, untold)
     assert told == {key: stats[key] for key in told}
     assert told["nodes"] <= untold["nodes"]
 
@@ -367,6 +369,52 @@ def test_the_witness_only_cuts_exact_search_on_family_subgraphs(g):
     check_early_stop(g)
 
 
+def check_node_bound(g, data):
+    """The bound of a search node whose covered set is a union of disjoint
+    cubes: the forced vertices (uncovered, in no cube that still fits) and
+    the vertices the witness walk keeps are no more than the parts of the
+    fewest-parts cover of the uncovered vertices, and no cube that still
+    fits holds two of them. A limit cuts the walk to its first limit + 1
+    vertices."""
+    nv = g.vertex_count
+    levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
+    covered = 0
+    for c in data.draw(st.lists(st.sampled_from(sum(levels, [])), max_size=6)) if nv else []:
+        if not c.mask & covered:
+            covered |= c.mask
+    ordered = [c for level in levels[:0:-1] for c in level]
+    fitting = [c for c in ordered if not c.mask & covered]
+    forced = [
+        v for v in range(nv)
+        if not covered >> v & 1 and not any(c.mask >> v & 1 for c in fitting)
+    ]
+    table = _cube_table(ordered, (1 << nv) - 1)
+    after = covered | sum(1 << v for v in forced)
+    kept = _cube_independent(table, after, nv)
+    assert not after & sum(1 << v for v in kept)
+    rest = without(g, *(g.labels[v] for v in range(nv) if covered >> v & 1))
+    assert len(forced) + len(kept) <= first_minimum_cover(rest).part_count
+    chosen = set(forced) | set(kept)
+    for level in brute_force_cubes(g, max(nv.bit_length() - 1, 0))[1:]:
+        for c in level:
+            if not c.mask & covered:
+                assert len(chosen & set(c.vertices)) <= 1
+    limit = data.draw(st.integers(0, nv))
+    assert _cube_independent(table, after, limit) == kept[: limit + 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(), st.data())
+def test_the_node_bound_is_valid_on_small_graphs(g, data):
+    check_node_bound(g, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs(), st.data())
+def test_the_node_bound_is_valid_on_family_subgraphs(g, data):
+    check_node_bound(g, data)
+
+
 def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     # the path 2-0-1-3: the first cube through 0 is the edge 01, which
     # strands 2 and 3 (three parts); the second, 02, leads to the optimum
@@ -381,7 +429,7 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     assert cube_independent_set(g) == (2, 3)
     assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    _first_min_cover(enumerate_cubes(g, 1)[1], 0b1111, untold)
+    _first_min_cover(_cube_table(enumerate_cubes(g, 1)[1], 0b1111), untold)
     assert untold["nodes"] == 6
 
 
@@ -491,10 +539,32 @@ def test_exact_min_factor_reports_search_effort():
     assert set(stats) == {"nodes", "bound_prunes", "memo_hits", "lower_bound"}
     assert stats["lower_bound"] == factor.part_count == 5
     # the witness of this subgraph (three vertices drawn with seed 0) has 7
-    # vertices and the optimum 8 parts, so the search must prove optimality
+    # vertices and the optimum 8 parts, so the search must prove optimality;
+    # 35 nodes with the witness walk at every node, 138 before it
     stats = {}
     factor = exact_min_factor(without(build_gamma(6), "000001", "010101", "100000"), stats=stats)
     assert stats["lower_bound"] < factor.part_count
+    assert stats["nodes"] <= 35
+    assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
+
+
+# Induced subgraphs of the order-7 members whose root witness is one short
+# of the optimum, so the search must prove optimality. Search nodes recorded
+# with the witness walk at every node; with the root witness and the
+# fractional bound alone the search took 5,362, 3,750 and 1,413.
+@pytest.mark.parametrize(
+    "family, deleted, parts, recorded",
+    [
+        ("gamma", ("0000001", "0000010", "0010000", "0101001", "1001001"), 11, 911),
+        ("gamma", ("0000010", "0000100", "0010000", "0100001", "1000101"), 12, 53),
+        ("omega", ("000101", "010100", "10001", "10103"), 11, 180),
+    ],
+)
+def test_exact_search_node_count_where_the_witness_is_short(family, deleted, parts, recorded):
+    stats = {}
+    factor = exact_min_factor(without(build_graph(family, 7), *deleted), stats=stats)
+    assert stats["lower_bound"] == parts - 1 == factor.part_count - 1
+    assert stats["nodes"] <= recorded
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
 
 
@@ -521,10 +591,11 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
 
 
 # Greedy search nodes summed over the layers, recorded with the shared
-# exact-cover core; the per-dimension packing search it replaced took
-# 5,629 (gamma 11) and 59,573 (omega 12).
+# exact-cover core and the witness walk at every node (444 at omega 12 and
+# 1,409 at gamma 12 before the walk); the per-dimension packing search the
+# core replaced took 5,629 (gamma 11) and 59,573 (omega 12).
 @pytest.mark.parametrize(
-    "family, n, recorded", [("gamma", 11, 198), ("omega", 12, 444), ("gamma", 12, 1409)]
+    "family, n, recorded", [("gamma", 11, 198), ("omega", 12, 432), ("gamma", 12, 1389)]
 )
 def test_greedy_search_node_count(family, n, recorded):
     g = build_graph(family, n)

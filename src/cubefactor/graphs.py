@@ -1,31 +1,46 @@
 """Explicit construction of the two cube families as labeled graphs.
 
 The gamma family lives on the binary strings of length n with no two
-consecutive 1s, adjacent at Hamming distance 1. The omega family is built
-recursively: paths for n <= 3, and for n >= 4 a copy of member n-1
-(labels prefixed "0") plus a copy of member n-2 (labels prefixed "10")
-joined by a perfect matching onto the canonical n-2 subcopy of the n-1
-part.
+consecutive 1s, adjacent at Hamming distance 1; the omega family is the
+matchable-Lucas-cube reconstruction. One recursion builds both, and only
+the base members differ: gamma's members 0 and 1 are ``("",)`` with no
+edge and ``("0", "1")`` with one, omega's members 0..3 are the paths on
+1..4 vertices labelled "0".."3". Above its bases, member n is member n-1
+(A) with labels prefixed "0", then member n-2 (B) with labels prefixed
+"10", joined by a perfect matching. The labels come out sorted, so
+vertex v of A keeps id v and vertex v of B gets id |A| + v; the matching
+is id v <-> |A| + v for every v < |B|. One forward pass in vertex ids
+builds each member, and no member is kept between calls.
+
+Why the matching is v <-> |A| + v: the first |B| vertices of A are B, in
+B's order. Where A comes from the recursion, its first part is "0" + B;
+gamma's member 1 starts with "0" = "0" + ""; omega's path bases start
+with the leading path, labels unchanged.
+
+Why gamma comes out right: labels "0"x and "10"y from the two copies
+differ in their first symbol, so they are at Hamming distance 1 exactly
+when x = "0"y, and those pairs are the matching. (For gamma this is the
+classic split of the Fibonacci cube into 0-Gamma(n-1) and 10-Gamma(n-2).)
 
 Both families split into the same recursion parts, and one table,
 ``_PARTS``, is the only record of them: each part's label prefix, its
 order drop and the first order of each family that has it ("0" one
 down, "10" and "00" two down, "010" three down; gamma from orders
 1/2/3/3, omega from 4/4/5/5, its path bases having the leading path as
-their first part). Both builders annotate each member with the parts
-read off it, omega's construction reads its embedding prefix from it,
-and the audit reads its ranges off the annotations. ``canonical_subgraph``
-strips a part's prefix, assembles it as a graph and compares it with the
-freshly built smaller member. (The structural factor builds its parts
-from the same label prefixes and does not read the annotations.)
+their first part). ``build_graph`` annotates each member with the parts
+read off it, and the audit reads its ranges off the annotations.
+``canonical_subgraph`` strips a part's prefix, assembles it as a graph
+and compares it with the freshly built smaller member. (The structural
+factor builds its parts from the same label prefixes and does not read
+the annotations.)
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .polynomials import Family, _family
 from .sequences import fib, lucas
@@ -104,13 +119,7 @@ class LabeledGraph:
         return seen == (1 << len(self.labels)) - 1
 
 
-def _assemble(
-    family: str,
-    n: int,
-    labels: list[str],
-    edge_pairs: list[tuple[str, str]],
-    subcopy_specs: dict[str, tuple[list[str], int, str]],
-) -> LabeledGraph:
+def _assemble(family: str, n: int, labels: list[str], edge_pairs: list[tuple[str, str]]) -> LabeledGraph:
     ordered = tuple(sorted(labels))
     index = {lab: i for i, lab in enumerate(ordered)}
     if len(index) != len(labels):
@@ -120,11 +129,7 @@ def _assemble(
         i, j = index[a], index[b]
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    subcopies = {
-        name: Subcopy(tuple(sorted(index[lab] for lab in members)), target_n, prefix)
-        for name, (members, target_n, prefix) in subcopy_specs.items()
-    }
-    return LabeledGraph(family, n, ordered, tuple(adj), subcopies)
+    return LabeledGraph(family, n, ordered, tuple(adj))
 
 
 # the recursion parts: name -> (label prefix, order drop, first order per family)
@@ -136,39 +141,6 @@ _PARTS: dict[str, tuple[str, int, dict[Family, int]]] = {
 }
 
 
-def _subcopy_specs(
-    fam: Family, n: int, labels: Sequence[str]
-) -> dict[str, tuple[list[str], int, str]]:
-    # the parts member n has, as name -> (member labels, target order, prefix)
-    if 0 < n < _PARTS["first"][2][fam]:
-        # an omega path base: its canonical smaller member is the leading
-        # path, labels unchanged
-        return {"first": ([str(i) for i in range(n)], n - 1, "")}
-    return {
-        name: ([s for s in labels if s.startswith(prefix)], n - drop, prefix)
-        for name, (prefix, drop, start) in _PARTS.items()
-        if n >= start[fam]
-    }
-
-
-# ---------------------------------------------------------------------------
-# gamma family
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _fibonacci_strings(n: int) -> tuple[str, ...]:
-    if n == 0:
-        return ("",)
-    if n == 1:
-        return ("0", "1")
-    # append "0" to any shorter string, "01" to strings two shorter
-    return tuple(sorted(
-        [s + "0" for s in _fibonacci_strings(n - 1)]
-        + [s + "01" for s in _fibonacci_strings(n - 2)]
-    ))
-
-
 def _check_cap(n: int, max_n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -176,67 +148,70 @@ def _check_cap(n: int, max_n: int) -> None:
         raise ValueError(f"n={n} exceeds the construction cap {max_n}")
 
 
+def _member(fam: Family, n: int) -> tuple[tuple[str, ...], list[int]]:
+    # labels and adjacency rows of member n, by one forward pass from the
+    # base members, which are paths: gamma's 0 and 1, omega's 0..3
+    if fam is Family.GAMMA:
+        bases = [("",), ("0", "1")]
+    else:
+        bases = [tuple(map(str, range(size))) for size in range(1, 5)]
+    members = [
+        (labels, [(1 << v >> 1 | 2 << v) & ((1 << len(labels)) - 1) for v in range(len(labels))])
+        for labels in bases
+    ]
+    b, a = members[-2:]
+    for _ in range(len(members), n + 1):
+        (a_labels, a_adj), (b_labels, b_adj) = a, b
+        # A's first |B| vertices are B in B's order, so B's vertex v is
+        # matched to A's vertex v (module docstring)
+        shift, size = len(a_labels), len(b_labels)
+        labels = tuple("0" + s for s in a_labels) + tuple("10" + s for s in b_labels)
+        adj = [row | 1 << (shift + v) if v < size else row for v, row in enumerate(a_adj)]
+        adj += [row << shift | 1 << v for v, row in enumerate(b_adj)]
+        b, a = a, (labels, adj)
+    return members[n] if n < len(members) else a
+
+
+def build_graph(family: Family | str, n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
+    """Member n of the family with its recursion annotations."""
+    fam = _family(family)
+    _check_cap(n, max_n)
+    labels, adj = _member(fam, n)
+    if 0 < n < _PARTS["first"][2][fam]:
+        # an omega path base: its canonical smaller member is the leading
+        # path, labels unchanged
+        subcopies = {"first": Subcopy(tuple(range(n)), n - 1, "")}
+    else:
+        subcopies = {
+            name: Subcopy(tuple(i for i, s in enumerate(labels) if s.startswith(prefix)), n - drop, prefix)
+            for name, (prefix, drop, start) in _PARTS.items()
+            if n >= start[fam]
+        }
+    return LabeledGraph(fam.value, n, labels, tuple(adj), subcopies)
+
+
 def build_gamma(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
     """Fibonacci-string graph of order n with its recursion annotations."""
-    _check_cap(n, max_n)
-    labels = list(_fibonacci_strings(n))
-    present = set(labels)
-    edges = []
-    # raising a 0 to 1 finds each Hamming-distance-1 pair exactly once,
-    # from its lexicographically smaller endpoint
-    for s in labels:
-        for i in range(n):
-            if s[i] == "0":
-                t = s[:i] + "1" + s[i + 1:]
-                if t in present:
-                    edges.append((s, t))
-    return _assemble("gamma", n, labels, edges, _subcopy_specs(Family.GAMMA, n, labels))
-
-
-# ---------------------------------------------------------------------------
-# omega family
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _omega_parts(n: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    if n <= 3:
-        size = (1, 2, 3, 4)[n]
-        labels = tuple(str(i) for i in range(size))
-        edges = tuple((str(i), str(i + 1)) for i in range(size - 1))
-        return labels, edges
-    a_labels, a_edges = _omega_parts(n - 1)
-    b_labels, b_edges = _omega_parts(n - 2)
-    # member n-2 sits in member n-1 as its first part
-    _, _, embed = _subcopy_specs(Family.OMEGA, n - 1, a_labels)["first"]
-    labels = tuple("0" + w for w in a_labels) + tuple("10" + w for w in b_labels)
-    edges = (
-        tuple(("0" + u, "0" + v) for u, v in a_edges)
-        + tuple(("10" + u, "10" + v) for u, v in b_edges)
-        + tuple(("10" + w, "0" + embed + w) for w in b_labels)
-    )
-    return labels, edges
+    return build_graph(Family.GAMMA, n, max_n)
 
 
 def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
     """Matchable-Lucas-cube reconstruction of order n with annotations."""
-    _check_cap(n, max_n)
-    labels, edges = _omega_parts(n)
-    return _assemble("omega", n, list(labels), list(edges), _subcopy_specs(Family.OMEGA, n, labels))
-
-
-def build_graph(family: Family | str, n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
-    fam = _family(family)
-    return build_gamma(n, max_n) if fam is Family.GAMMA else build_omega(n, max_n)
+    return build_graph(Family.OMEGA, n, max_n)
 
 
 def custom_graph(labels: list[str], edges: list[tuple[str, str]]) -> LabeledGraph:
     """Ad-hoc labeled graph from explicit labels and label pairs.
 
-    Duplicate labels, self-loops and edges naming an unknown label raise
-    ValueError."""
+    Duplicate labels, self-loops, edges naming an unknown label and labels
+    that the export formats cannot carry (holding whitespace, a double
+    quote or a backslash) raise ValueError."""
+    unfit = re.compile(r'[\s"\\]')
+    if unfit.search("".join(labels)):
+        lab = next(lab for lab in labels if unfit.search(lab))
+        raise ValueError(f"label {lab!r} holds whitespace, a double quote or a backslash")
     try:
-        g = _assemble("custom", 0, list(labels), list(edges), {})
+        g = _assemble("custom", 0, list(labels), list(edges))
     except KeyError as exc:  # only edge endpoints are looked up
         raise ValueError(f"an edge names unknown vertex {exc.args[0]!r}") from None
     for v, row in enumerate(g.adj):
@@ -265,7 +240,7 @@ def canonical_subgraph(g: LabeledGraph, name: str) -> LabeledGraph:
     # the subcopy's own edges, read off its vertices' neighbour sets
     edges = [(stripped[u], stripped[v]) for u in stripped for v in _bits(g.adj[u] & mask) if u < v]
     try:
-        copy = _assemble(target.family, target.n, list(stripped.values()), edges, {})
+        copy = _assemble(target.family, target.n, list(stripped.values()), edges)
     except ValueError:  # two members strip to the same label
         copy = None
     if copy is None or (copy.labels, copy.adj) != (target.labels, target.adj):

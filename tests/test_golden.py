@@ -1,6 +1,7 @@
-"""Byte-for-byte CLI goldens for the verify suites and the three factor
-solvers. The verify golden runs against a b-file cache rendered from the
-package's own terms, so every OEIS entry reaches its PASS path offline."""
+"""Byte-for-byte CLI goldens for the verify suites, the three factor
+solvers and the graph exports. The verify golden runs against a b-file
+cache rendered from the package's own terms, so every OEIS entry reaches
+its PASS path offline."""
 
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ CASES = [
     )
     for family in ("gamma", "omega")
     for method in ("exact", "greedy", "structural")
+] + [
+    ("graph_gamma_7_dot.txt", ["graph", "--family", "gamma", "--n", "7", "--emit", "dot"], 0),
+    ("graph_omega_7_edgelist.txt", ["graph", "--family", "omega", "--n", "7", "--emit", "edgelist"], 0),
 ]
 
 

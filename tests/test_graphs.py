@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from cubefactor.graphs import (
+    DEFAULT_MAX_N,
     build_gamma,
     build_graph,
     build_omega,
@@ -54,6 +56,60 @@ def test_gamma_adjacency_is_exactly_hamming_distance_one():
         for u, v in itertools.combinations(range(g.vertex_count), 2):
             d = hamming(g.labels[u], g.labels[v])
             assert g.has_edge(u, v) == (d == 1), (n, g.labels[u], g.labels[v])
+
+
+def label_edges(g):
+    return {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
+
+
+# the whole construction range, and two orders past the cap with max_n
+RANGE = range(DEFAULT_MAX_N + 3)
+
+
+def test_gamma_matches_the_string_reference():
+    # labels: the length-n strings without "11"; edges: the pairs found by
+    # raising one 0 to 1
+    for n in RANGE:
+        g = build_gamma(n, max_n=max(n, DEFAULT_MAX_N))
+        strings = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+        labels = [s for s in strings if "11" not in s]
+        present = set(labels)
+        edges = {
+            frozenset((s, s[:i] + "1" + s[i + 1:]))
+            for s in labels
+            for i in range(n)
+            if s[i] == "0" and s[:i] + "1" + s[i + 1:] in present
+        }
+        assert g.labels == tuple(labels), n
+        assert label_edges(g) == edges, n
+
+
+def omega_reference(top):
+    """Labels and edges of omega members 0..top by the label-space
+    recursion: paths up to order 3, then "0" + member n-1 and "10" +
+    member n-2, with "10"w matched to "0" + e + w, where e is "" when
+    member n-1 is a path base and "0" otherwise."""
+    members = [
+        ([str(i) for i in range(size)], {frozenset((str(i), str(i + 1))) for i in range(size - 1)})
+        for size in range(1, 5)
+    ]
+    for n in range(4, top + 1):
+        (a_labels, a_edges), (b_labels, b_edges) = members[n - 1], members[n - 2]
+        e = "" if n - 1 <= 3 else "0"
+        members.append((
+            sorted(["0" + w for w in a_labels] + ["10" + w for w in b_labels]),
+            {frozenset("0" + w for w in pair) for pair in a_edges}
+            | {frozenset("10" + w for w in pair) for pair in b_edges}
+            | {frozenset(("10" + w, "0" + e + w)) for w in b_labels},
+        ))
+    return members
+
+
+def test_omega_matches_the_label_space_recursion():
+    for n, (labels, edges) in enumerate(omega_reference(RANGE[-1])):
+        g = build_omega(n, max_n=max(n, DEFAULT_MAX_N))
+        assert g.labels == tuple(labels), n
+        assert label_edges(g) == edges, n
 
 
 def test_gamma5_free_position_subset_induces_a_3_cube():
@@ -235,3 +291,26 @@ def test_find_isomorphism_rejects_non_isomorphic_pairs():
 def test_custom_graph_rejects_loops_unknown_and_duplicate_labels(labels, edges, message):
     with pytest.raises(ValueError, match=message):
         custom_graph(labels, edges)
+
+
+def test_custom_graph_rejects_labels_the_exports_cannot_carry():
+    with pytest.raises(ValueError, match=re.escape(repr('a"b'))):
+        custom_graph(['a"b', "c\\"], [('a"b', "c\\")])
+    for bad in ("c\\", "a b", "tab\there", "line\n", "nb\u00a0sp"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            custom_graph(["x", bad], [])
+
+
+def test_exports_give_back_the_labels_of_a_custom_graph():
+    labels = ["", "a'b", "x-y", "{}", "\u00fc"]
+    edges = [("a'b", "x-y"), ("x-y", "{}"), ("{}", "\u00fc")]
+    g = custom_graph(labels, edges)
+    expected = sorted(tuple(sorted(pair)) for pair in edges)
+    # edge list: two fields per line
+    assert [tuple(line.split()) for line in export_graph(g, "edgelist").splitlines()] == expected
+    # DOT: every node and edge line reads back as quoted names
+    lines = export_graph(g, "dot").splitlines()[1:-1]
+    names = [re.fullmatch(r'  "([^"\\]*)"(?: -- "([^"\\]*)")?;', line) for line in lines]
+    assert all(names), lines
+    assert [m.groups() for m in names] == [(lab, None) for lab in sorted(labels)] + expected
+    assert export_graph(build_gamma(0), "dot") == 'graph gamma_0 {\n  "";\n}\n'

@@ -40,16 +40,18 @@ bound prunes only nodes below which no cover strictly beats the
 incumbent, and only strict improvements replace it, so neither bound
 changes which cover the core returns.
 
-``enumerate_cubes`` builds the (k+1)-cubes by joining pairs of k-cubes
-and offers each cube to the join test once, through its canonical split:
-the half holding its least vertex m, and the half holding m's largest
-neighbour in the cube. Its docstring has the proof; it needs no duplicate
-check and holds on any graph.
+``enumerate_cubes`` builds each (k+1)-cube from a k-cube a, which keeps
+its vertices in coordinate order, and the image of a under the cube's
+matching, extended one coordinate at a time from a neighbour w of a's
+least vertex m; the image joins when its vertex set is a k-cube. Only the
+canonical split is built: a holds m, and w is m's largest neighbour in
+the cube. Its docstring has the proof; it needs no duplicate check and
+holds on any graph. The solvers read the same levels as (sorted vertices,
+mask) pairs and build an ``InducedCube`` only for the parts they return.
 
 Every ``InducedCube`` carries ``mask``, the bit set of its vertices, set
-by enumeration when it forms the cube, otherwise computed on first use,
-and kept: the search core and ``verify_factor`` read it instead of
-rebuilding it.
+by ``enumerate_cubes`` when it forms the cube, otherwise computed on first
+use, and kept: ``verify_factor`` reads it instead of rebuilding it.
 
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
@@ -86,6 +88,8 @@ __all__ = [
 ]
 
 EXACT_SEARCH_CAP = 64
+
+_Cube = tuple[tuple[int, ...], int]  # a cube as the solvers read it: (sorted vertices, mask)
 
 
 class _LazyMask:
@@ -168,120 +172,123 @@ def enumerate_cubes(
     """All induced k-cubes for k = 0..k_max, canonically ordered per level.
 
     Level 0 is the single vertices. Level k+1 joins two disjoint level-k
-    cubes a and b whose connecting edges form a perfect matching phi that
-    is an isomorphism between them. The join test ``_is_join`` makes two
-    checks: each vertex of a has exactly one neighbour in b, and phi
-    preserves edges; that phi is onto b follows from how b is offered
-    (its docstring has the argument).
+    cubes a and b whose cross edges form a perfect matching phi that is an
+    isomorphism between them; b is not searched for but built as the image
+    B = phi(A) of a's vertices, one coordinate at a time.
 
-    Each (k+1)-cube is offered to the join test exactly once, through its
-    canonical split. With m = min(a), the cube a is offered only the later
-    cubes b that hold a neighbour w of m as their only neighbour of m,
-    where w lies above m and above every neighbour of m in a, and that lie
-    inside reach(a), the neighbours of a outside a (so b is disjoint
-    from a).
+    Each cube of a level keeps its vertices in coordinate order A: A[0] is
+    its least vertex m, and A[c] is adjacent to A[c ^ 2**i] for every
+    i < k. A (k+1)-cube A + B is again in coordinate order, B supplying the
+    coordinates with bit k set. With m = A[0], the first image B[0] is a
+    neighbour w of m that lies above m and above every neighbour of m in a,
+    and whose only neighbour in a is m. For c = 1 .. 2**k - 1 the candidates
+    for B[c] are the vertices above m that are adjacent to A[c] and to
+    B[c ^ 2**i] for every set bit i of c, and whose only neighbour in a is
+    A[c]. Such a vertex is outside a, not adjacent to m, and distinct from
+    B's earlier entries, whose only neighbours in a differ. No candidate
+    ends the branch; several are explored one after another. A complete B
+    joins exactly when its vertex set is a level-k cube.
 
-    Proof. Let C be an induced (k+1)-cube and m = min(C). If a and b join
-    to C, each edge uv of a makes a 4-cycle u, v, phi(v), phi(u) of C, and
-    opposite edges of a 4-cycle of a hypercube run in one direction; a is
-    connected, so the 2**k cross edges are all the edges of one direction.
-    So C splits in exactly k+1 ways, one per neighbour w of m in C: a is
-    the half holding m and b the half holding w. In the split at w, the
-    neighbours of m in a are the other k neighbours of m in C, and w is
-    the only one in b, so the rule admits the split exactly when w is the
-    largest neighbour of m in C. That split is reached: every vertex of b
-    has its match in a, so b lies inside reach(a), and min(b) > m puts b
-    after a in level order. It is offered once, since b holds one
-    neighbour of m and so is found through one w only. Conversely, a pair
-    that joins is the admitted split of the cube it forms, so no cube is
-    formed twice and a level needs no duplicate check. The proof uses
+    Proof. Sound: B's entries are distinct and their set b is an induced
+    k-cube. Each edge of a joins some A[c] and A[c ^ 2**i], and B[c] is
+    adjacent to B[c ^ 2**i] (a constraint on the larger coordinate of the
+    two), so phi maps a's k * 2**(k-1) edges injectively onto edges of b,
+    hence onto all of them: phi is an isomorphism. Each vertex of b has
+    exactly one neighbour in a, so the cross edges are the perfect matching
+    A[c]B[c], and a + b induces a (k+1)-cube whose least vertex is m and
+    whose largest neighbour of m is w. Complete: let C be an induced
+    (k+1)-cube, m = min(C) and w the largest neighbour of m in C. The facet
+    a of C that holds m and not w is in level k; its matching facet b holds
+    w, and the matching phi satisfies every constraint above, so the branch
+    that picks B[c] = phi(A[c]) at each step is explored and B's set b is
+    found in level k. Once: each cube C gives one pair (a, w), and B is
+    forced by the set b, because each A[c] has exactly one neighbour in b.
+    So no cube is formed twice and a level needs no duplicate check. The proof uses
     adjacency alone, so it holds on any graph, not only on the families.
+    Several candidates for one B[c] arise only in graphs that are not
+    induced subgraphs of a hypercube: A[c] and B[c ^ 2**i] are at distance
+    2, and in a hypercube they have two common neighbours, one of them
+    A[c ^ 2**i].
 
-    If ``stats`` is given, it receives ``joins``, the number of pairs
-    offered to the join test.
+    If ``stats`` is given, it receives ``joins``, the number of complete
+    images B looked up in level k.
     """
+    levels = []
+    for k, level in enumerate(_cube_levels(g, k_max, stats)):
+        cubes = [InducedCube(k, verts) for verts, _ in level]
+        for cube, (_, mask) in zip(cubes, level):
+            object.__setattr__(cube, "mask", mask)  # known already: spare the lazy build
+        levels.append(cubes)
+    return levels
+
+
+def _cube_levels(
+    g: LabeledGraph, k_max: int, stats: dict[str, int] | None = None
+) -> list[list[_Cube]]:
+    # the levels of enumerate_cubes as (sorted vertices, mask) pairs; its
+    # docstring has the extension rule and its proof
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    nv = g.vertex_count
     adj = g.adj
-    prev = [((v,), 1 << v) for v in range(nv)]  # the last level as (sorted vertices, mask)
-    levels: list[list[InducedCube]] = [[InducedCube(0, (v,)) for v in range(nv)]]
+    levels = [[((v,), 1 << v) for v in range(g.vertex_count)]]
+    coords = [(v,) for v in range(g.vertex_count)]  # each cube of the last level in coordinate order
     joins = 0
     for k in range(1, k_max + 1):
-        # through[v]: indices of the level-(k-1) cubes containing v, in level
-        # order, so a's partners are read from the end down to a
-        through: list[list[int]] = [[] for _ in range(nv)]
-        for j, (verts, _) in enumerate(prev):
-            for v in verts:
-                through[v].append(j)
-        joined: list[tuple[tuple[int, ...], int]] = []
-        for i, (a, a_mask) in enumerate(prev):
-            reach = 0
-            for x in a:
-                reach |= adj[x]
-            reach &= ~a_mask
-            near = adj[a[0]]
-            # candidates w: neighbours of m = a[0] outside a, above m and above
-            # every neighbour of m in a
-            above = (near & a_mask | 1 << a[0]).bit_length()
-            candidates = (near & reach) >> above << above
-            while candidates:
-                w = candidates & -candidates
-                candidates ^= w
-                for j in reversed(through[w.bit_length() - 1]):
-                    if j <= i:
-                        break
-                    b, b_mask = prev[j]
-                    if b_mask & near != w or b_mask & ~reach:
-                        continue
-                    joins += 1
-                    if _is_join(adj, a, a_mask, b_mask):
-                        joined.append((tuple(sorted(a + b)), a_mask | b_mask))
-        prev = sorted(joined)
-        levels.append([InducedCube(k, verts) for verts, _ in prev])
-        for cube, (_, mask) in zip(levels[k], prev):
-            object.__setattr__(cube, "mask", mask)  # known already: spare the lazy build
+        size = 1 << k - 1
+        # lower[c]: the coordinates c ^ 2**i for the set bits i of c
+        lower = [[c ^ 1 << i for i in range(k - 1) if c >> i & 1] for c in range(size)]
+        masks = {mask for _, mask in levels[-1]}
+        joined: list[tuple[_Cube, tuple[int, ...]]] = []  # each cube with its coordinate order
+        for (_, a_mask), A in zip(levels[-1], coords):
+            m = A[0]
+            near = adj[m]
+            above = (near & a_mask | 1 << m).bit_length()
+            ws = near >> above << above
+            if not ws:
+                continue
+            once = twice = 0  # the vertices with a neighbour in a, with two or more
+            for u in A:
+                twice |= once & adj[u]
+                once |= adj[u]
+            # the vertices above m, outside a, with at most one neighbour in
+            # a: a candidate for B[c] is adjacent to A[c], so A[c] is its only one
+            allowed = -2 << m & ~(a_mask | twice)
+            for w in _bits(ws & allowed):
+                stack = [(1, [w], 1 << w)]
+                while stack:
+                    c, B, b_mask = stack.pop()
+                    while c < size:
+                        x = adj[A[c]] & allowed
+                        for j in lower[c]:
+                            x &= adj[B[j]]
+                        if not x:
+                            break
+                        v = x.bit_length() - 1
+                        if x != 1 << v:  # several candidates: the others wait on the stack
+                            for u in _bits(x ^ 1 << v):
+                                stack.append((c + 1, B + [u], b_mask | 1 << u))
+                        B.append(v)
+                        b_mask |= 1 << v
+                        c += 1
+                    else:
+                        joins += 1
+                        if b_mask in masks:
+                            order = (*A, *B)
+                            joined.append(((tuple(sorted(order)), a_mask | b_mask), order))
+        joined.sort()
+        levels.append([cube for cube, _ in joined])
+        coords = [order for _, order in joined]
     if stats is not None:
         stats.update(joins=joins)
     return levels
 
 
-def _is_join(adj: tuple[int, ...], a: tuple[int, ...], a_mask: int, b_mask: int) -> bool:
-    """Whether the cross edges between the k-cubes a and b form a perfect
-    matching phi that preserves edges, so that a and b span a (k+1)-cube.
-
-    Two checks: each vertex of a has exactly one neighbour in b, and phi
-    maps every edge of a onto an edge of b. Equal edge counts then make
-    phi an isomorphism. That each vertex of b also has exactly one
-    neighbour in a needs no check where ``enumerate_cubes`` offers b: b
-    lies inside reach(a), so each of its 2**k vertices has a neighbour in
-    a, and the first check leaves exactly 2**k cross edges, none to spare.
-    So phi is onto b, a bijection.
-    """
-    phi: dict[int, int] = {}  # vertex of a -> the bit of its match in b
-    for u in a:
-        cross = adj[u] & b_mask
-        if cross.bit_count() != 1:
-            return False
-        phi[u] = cross
-    for u in a:
-        image = 0
-        rest = adj[u] & a_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            image |= phi[low.bit_length() - 1]
-        if image & ~adj[phi[u].bit_length() - 1]:
-            return False
-    return True
-
-
-def _levels_from_the_top(g: LabeledGraph) -> list[list[InducedCube]]:
+def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
     # the induced cubes of dimension >= 1, one list per dimension, largest first
-    return enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[:0:-1]
+    return _cube_levels(g, max(g.vertex_count.bit_length() - 1, 0))[:0:-1]
 
 
-def _all_cubes(g: LabeledGraph) -> list[InducedCube]:
+def _all_cubes(g: LabeledGraph) -> list[_Cube]:
     return [c for level in _levels_from_the_top(g) for c in level]
 
 
@@ -294,20 +301,19 @@ class _CubeTable(NamedTuple):
     """The cubes of one cover search, read by vertex. Built once per search
     and shared by the search core and the witness walk."""
 
-    ordered: list[InducedCube]  # dimension >= 1, all inside target
+    ordered: list[_Cube]  # dimension >= 1, all inside target
     target: int  # the vertex set to cover
     through: list[list[tuple[int, int]]]  # per vertex: (index in ordered, mask) of its cubes
     unions: list[int]  # per vertex: its own bit and the masks of its cubes
     order: list[tuple[int, int]]  # target's vertices as (id, bit), fewest conflicts first, ties by id
 
 
-def _cube_table(ordered: list[InducedCube], target: int) -> _CubeTable:
+def _cube_table(ordered: list[_Cube], target: int) -> _CubeTable:
     through: list[list[tuple[int, int]]] = [[] for _ in range(target.bit_length())]
     unions = [1 << v for v in range(target.bit_length())]
-    for idx, cube in enumerate(ordered):
-        mask = cube.mask
+    for idx, (vertices, mask) in enumerate(ordered):
         entry = (idx, mask)
-        for v in cube.vertices:
+        for v in vertices:
             through[v].append(entry)
             unions[v] |= mask
     conflicts = [u.bit_count() for u in unions]
@@ -372,8 +378,8 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
             raise ValueError(f"vertex id {v} is outside the graph")
         members |= 1 << v
     pairs: set[tuple[int, int]] = set()
-    for c in _all_cubes(g):
-        pairs.update(combinations(_bits(c.mask & members), 2))
+    for _, mask in _all_cubes(g):
+        pairs.update(combinations(_bits(mask & members), 2))
     return sorted(pairs)
 
 
@@ -382,7 +388,7 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
 # ---------------------------------------------------------------------------
 
 
-def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) -> list[InducedCube]:
+def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) -> list[_Cube]:
     """The cubes of the first fewest-parts cover of ``table.target`` by the
     cubes of ``table.ordered`` (dimension >= 1, all inside the target) and
     single vertices.
@@ -430,8 +436,8 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
     """
     ordered, target, through = table.ordered, table.target, table.through
     by_dimension: dict[int, list[int]] = {}
-    for cube in ordered:
-        by_dimension.setdefault(cube.dimension, []).append(cube.mask)
+    for vertices, mask in ordered:
+        by_dimension.setdefault(len(vertices).bit_length() - 1, []).append(mask)
     dims = sorted(by_dimension, reverse=True)
     top = dims[0] if dims else 0
     shifts = [top - d for d in dims]
@@ -533,12 +539,12 @@ def greedy_layered_factor(
     _check_cap(g, cap)
     effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
     remaining = (1 << g.vertex_count) - 1
-    parts: list[InducedCube] = []
+    parts: list[_Cube] = []
     for layer in _levels_from_the_top(g):
-        fitting = [c for c in layer if not c.mask & ~remaining]
-        for c in _first_min_cover(_cube_table(fitting, remaining), effort):
-            parts.append(c)
-            remaining &= ~c.mask
+        fitting = [c for c in layer if not c[1] & ~remaining]
+        for vertices, mask in _first_min_cover(_cube_table(fitting, remaining), effort):
+            parts.append((vertices, mask))
+            remaining &= ~mask
     if stats is not None:
         stats.update(effort)
     return _with_single_vertices(g.vertex_count, parts)
@@ -549,11 +555,13 @@ def _check_cap(g: LabeledGraph, cap: int) -> None:
         raise ValueError(f"graph has {g.vertex_count} vertices, above the exact-search cap {cap}")
 
 
-def _with_single_vertices(nv: int, parts: list[InducedCube]) -> CubeFactor:
-    # the parts, then each vertex of 0..nv-1 they leave uncovered as a single vertex
-    left = (1 << nv) - 1 & ~reduce(or_, (c.mask for c in parts), 0)
+def _with_single_vertices(nv: int, parts: list[_Cube]) -> CubeFactor:
+    # the parts as cubes, then each vertex of 0..nv-1 they leave uncovered
+    # as a single vertex
+    left = (1 << nv) - 1 & ~reduce(or_, (mask for _, mask in parts), 0)
+    cubes = [InducedCube(len(vertices).bit_length() - 1, vertices) for vertices, _ in parts]
     singles = [InducedCube(0, (v,)) for v in _bits(left)]
-    return CubeFactor((*parts, *singles))
+    return CubeFactor((*cubes, *singles))
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +637,13 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
     ``vertices[0]`` gets 0, its neighbours the unit vectors, and each later
     vertex, level by level in BFS order, the OR of its neighbours'
     coordinates one level up. The part is a k-cube exactly when the
-    coordinates are distinct and adjacency is Hamming distance 1 over all
-    pairs. Sound: every coordinate lies in [0, 2^k), so 2^k distinct ones
-    fill {0,1}^k and the pair check makes the map an isomorphism onto Q_k.
-    Complete: in a k-cube a vertex at distance d >= 2 has exactly d
-    neighbours one level up, each differing from it in one bit, so their OR
-    is the vertex's own vector.
+    coordinates are distinct and each vertex's k induced neighbours differ
+    from it in one bit. Sound: every coordinate lies in [0, 2^k), so 2^k
+    distinct ones fill {0,1}^k; a vertex has exactly k coordinates at
+    Hamming distance 1, all present, so its k neighbours are exactly those
+    and the map is an isomorphism onto Q_k. Complete: in a k-cube a vertex
+    at distance d >= 2 has exactly d neighbours one level up, each
+    differing from it in one bit, so their OR is the vertex's own vector.
     """
     size = len(vertices)
     if not _fits(dimension, size):
@@ -660,8 +669,7 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
                     level[w] = level.get(w, 0) | c
     # a vertex the BFS never reached leaves fewer distinct coordinates
     return len(set(coord.values())) == size and all(
-        bool(local[u] >> v & 1) == ((coord[u] ^ coord[v]).bit_count() == 1)
-        for u, v in combinations(vertices, 2)
+        (coord[u] ^ coord[w]).bit_count() == 1 for u in vertices for w in _bits(local[u])
     )
 
 

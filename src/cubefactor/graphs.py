@@ -182,11 +182,14 @@ def build_graph(family: Family | str, n: int, max_n: int = DEFAULT_MAX_N) -> Lab
         # path, labels unchanged
         subcopies = {"first": Subcopy(tuple(range(n)), n - 1, "")}
     else:
-        subcopies = {
-            name: Subcopy(tuple(i for i, s in enumerate(labels) if s.startswith(prefix)), n - drop, prefix)
-            for name, (prefix, drop, start) in _PARTS.items()
-            if n >= start[fam]
-        }
+        subcopies = {}
+        for name, (prefix, drop, start) in _PARTS.items():
+            if n >= start[fam]:
+                # the labels are sorted, so those with the prefix are one id
+                # range: from the prefix up to it with its last symbol raised
+                upper = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+                ids = range(bisect_left(labels, prefix), bisect_left(labels, upper))
+                subcopies[name] = Subcopy(tuple(ids), n - drop, prefix)
     return LabeledGraph(fam.value, n, labels, tuple(adj), subcopies)
 
 

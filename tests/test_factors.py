@@ -271,13 +271,14 @@ def graph_on(count, edges):
     return custom_graph(labels, [(labels[u], labels[v]) for u, v in edges])
 
 
-# Graphs that reach the join's rejection paths, which no family member does
-# (there every offered pair joins): several candidate neighbours w of min(a)
-# (K_{2,3}, three induced 4-cycles); a perfect cross matching that is not an
-# isomorphism (two 4-cycles matched 0-4, 1-6, 2-5, 3-7: 3-regular, with a
-# 5-cycle, no 3-cube); partners b holding two neighbours of min(a) (the wheel,
-# hub 0); a vertex of a with two neighbours in b (the diamond, a = {0, 1},
-# b = {2, 3}); and Q_4, with C(4, k) * 2**(4 - k) k-cubes.
+# Graphs that reach the extension's dead ends, which no family member does:
+# several candidate neighbours w of min(a) (K_{2,3}, three induced 4-cycles);
+# a perfect cross matching that is not an isomorphism (two 4-cycles matched
+# 0-4, 1-6, 2-5, 3-7: 3-regular, with a 5-cycle, no 3-cube); images holding
+# two neighbours of min(a) (the wheel, hub 0); a vertex of a with two
+# neighbours in b (the diamond, a = {0, 1}, b = {2, 3}); several candidate
+# images of one coordinate (K_{3,3}: at a = (0, 3), w = 4, coordinate 1 has
+# the images 1 and 2); and Q_4, with C(4, k) * 2**(4 - k) k-cubes.
 REJECTING_GRAPHS = {
     "K_2,3": graph_on(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
     "twisted 4-cycles": graph_on(
@@ -286,6 +287,7 @@ REJECTING_GRAPHS = {
     ),
     "wheel": graph_on(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]),
     "diamond": graph_on(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    "K_3,3": graph_on(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]),
     "Q_4": graph_on(16, [(u, u | 1 << d) for u in range(16) for d in range(4) if not u >> d & 1]),
 }
 
@@ -298,11 +300,12 @@ def test_enumerate_cubes_matches_brute_force_where_joins_fail(name):
     levels = enumerate_cubes(g, k_max, stats=stats)
     assert levels == brute_force_cubes(g, k_max)
     cubes = sum(len(level) for level in levels[1:])
-    # the twisted matching fails edge preservation, the diamond the matching
-    # itself; every other offer joins
-    assert stats["joins"] == cubes + (name in ("twisted 4-cycles", "diamond"))
+    # every complete image looked up in the level below is a cube there
+    assert stats["joins"] == cubes
     if name == "K_2,3":
         assert [len(level) for level in levels] == [5, 6, 3]
+    if name == "K_3,3":
+        assert [len(level) for level in levels] == [6, 9, 9]
     if name == "Q_4":
         assert [len(level) for level in levels] == [comb(4, k) * 2 ** (4 - k) for k in range(5)]
 
@@ -347,7 +350,10 @@ def check_early_stop(g):
     lower = len(cube_independent_set(g))
     assert stats["lower_bound"] == lower <= factor.part_count
     nv = g.vertex_count
-    ordered = [c for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1] for c in level]
+    ordered = [
+        (c.vertices, c.mask) for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1]
+        for c in level
+    ]
     told = dict(nodes=0, bound_prunes=0, memo_hits=0)
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
     table = _cube_table(ordered, (1 << nv) - 1)
@@ -388,7 +394,7 @@ def check_node_bound(g, data):
         v for v in range(nv)
         if not covered >> v & 1 and not any(c.mask >> v & 1 for c in fitting)
     ]
-    table = _cube_table(ordered, (1 << nv) - 1)
+    table = _cube_table([(c.vertices, c.mask) for c in ordered], (1 << nv) - 1)
     after = covered | sum(1 << v for v in forced)
     kept = _cube_independent(table, after, nv)
     assert not after & sum(1 << v for v in kept)
@@ -429,7 +435,8 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     assert cube_independent_set(g) == (2, 3)
     assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    _first_min_cover(_cube_table(enumerate_cubes(g, 1)[1], 0b1111), untold)
+    edges = [(c.vertices, c.mask) for c in enumerate_cubes(g, 1)[1]]
+    _first_min_cover(_cube_table(edges, 0b1111), untold)
     assert untold["nodes"] == 6
 
 
@@ -513,9 +520,9 @@ def test_omega_cube_total_matches_observed_closed_form(n):
     assert sum(len(level) for level in levels) == 2**n + (-1) ** n
 
 
-# Each cube is offered to the join test once, through its canonical split,
-# and on the family members every offer joins: 2,498 offers at gamma 11 and
-# 3,775 at omega 12.
+# Each cube is formed once, through its canonical split, and on the family
+# members every complete image is a cube of the level below: 2,498 images at
+# gamma 11 and 3,775 at omega 12.
 @pytest.mark.parametrize("family, n", [("gamma", 11), ("omega", 12)])
 def test_enumeration_join_count(family, n):
     g = build_graph(family, n)

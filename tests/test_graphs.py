@@ -188,6 +188,17 @@ def test_omega_cross_edges_form_a_perfect_matching():
             assert len(cross) == 1, (n, g.labels[v])
 
 
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+def test_subcopy_annotations_are_the_labels_with_their_prefix(family):
+    # the annotations are read off the sorted labels as id ranges; each must
+    # hold exactly the labels that start with its prefix
+    for n in range(DEFAULT_MAX_N + 1):
+        g = build_graph(family, n)
+        for name, sub in g.subcopies.items():
+            expected = tuple(i for i, s in enumerate(g.labels) if s.startswith(sub.prefix))
+            assert sub.vertices == (expected if sub.prefix else tuple(range(n))), (n, name)
+
+
 def test_canonical_subgraph_extracts_smaller_members():
     # the prefix-"10" copy inside order 5 is the order-3 member
     sub = canonical_subgraph(build_gamma(5), "second")

@@ -161,7 +161,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         [
             n
             for n in solver_ns
-            if sorted(c.vertices for c in factors.enumerate_cubes(built[n], 1)[1])
+            if sorted(verts for verts, _ in factors.enumerate_cubes(built[n], 1)[1])
             != sorted(built[n].edges())
         ],
         rng,

@@ -46,12 +46,10 @@ matching, extended one coordinate at a time from a neighbour w of a's
 least vertex m; the image joins when its vertex set is a k-cube. Only the
 canonical split is built: a holds m, and w is m's largest neighbour in
 the cube. Its docstring has the proof; it needs no duplicate check and
-holds on any graph. The solvers read the same levels as (sorted vertices,
-mask) pairs and build an ``InducedCube`` only for the parts they return.
-
-Every ``InducedCube`` carries ``mask``, the bit set of its vertices, set
-by ``enumerate_cubes`` when it forms the cube, otherwise computed on first
-use, and kept: ``verify_factor`` reads it instead of rebuilding it.
+holds on any graph. Each level is a list of (sorted vertices, mask)
+pairs, the mask being the bit set of the vertices; the solvers read these
+pairs and build an ``InducedCube`` only for the parts they return.
+``verify_factor`` builds each part's mask once, after checking its ids.
 
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
@@ -89,30 +87,13 @@ __all__ = [
 
 EXACT_SEARCH_CAP = 64
 
-_Cube = tuple[tuple[int, ...], int]  # a cube as the solvers read it: (sorted vertices, mask)
-
-
-class _LazyMask:
-    """The bit set of the cube's vertices. The first read builds it and
-    stores it on the cube, where later reads find it, so a cube naming a
-    huge id costs nothing until its mask is read (``verify_factor`` checks
-    the ids first). ``functools.cached_property`` would store it through
-    the instance ``__dict__``, which made greedy on gamma 11 and omega 12
-    about 6% slower."""
-
-    def __get__(self, cube: InducedCube, owner: type | None = None) -> int:
-        mask = 0
-        for v in cube.vertices:
-            mask |= 1 << v
-        object.__setattr__(cube, "mask", mask)  # the cube is frozen
-        return mask
+_Cube = tuple[tuple[int, ...], int]  # an enumerated cube: (sorted vertices, mask)
 
 
 @dataclass(frozen=True)
 class InducedCube:
     dimension: int
     vertices: tuple[int, ...]  # sorted vertex ids, length 2**dimension
-    mask = _LazyMask()  # not a field: left out of init, repr, == and hash
 
     def __post_init__(self) -> None:
         if min(self.vertices, default=0) < 0:
@@ -168,8 +149,9 @@ def _fits(dimension: int, size: int) -> bool:
 
 def enumerate_cubes(
     g: LabeledGraph, k_max: int, stats: dict[str, int] | None = None
-) -> list[list[InducedCube]]:
-    """All induced k-cubes for k = 0..k_max, canonically ordered per level.
+) -> list[list[_Cube]]:
+    """All induced k-cubes for k = 0..k_max, canonically ordered per level,
+    each as its (sorted vertices, mask) pair.
 
     Level 0 is the single vertices. Level k+1 joins two disjoint level-k
     cubes a and b whose cross edges form a perfect matching phi that is an
@@ -213,20 +195,6 @@ def enumerate_cubes(
     If ``stats`` is given, it receives ``joins``, the number of complete
     images B looked up in level k.
     """
-    levels = []
-    for k, level in enumerate(_cube_levels(g, k_max, stats)):
-        cubes = [InducedCube(k, verts) for verts, _ in level]
-        for cube, (_, mask) in zip(cubes, level):
-            object.__setattr__(cube, "mask", mask)  # known already: spare the lazy build
-        levels.append(cubes)
-    return levels
-
-
-def _cube_levels(
-    g: LabeledGraph, k_max: int, stats: dict[str, int] | None = None
-) -> list[list[_Cube]]:
-    # the levels of enumerate_cubes as (sorted vertices, mask) pairs; its
-    # docstring has the extension rule and its proof
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
     adj = g.adj
@@ -285,7 +253,7 @@ def _cube_levels(
 
 def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
     # the induced cubes of dimension >= 1, one list per dimension, largest first
-    return _cube_levels(g, max(g.vertex_count.bit_length() - 1, 0))[:0:-1]
+    return enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[:0:-1]
 
 
 def _all_cubes(g: LabeledGraph) -> list[_Cube]:
@@ -682,7 +650,7 @@ def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | Factor
     nv = g.vertex_count
     covered = 0
     for i, part in enumerate(factor.parts):
-        # ids before part.mask, so a huge id never builds a huge mask
+        # ids before the mask, so a huge id never builds a huge mask
         if max(part.vertices, default=-1) >= nv:
             return FactorViolation("bad-vertex", f"part {i} references a vertex outside the graph", i)
         if tuple(sorted(part.vertices)) != part.vertices:
@@ -693,14 +661,15 @@ def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | Factor
                 f"part {i} does not induce a {part.dimension}-cube",
                 i,
             )
-        if part.mask & covered:
-            overlap = next(_bits(part.mask & covered))
+        mask = sum(1 << v for v in part.vertices)  # the vertices are distinct
+        if mask & covered:
+            overlap = next(_bits(mask & covered))
             return FactorViolation(
                 "disjointness",
                 f"part {i} reuses vertex {g.labels[overlap]!r}",
                 i,
             )
-        covered |= part.mask
+        covered |= mask
     if covered != (1 << nv) - 1:
         missing = next(_bits(~covered & ((1 << nv) - 1)))
         return FactorViolation("coverage", f"vertex {g.labels[missing]!r} is uncovered", None)

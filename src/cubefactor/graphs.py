@@ -206,13 +206,18 @@ def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
 def custom_graph(labels: list[str], edges: list[tuple[str, str]]) -> LabeledGraph:
     """Ad-hoc labeled graph from explicit labels and label pairs.
 
-    Duplicate labels, self-loops, edges naming an unknown label and labels
+    Duplicate labels, self-loops, edges naming an unknown label, labels
     that the export formats cannot carry (holding whitespace, a double
-    quote or a backslash) raise ValueError."""
+    quote or a backslash) and edges at the empty label (an edge-list line
+    needs two fields) raise ValueError. The empty label stays valid for an
+    isolated vertex."""
     unfit = re.compile(r'[\s"\\]')
     if unfit.search("".join(labels)):
         lab = next(lab for lab in labels if unfit.search(lab))
         raise ValueError(f"label {lab!r} holds whitespace, a double quote or a backslash")
+    for edge in edges:
+        if "" in edge:
+            raise ValueError(f"edge {tuple(edge)!r} has an empty label, which edge lists cannot carry")
     try:
         g = _assemble("custom", 0, list(labels), list(edges))
     except KeyError as exc:  # only edge endpoints are looked up

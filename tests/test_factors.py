@@ -48,25 +48,24 @@ def induced_edge_count(g, vertices):
 def test_enumerate_cubes_on_the_three_vertex_path():
     g = build_gamma(2)
     levels = enumerate_cubes(g, 1)
-    assert [c.vertices for c in levels[0]] == [(0,), (1,), (2,)]
-    assert [set(g.labels[v] for v in c.vertices) for c in levels[1]] == [
+    assert levels[0] == [((0,), 1), ((1,), 2), ((2,), 4)]
+    assert [set(g.labels[v] for v in verts) for verts, _ in levels[1]] == [
         {"00", "01"}, {"00", "10"},
     ]
 
 
 def test_enumerate_cubes_trivial_graph():
     levels = enumerate_cubes(build_gamma(0), 0)
-    assert levels == [[InducedCube(0, (0,))]]
+    assert levels == [[((0,), 1)]]
 
 
-def test_induced_cube_mask_stays_out_of_repr_eq_and_hash():
+def test_induced_cube_repr_eq_and_hash_read_its_two_fields():
     cube = InducedCube(2, (0, 1, 3, 6))
-    assert cube.mask == 0b1001011
     assert repr(cube) == "InducedCube(dimension=2, vertices=(0, 1, 3, 6))"
     assert cube == InducedCube(2, (0, 1, 3, 6)) != InducedCube(1, (0, 1, 3, 6))
     assert hash(cube) == hash((2, (0, 1, 3, 6)))
     with pytest.raises(TypeError):
-        InducedCube(0, (0,), 1)  # the mask is derived, never passed
+        InducedCube(0, (0,), 1)  # no third field: a part carries no mask
 
 
 def test_induced_cube_rejects_a_negative_vertex_id():
@@ -92,23 +91,24 @@ def test_enumerate_dimension_one_is_the_edge_set():
         for n in range(7):
             g = build_graph(family, n)
             ones = enumerate_cubes(g, 1)[1]
-            assert sorted(c.vertices for c in ones) == sorted(g.edges())
+            assert sorted(verts for verts, _ in ones) == sorted(g.edges())
 
 
 def test_enumerated_cubes_have_hypercube_edge_counts():
     for g in (build_gamma(5), build_omega(5)):
         levels = enumerate_cubes(g, 3)
         for k, cubes in enumerate(levels):
-            for cube in cubes:
-                assert len(cube.vertices) == 2**k
-                assert induced_edge_count(g, cube.vertices) == k * 2 ** (k - 1) if k else True
+            for verts, mask in cubes:
+                assert len(verts) == 2**k
+                assert mask == sum(1 << v for v in verts)
+                assert induced_edge_count(g, verts) == k * 2 ** (k - 1) if k else True
 
 
 def test_gamma5_contains_the_free_position_3_cube():
     g = build_gamma(5)
     subset = ids_of(g, [a + "0" + b + "0" + c for a in "01" for b in "01" for c in "01"])
     threes = enumerate_cubes(g, 3)[3]
-    assert subset in [c.vertices for c in threes]
+    assert subset in [verts for verts, _ in threes]
 
 
 def test_exact_min_factor_small_cases():
@@ -130,7 +130,7 @@ def first_minimum_cover(g):
     nv = g.vertex_count
     full = (1 << nv) - 1
     levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
-    ordered = [(c, sum(1 << v for v in c.vertices)) for level in reversed(levels) for c in level]
+    ordered = [(verts, sum(1 << v for v in verts)) for level in reversed(levels) for verts, _ in level]
     best = None
     chosen = []
 
@@ -141,14 +141,15 @@ def first_minimum_cover(g):
                 best = list(chosen)
             return
         v = next(u for u in range(nv) if not covered >> u & 1)
-        for cube, mask in ordered:
+        for verts, mask in ordered:
             if mask >> v & 1 and not mask & covered:
-                chosen.append(cube)
+                chosen.append(verts)
                 walk(covered | mask)
                 chosen.pop()
 
     walk(0)
-    return CubeFactor(tuple(sorted(best, key=lambda c: (-c.dimension, c.vertices))))
+    best.sort(key=lambda verts: (-len(verts), verts))
+    return CubeFactor(tuple(InducedCube(len(verts).bit_length() - 1, verts) for verts in best))
 
 
 def first_maximum_packings(g):
@@ -163,29 +164,29 @@ def first_maximum_packings(g):
     remaining = (1 << nv) - 1
     parts = []
     for level in reversed(levels[1:]):
-        cubes = [(c, sum(1 << v for v in c.vertices)) for c in level]
+        cubes = [(verts, sum(1 << v for v in verts)) for verts, _ in level]
         best = None
         chosen = []
 
         def walk(avail):
             nonlocal best
-            fitting = [(c, mask) for c, mask in cubes if not mask & ~avail]
+            fitting = [(verts, mask) for verts, mask in cubes if not mask & ~avail]
             if not fitting:
                 if best is None or len(chosen) > len(best):
                     best = list(chosen)
                 return
-            v = min(c.vertices[0] for c, _ in fitting)
-            for cube, mask in fitting:
+            v = min(verts[0] for verts, _ in fitting)
+            for verts, mask in fitting:
                 if mask >> v & 1:
-                    chosen.append(cube)
+                    chosen.append((verts, mask))
                     walk(avail & ~mask)
                     chosen.pop()
             walk(avail & ~(1 << v))
 
         walk(remaining)
-        for cube in sorted(best, key=lambda c: c.vertices):
-            parts.append(cube)
-            remaining &= ~sum(1 << v for v in cube.vertices)
+        for verts, mask in sorted(best):
+            parts.append(InducedCube(len(verts).bit_length() - 1, verts))
+            remaining &= ~mask
     parts.extend(InducedCube(0, (v,)) for v in range(nv) if remaining >> v & 1)
     return CubeFactor(tuple(parts))
 
@@ -237,11 +238,11 @@ def test_greedy_is_the_first_maximum_packing_per_layer_on_small_graphs(g):
 
 def brute_force_cubes(g, k_max):
     """Every vertex subset of size 2**k that _is_induced_cube accepts, per
-    level. A vertex of an induced k-cube has degree >= k, so only those
-    vertices are combined."""
+    level, with the mask of its vertices. A vertex of an induced k-cube has
+    degree >= k, so only those vertices are combined."""
     return [
         [
-            InducedCube(k, subset)
+            (subset, sum(1 << v for v in subset))
             for subset in itertools.combinations(
                 [v for v in range(g.vertex_count) if g.adj[v].bit_count() >= k], 2**k
             )
@@ -278,7 +279,13 @@ def graph_on(count, edges):
 # two neighbours of min(a) (the wheel, hub 0); a vertex of a with two
 # neighbours in b (the diamond, a = {0, 1}, b = {2, 3}); several candidate
 # images of one coordinate (K_{3,3}: at a = (0, 3), w = 4, coordinate 1 has
-# the images 1 and 2); and Q_4, with C(4, k) * 2**(4 - k) k-cubes.
+# the images 1 and 2); a complete image that is no cube (two 4-cycles
+# matched c-(c + 4), the second with the chord 4-7: the image {4, 5, 6, 7}
+# of the 4-cycle {0, 1, 2, 3} holds the chord); an image adjacent to some
+# earlier images B[c ^ 2**i] but not to all (two 3-cubes matched
+# c-(8 + p[c]), p swapping 5 and 6, so the matching is no isomorphism); and
+# Q_4, with C(4, k) * 2**(4 - k) k-cubes.
+Q_3_EDGES = [(u, u | 1 << d) for u in range(8) for d in range(3) if not u >> d & 1]
 REJECTING_GRAPHS = {
     "K_2,3": graph_on(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
     "twisted 4-cycles": graph_on(
@@ -288,6 +295,14 @@ REJECTING_GRAPHS = {
     "wheel": graph_on(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)]),
     "diamond": graph_on(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
     "K_3,3": graph_on(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)]),
+    "chorded twin 4-cycles": graph_on(
+        8, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 7), (6, 7), (4, 7)]
+        + [(c, c + 4) for c in range(4)]
+    ),
+    "twisted twin 3-cubes": graph_on(
+        16, Q_3_EDGES + [(u + 8, v + 8) for u, v in Q_3_EDGES]
+        + [(c, 8 + p) for c, p in enumerate((0, 1, 2, 3, 4, 6, 5, 7))]
+    ),
     "Q_4": graph_on(16, [(u, u | 1 << d) for u in range(16) for d in range(4) if not u >> d & 1]),
 }
 
@@ -300,12 +315,17 @@ def test_enumerate_cubes_matches_brute_force_where_joins_fail(name):
     levels = enumerate_cubes(g, k_max, stats=stats)
     assert levels == brute_force_cubes(g, k_max)
     cubes = sum(len(level) for level in levels[1:])
-    # every complete image looked up in the level below is a cube there
-    assert stats["joins"] == cubes
+    # every complete image looked up in the level below is a cube there,
+    # but the chorded 4-cycle {4, 5, 6, 7}
+    assert stats["joins"] == cubes + (name == "chorded twin 4-cycles")
     if name == "K_2,3":
         assert [len(level) for level in levels] == [5, 6, 3]
     if name == "K_3,3":
         assert [len(level) for level in levels] == [6, 9, 9]
+    if name == "chorded twin 4-cycles":
+        assert [len(level) for level in levels] == [8, 13, 5, 0]
+    if name == "twisted twin 3-cubes":
+        assert [len(level) for level in levels] == [16, 32, 22, 4, 0]
     if name == "Q_4":
         assert [len(level) for level in levels] == [comb(4, k) * 2 ** (4 - k) for k in range(5)]
 
@@ -314,16 +334,16 @@ def assert_witness_matches_brute_force(g, subset):
     """cube_independent_set meets no brute-force cube twice and is no larger
     than the first minimum cover; check_witness lists exactly the pairs of
     ``subset`` that some brute-force cube of dimension >= 1 contains."""
-    cubes = [c for level in brute_force_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[1:]
-             for c in level]
+    cubes = [verts for level in brute_force_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[1:]
+             for verts, _ in level]
     witness = cube_independent_set(g)
     assert list(witness) == sorted(set(witness))
-    assert all(len(set(c.vertices) & set(witness)) <= 1 for c in cubes)
+    assert all(len(set(verts) & set(witness)) <= 1 for verts in cubes)
     assert check_witness(g, witness) == []
     assert len(witness) <= first_minimum_cover(g).part_count
     shared = {
         (u, v) for u, v in itertools.combinations(sorted(set(subset)), 2)
-        if any(u in c.vertices and v in c.vertices for c in cubes)
+        if any(u in verts and v in verts for verts in cubes)
     }
     assert check_witness(g, subset) == sorted(shared)
 
@@ -350,10 +370,7 @@ def check_early_stop(g):
     lower = len(cube_independent_set(g))
     assert stats["lower_bound"] == lower <= factor.part_count
     nv = g.vertex_count
-    ordered = [
-        (c.vertices, c.mask) for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1]
-        for c in level
-    ]
+    ordered = [c for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1] for c in level]
     told = dict(nodes=0, bound_prunes=0, memo_hits=0)
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
     table = _cube_table(ordered, (1 << nv) - 1)
@@ -385,16 +402,16 @@ def check_node_bound(g, data):
     nv = g.vertex_count
     levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
     covered = 0
-    for c in data.draw(st.lists(st.sampled_from(sum(levels, [])), max_size=6)) if nv else []:
-        if not c.mask & covered:
-            covered |= c.mask
+    for _, mask in data.draw(st.lists(st.sampled_from(sum(levels, [])), max_size=6)) if nv else []:
+        if not mask & covered:
+            covered |= mask
     ordered = [c for level in levels[:0:-1] for c in level]
-    fitting = [c for c in ordered if not c.mask & covered]
+    fitting = [mask for _, mask in ordered if not mask & covered]
     forced = [
         v for v in range(nv)
-        if not covered >> v & 1 and not any(c.mask >> v & 1 for c in fitting)
+        if not covered >> v & 1 and not any(mask >> v & 1 for mask in fitting)
     ]
-    table = _cube_table([(c.vertices, c.mask) for c in ordered], (1 << nv) - 1)
+    table = _cube_table(ordered, (1 << nv) - 1)
     after = covered | sum(1 << v for v in forced)
     kept = _cube_independent(table, after, nv)
     assert not after & sum(1 << v for v in kept)
@@ -402,9 +419,9 @@ def check_node_bound(g, data):
     assert len(forced) + len(kept) <= first_minimum_cover(rest).part_count
     chosen = set(forced) | set(kept)
     for level in brute_force_cubes(g, max(nv.bit_length() - 1, 0))[1:]:
-        for c in level:
-            if not c.mask & covered:
-                assert len(chosen & set(c.vertices)) <= 1
+        for verts, mask in level:
+            if not mask & covered:
+                assert len(chosen & set(verts)) <= 1
     limit = data.draw(st.integers(0, nv))
     assert _cube_independent(table, after, limit) == kept[: limit + 1]
 
@@ -435,8 +452,7 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     assert cube_independent_set(g) == (2, 3)
     assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    edges = [(c.vertices, c.mask) for c in enumerate_cubes(g, 1)[1]]
-    _first_min_cover(_cube_table(edges, 0b1111), untold)
+    _first_min_cover(_cube_table(enumerate_cubes(g, 1)[1], 0b1111), untold)
     assert untold["nodes"] == 6
 
 

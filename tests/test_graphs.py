@@ -297,6 +297,7 @@ def test_find_isomorphism_rejects_non_isomorphic_pairs():
         (["a"], [("a", "z")], "unknown vertex 'z'"),
         (["a"], [("z", "a")], "unknown vertex 'z'"),
         (["a", "a"], [], "duplicate"),
+        (["", "a"], [("", "a")], re.escape("edge ('', 'a') has an empty label")),
     ],
 )
 def test_custom_graph_rejects_loops_unknown_and_duplicate_labels(labels, edges, message):

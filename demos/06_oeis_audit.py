@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"{record.id}: offset {record.offset}, {len(record.terms)} terms cached")
 
     local = [padovan(n) for n in range(120)]
-    reports = scan_shifts(local, 0, record)
+    reports = scan_shifts(local, record)
     for r in reports:
         mark = "match" if r.matched else f"mismatch at index {r.first_mismatch[0]}"
         print(f"  shift {r.shift:+d}: {mark} (overlap {r.overlap})")

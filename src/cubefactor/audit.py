@@ -286,7 +286,7 @@ def oeis_audit(offline: bool) -> list[AuditEntry]:
         except oeis.BFileError as exc:
             entries.append(AuditEntry(label, "INFO", f"{exc}; skipped"))
             continue
-        best = oeis.best_match(oeis.scan_shifts(_local_terms(name, 120), 0, record))
+        best = oeis.best_match(oeis.scan_shifts(_local_terms(name, 120), record))
         if best is None:
             status, detail = "FAIL", "no full-overlap match at any shift in [-5,5]"
         else:

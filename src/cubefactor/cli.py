@@ -86,6 +86,10 @@ def run(argv: Sequence[str]) -> int:
         "verify": _cmd_verify,
         "oeis": _cmd_oeis,
     }[args.command]
+    # integers print at any length; Python before 3.10.7 has no digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return handler(args)
     except (oeis.FetchError, oeis.BFileError) as exc:
@@ -94,6 +98,9 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:
@@ -210,7 +217,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oeis(args: argparse.Namespace) -> int:
     record = oeis.fetch_bfile(args.id, offline=args.offline, cache=args.cache_dir)
     local = list(islice(sequences._terms(args.against), 120))
-    reports = oeis.scan_shifts(local, 0, record)
+    reports = oeis.scan_shifts(local, record)
     if not reports:
         print(f"error: no overlap with {record.id} at any shift in [-5,5]", file=sys.stderr)
         return 1

@@ -202,6 +202,9 @@ def enumerate_cubes(
     coords = [(v,) for v in range(g.vertex_count)]  # each cube of the last level in coordinate order
     joins = 0
     for k in range(1, k_max + 1):
+        if not levels[-1]:  # a k-cube holds (k-1)-cubes, so no level above is filled
+            levels.append([])
+            continue
         size = 1 << k - 1
         # lower[c]: the coordinates c ^ 2**i for the set bits i of c
         lower = [[c ^ 1 << i for i in range(k - 1) if c >> i & 1] for c in range(size)]

@@ -5,14 +5,16 @@ index as the offset. Offsets are never assumed: comparisons take an
 explicit shift, and a shift scan discovers the alignment between a locally
 generated sequence and a b-file whose initial terms follow a different
 convention.
+
+Importing the module loads no HTTP client: ``urllib.request`` and
+``tempfile`` are imported by ``fetch_bfile`` only on a cache miss, the one
+path that downloads and writes a cache entry.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import tempfile
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,8 +37,10 @@ CACHE_ENV = "CUBEFACTOR_CACHE"
 # an OEIS id: "A" (optional) and one to six ASCII digits, zero-filled to six
 _ID_PATTERN = re.compile(r"A?([0-9]{1,6})")
 # a decimal integer as render_bfile and poly_to_json write it; int() alone
-# would also take "1_0", "+5", " 5" and non-ASCII digits
-_INT_PATTERN = re.compile(r"-?[0-9]+")
+# would also take "1_0", "+5", " 5" and non-ASCII digits. The 4300 digits
+# are Python's default int parsing limit, which the CLI lifts to print; they
+# keep a b-file's parse cost linear in its size either way.
+_INT_PATTERN = re.compile(r"-?[0-9]{1,4300}")
 
 
 class BFileError(ValueError):
@@ -74,7 +78,7 @@ def parse_bfile(text: str, id: str | None = None) -> SequenceRecord:
         try:
             if not all(_INT_PATTERN.fullmatch(f) for f in fields):
                 raise ValueError
-            index, value = int(fields[0]), int(fields[1])  # can still hit the digit limit
+            index, value = int(fields[0]), int(fields[1])  # can still hit a lowered limit
         except ValueError:
             raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from None
         if offset is None:
@@ -116,14 +120,14 @@ def fetch_bfile(
     *,
     offline: bool = False,
     cache: str | os.PathLike | None = None,
-    timeout: float = 30.0,
 ) -> SequenceRecord:
     """b-file for an OEIS id, served from the disk cache when present.
 
     Cache entries never expire (b-files are effectively immutable) and are
     written atomically (temp file then rename). In offline mode a cold
-    cache raises FetchError instead of touching the network. A cached file
-    that does not parse raises BFileError naming its path.
+    cache raises FetchError instead of touching the network; a download
+    waits at most 30 s on the server. A cached file that does not parse
+    raises BFileError naming its path.
     """
     oid = _normalize_id(id)
     directory = cache_dir(cache)
@@ -135,9 +139,12 @@ def fetch_bfile(
             raise BFileError(f"cached b-file {path} is malformed: {exc}") from None
     if offline:
         raise FetchError(f"offline mode and {oid} is not in the cache ({directory})")
+    import tempfile
+    import urllib.request
+
     url = f"https://oeis.org/{oid}/b{oid[1:]}.txt"
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
+        with urllib.request.urlopen(url, timeout=30) as response:
             if response.status != 200:
                 raise FetchError(f"GET {url} returned HTTP {response.status}")
             text = response.read().decode("utf-8")
@@ -167,26 +174,20 @@ class MatchReport:
     first_mismatch: tuple[int, int, int] | None  # (local index, local, remote)
 
 
-def compare(
-    local_terms: Sequence[int],
-    local_start: int,
-    remote: SequenceRecord,
-    shift: int,
-) -> MatchReport:
-    """Compare local index i against the remote term at index i + shift.
+def compare(local_terms: Sequence[int], remote: SequenceRecord, shift: int) -> MatchReport:
+    """Compare local index i, the list position, against the remote term at
+    index i + shift.
 
     Reports the overlap length and the first mismatch; an empty overlap is
     an error (there is nothing to compare).
     """
-    local_lo = local_start
-    local_hi = local_start + len(local_terms) - 1
-    lo = max(local_lo, remote.offset - shift)
-    hi = min(local_hi, remote.offset + len(remote.terms) - 1 - shift)
-    if len(local_terms) == 0 or lo > hi:
+    lo = max(0, remote.offset - shift)
+    hi = min(len(local_terms), remote.offset + len(remote.terms) - shift) - 1
+    if lo > hi:
         raise ValueError(f"empty overlap at shift {shift}")
     first = None
     for i in range(lo, hi + 1):
-        a = local_terms[i - local_lo]
+        a = local_terms[i]
         b = remote.terms[i + shift - remote.offset]
         if a != b:
             first = (i, a, b)
@@ -194,14 +195,12 @@ def compare(
     return MatchReport(shift, hi - lo + 1, first is None, first)
 
 
-def scan_shifts(
-    local_terms: Sequence[int], local_start: int, remote: SequenceRecord
-) -> list[MatchReport]:
+def scan_shifts(local_terms: Sequence[int], remote: SequenceRecord) -> list[MatchReport]:
     """Compare at every shift in the window [-5, 5], skipping empty overlaps."""
     reports = []
     for shift in range(-5, 6):
         try:
-            reports.append(compare(local_terms, local_start, remote, shift))
+            reports.append(compare(local_terms, remote, shift))
         except ValueError:
             continue
     return reports

@@ -406,7 +406,7 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
         add(_check("gamma nonzero-count equals floor((n+4)/3)",
                    _misses((n, (n + 4) // 3, polys[n].nonzero_count) for n in whole), rng))
         add(_check("gamma degree equals ceil(n/2)",
-                   _misses((n, (n + 1) // 2, polys[n].degree) for n in whole), rng))
+                   _misses((n, poly_degree(fam, n), polys[n].degree) for n in whole), rng))
         add(AuditEntry(
             "gamma degree convention",
             "INFO",
@@ -420,7 +420,8 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
             for n in whole[4:] if polys[n].nonzero_count != (n + 5) // 3
         ), f"[n=4..{n_max}]"))
         add(_check("omega degree equals floor(n/2)",
-                   _misses((n, n // 2, polys[n].degree) for n in whole[2:]), f"[n=2..{n_max}]"))
+                   _misses((n, poly_degree(fam, n), polys[n].degree) for n in whole[2:]),
+                   f"[n=2..{n_max}]"))
 
     # diagonal slices, oracle side from the recurrence polynomials; every
     # case split reads n as 3m-1, 3m or 3m+1 (n % 3 = 2, 0, 1)

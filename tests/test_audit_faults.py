@@ -203,6 +203,21 @@ def test_identity_audit_under_a_wrong_closed_form_coefficient(monkeypatch, famil
     assert lines == EXPECTED[("closed", 12, 2, family)]
 
 
+@pytest.mark.parametrize("family, entry, span", [
+    ("gamma", "gamma degree equals ceil(n/2)", "[n=0..30]"),
+    ("omega", "omega degree equals floor(n/2)", "[n=2..30]"),
+])
+def test_identity_audit_reads_the_degree_the_cli_uses(monkeypatch, family, entry, span):
+    clean_lines = [e.line() for e in identity_audit(family, 30)]
+    clean = polynomials.poly_degree
+    monkeypatch.setattr(polynomials, "poly_degree", lambda fam, n: clean(fam, n) + (n == 12))
+    lines = [e.line() for e in identity_audit(family, 30)]
+    (changed,) = [i for i, (a, b) in enumerate(zip(clean_lines, lines)) if a != b]
+    assert len(lines) == len(clean_lines)
+    assert clean_lines[changed] == f"PASS {entry}: {span}"
+    assert lines[changed] == f"FAIL {entry}: first failure at n=12: expected 7, got 6"
+
+
 def test_sequence_audit_under_a_wrong_padovan_closed_form(monkeypatch):
     clean = sequences.padovan_closed
     monkeypatch.setattr(sequences, "padovan_closed", lambda n: clean(n) + (n == 17))

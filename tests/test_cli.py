@@ -102,6 +102,29 @@ def test_seq_long_empty_and_negative_counts(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit"
+)
+def test_seq_prints_integers_past_the_digit_limit_and_restores_it(capsys):
+    # fib(3099) has 648 digits; 640 is the lowest limit Python accepts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run(capsys, "seq", "--name", "fibonacci", "--count", "3100")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    last = out.splitlines()[-1]
+    assert code == 0 and len(last) == 648 and int(last) == fib(3099)
+
+
+def test_commands_run_on_a_python_without_a_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0 to 3.10.6 have neither the limit nor its setter
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(capsys, "seq", "--name", "lucas", "--count", "3") == (0, "2\n1\n3\n", "")
+
+
 def test_graph_exports(capsys):
     code, out, _ = run(capsys, "graph", "--family", "gamma", "--n", "1", "--emit", "edgelist")
     assert code == 0 and out == "0 1\n"

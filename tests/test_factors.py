@@ -59,6 +59,24 @@ def test_enumerate_cubes_trivial_graph():
     assert levels == [[((0,), 1)]]
 
 
+def test_enumerate_cubes_stops_at_the_first_empty_level():
+    # a (k+1)-cube holds k-cubes, so every level past gamma 3's largest
+    # cube is empty without a 2**(k-1)-entry table per level up to k_max;
+    # those tables peak at 18 MB for k_max=16, which is checked before 40
+    g, stats, top = build_gamma(3), {}, {}
+    tracemalloc.start()
+    try:
+        assert len(enumerate_cubes(g, 16)) == 17
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    levels = enumerate_cubes(g, 40, stats=stats)
+    assert [len(level) for level in levels] == [5, 5, 1] + [0] * 38
+    assert levels[:3] == enumerate_cubes(g, 2, stats=top)
+    assert stats == top == {"joins": 6}
+
+
 def test_induced_cube_repr_eq_and_hash_read_its_two_fields():
     cube = InducedCube(2, (0, 1, 3, 6))
     assert repr(cube) == "InducedCube(dimension=2, vertices=(0, 1, 3, 6))"

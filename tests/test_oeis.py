@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
 import pytest
 
 from cubefactor.oeis import (
@@ -14,6 +20,8 @@ from cubefactor.oeis import (
     scan_shifts,
 )
 from cubefactor.sequences import fib, lucas_triangle_row, padovan
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def a000931_fixture(count: int = 140) -> list[int]:
@@ -54,6 +62,22 @@ def test_parse_gap_and_malformed_lines():
         parse_bfile("# nothing but comments\n")
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit"
+)
+def test_parse_bounds_a_field_at_4300_digits_with_the_limit_lifted():
+    assert parse_bfile("0 " + "9" * 4300 + "\n").terms == (10**4300 - 1,)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as while a CLI command runs
+    try:
+        assert parse_bfile("0 -" + "9" * 4300 + "\n").terms == (1 - 10**4300,)
+        for field in ("9" * 4301, "-" + "9" * 4301):
+            with pytest.raises(BFileError, match="line 1: non-integer field"):
+                parse_bfile(f"0 {field}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_parse_splits_only_on_newlines_and_ascii_blanks():
     # str.splitlines, str.strip and str.split would accept every one of these
     for text in ("0 5\x1c1 7\x852 9\n", "0 5\u20281 7\n", "0 5\r1 7\n", "0\u20035\n", "0 5\u3000\n"):
@@ -69,15 +93,15 @@ def test_render_parse_round_trip():
 
 def test_compare_identity_and_empty_overlap():
     record = SequenceRecord(None, 0, tuple(fib(n) for n in range(30)))
-    report = compare([fib(n) for n in range(30)], 0, record, 0)
+    report = compare([fib(n) for n in range(30)], record, 0)
     assert report.matched and report.overlap == 30
     with pytest.raises(ValueError):
-        compare([1, 2, 3], 0, record, 100)
+        compare([1, 2, 3], record, 100)
 
 
 def test_compare_reports_first_mismatch():
     record = SequenceRecord(None, 0, (1, 2, 3, 5, 8))
-    report = compare([1, 2, 4, 5], 0, record, 0)
+    report = compare([1, 2, 4, 5], record, 0)
     assert not report.matched
     assert report.first_mismatch == (2, 4, 3)
 
@@ -87,21 +111,23 @@ def test_compare_overlap_symmetric_under_shift_negation():
     b = [fib(n) for n in range(18)]
     record_a = SequenceRecord(None, 0, tuple(a))
     record_b = SequenceRecord(None, 4, tuple(b))
+    # b's list position p stands for index p + 4 on its side, so the
+    # mirrored shift -shift reads 4 - shift from list positions
     for shift in range(-6, 7):
         try:
-            forward = compare(a, 0, record_b, shift)
+            forward = compare(a, record_b, shift)
         except ValueError:
             with pytest.raises(ValueError):
-                compare(b, 4, record_a, -shift)
+                compare(b, record_a, 4 - shift)
             continue
-        backward = compare(b, 4, record_a, -shift)
+        backward = compare(b, record_a, 4 - shift)
         assert forward.overlap == backward.overlap
 
 
 def test_padovan_shift_scan_discovers_the_offset():
     record = SequenceRecord("A000931", 0, tuple(a000931_fixture()))
     local = [padovan(n) for n in range(120)]
-    reports = scan_shifts(local, 0, record)
+    reports = scan_shifts(local, record)
     best = best_match(reports)
     assert best is not None
     assert best.shift == 5
@@ -117,7 +143,7 @@ def test_lucas_triangle_rows_match_the_tabulated_bfile_head():
         flattened.extend(lucas_triangle_row(n))
         n += 1
     record = SequenceRecord("A029635", 0, tuple(A029635_HEAD))
-    report = compare(flattened[: len(A029635_HEAD)], 0, record, 0)
+    report = compare(flattened[: len(A029635_HEAD)], record, 0)
     assert report.matched and report.overlap == len(A029635_HEAD)
 
 
@@ -161,3 +187,78 @@ def test_cache_env_variable_is_honoured(tmp_path, monkeypatch):
     (tmp_path / "A000032.txt").write_text("0 2\n1 1\n2 3\n", encoding="utf-8")
     record = fetch_bfile("A000032", offline=True)
     assert record.terms == (2, 1, 3)
+
+
+def test_importing_the_cli_loads_no_http_client():
+    # -S keeps site-packages, and whatever they import, out of the process
+    code = "import sys, cubefactor.cli; print(*sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "cubefactor.oeis" in loaded
+    assert not loaded & {"urllib.request", "http.client", "tempfile"}
+
+
+class FakeResponse:
+    def __init__(self, body: bytes, status: int = 200):
+        self.body, self.status = body, status
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self) -> bytes:
+        return self.body
+
+
+def serve(monkeypatch, outcome):
+    """Patch urlopen to return or raise ``outcome``; returns its calls."""
+    calls = []
+
+    def urlopen(url, timeout):
+        calls.append((url, timeout))
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return calls
+
+
+URL = "https://oeis.org/A000045/b000045.txt"
+
+
+def test_fetch_downloads_validates_and_caches_atomically(tmp_path, monkeypatch):
+    calls = serve(monkeypatch, FakeResponse(b"# A000045\n0 0\n1 1\n2 1\n"))
+    record = fetch_bfile("45", cache=tmp_path)
+    assert record == SequenceRecord("A000045", 0, (0, 1, 1))
+    assert calls == [(URL, 30)]
+    assert [p.name for p in tmp_path.iterdir()] == ["A000045.txt"]  # no temp file left
+    assert fetch_bfile("A000045", offline=True, cache=tmp_path) == record
+    assert len(calls) == 1
+
+
+def test_fetch_names_a_non_200_status(tmp_path, monkeypatch):
+    serve(monkeypatch, FakeResponse(b"0 0\n", status=404))
+    with pytest.raises(FetchError, match=f"GET {URL} returned HTTP 404"):
+        fetch_bfile("A000045", cache=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_names_the_url_when_the_request_fails(tmp_path, monkeypatch):
+    failure = OSError("connection refused")
+    serve(monkeypatch, failure)
+    with pytest.raises(FetchError, match=f"GET {URL} failed: connection refused") as caught:
+        fetch_bfile("A000045", cache=tmp_path)
+    assert caught.value.__cause__ is failure
+
+
+def test_fetch_caches_no_malformed_download(tmp_path, monkeypatch):
+    serve(monkeypatch, FakeResponse(b"0 0\n2 1\n"))
+    with pytest.raises(BFileError, match="gap"):
+        fetch_bfile("A000045", cache=tmp_path)
+    assert list(tmp_path.iterdir()) == []

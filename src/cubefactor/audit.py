@@ -43,11 +43,7 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
         ),
         _check(
             "lucas-triangle recurrence rows equal the additive formula",
-            (
-                n
-                for n, row in enumerate(rows)
-                if row != [sequences.lucas_triangle(n, k) for k in range(n + 1)]
-            ),
+            (n for n, row in enumerate(rows) if row != sequences.lucas_triangle_additive_row(n)),
             f"[n=0..{max_n}]",
             at="row ",
         ),

@@ -118,7 +118,7 @@ def _poly_coeffs(family: str, n: int, method: str) -> polynomials.CubeFactorPoly
         return polynomials.qpoly_rec(fam, n)
     if method == "closed":
         degree = polynomials.poly_degree(fam, n)
-        coeffs = tuple(polynomials.q_closed(fam, n, k) for k in range(degree + 1))
+        coeffs = tuple(polynomials.q_closed_row(fam, n, degree + 1))
         return polynomials.CubeFactorPolynomial(fam, n, coeffs)
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")

@@ -40,7 +40,10 @@ _ID_PATTERN = re.compile(r"A?([0-9]{1,6})")
 # would also take "1_0", "+5", " 5" and non-ASCII digits. The 4300 digits
 # are Python's default int parsing limit, which the CLI lifts to print; they
 # keep a b-file's parse cost linear in its size either way.
-_INT_PATTERN = re.compile(r"-?[0-9]{1,4300}")
+_INT = r"-?[0-9]{1,4300}"
+_INT_PATTERN = re.compile(_INT)
+# a b-file data line, stripped: two such integers separated by spaces and tabs
+_LINE_PATTERN = re.compile(rf"({_INT})[ \t]+({_INT})")
 
 
 class BFileError(ValueError):
@@ -72,13 +75,14 @@ def parse_bfile(text: str, id: str | None = None) -> SequenceRecord:
         line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
-        fields = re.split("[ \t]+", line)
-        if len(fields) != 2:
+        match = _LINE_PATTERN.fullmatch(line)
+        # only a line that fails the pattern is split, to tell its two faults apart
+        if match is None and len(re.split("[ \t]+", line)) != 2:
             raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
-            if not all(_INT_PATTERN.fullmatch(f) for f in fields):
+            if match is None:
                 raise ValueError
-            index, value = int(fields[0]), int(fields[1])  # can still hit a lowered limit
+            index, value = int(match[1]), int(match[2])  # can still hit a lowered limit
         except ValueError:
             raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from None
         if offset is None:

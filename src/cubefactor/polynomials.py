@@ -6,7 +6,8 @@ routes compute the same coefficients:
 
 * ``qpoly_rec``  -- the base cases plus the recurrence
                     Q(n, x) = x * Q(n-2, x) + Q(n-3, x);
-* ``q_closed``   -- binomial / Lucas-triangle closed forms;
+* ``q_closed_row`` -- binomial / Lucas-triangle closed forms, a row at a
+                    time (``q_closed`` reads one entry of a row);
 * ``gf_series``  -- truncated expansion of the rational generating function
                     in y, with polynomial-in-x coefficients.
 
@@ -15,6 +16,15 @@ Every generating function here -- the two families' and Padovan's
 ``_expand_rational``, with its own numerator over 1 - x*y^2 - y^3. The
 expander shares no loop with the recurrence (only ``_strip`` and
 ``_family``), so the audit's comparison of the two routes means something.
+
+The closed form is written once, in ``q_closed_row``. Each of its terms is
+a line of binomials C(m+i, j+3i) over one residue of k mod 3: the line
+starts from one ``binom_ext`` (a ``math.comb``) and steps to the next term
+by the exact ratio C(m+1, j+3) / C(m, j), which turns 0 past the line's
+support and stays there. A row costs one ``math.comb`` per line and a few
+small-integer products per coefficient. The walk runs along the binomial
+lines and never reads a coefficient row, so it stays independent of the
+recurrence Q(n) = x*Q(n-2) + Q(n-3) it is audited against.
 
 The recurrence and the series are streamed (``qpoly_rows``, ``gf_terms``):
 one forward pass holds only the three rows or terms it reads, and nothing
@@ -46,7 +56,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .oeis import _INT_PATTERN
-from .sequences import _terms, binom_ext, binom_ext_div3
+from .sequences import _terms, binom_ext
 
 __all__ = [
     "Family",
@@ -55,6 +65,7 @@ __all__ = [
     "AuditEntry",
     "qpoly_rows",
     "qpoly_rec",
+    "q_closed_row",
     "q_closed",
     "gf_terms",
     "gf_series",
@@ -164,8 +175,18 @@ def _y_ext(m: int, k: int) -> int:
     return binom_ext(m, k) + binom_ext(m - 1, k - 1)
 
 
-def q_closed(family: Family | str, n: int, k: int) -> int:
-    """Coefficient q_k by the closed form, independent of the recurrence.
+# each closed-form term as lines C((n+k+s)/3 + d, k + e) over k = k0, k0+3, ...,
+# one (s, d, e) per binomial: k0 is the residue of k mod 3 that makes the
+# upper index an integer; the Lucas-triangle term Y(m, k) is two lines
+_LINES: dict[Family, tuple[tuple[int, int, int], ...]] = {
+    Family.GAMMA: ((0, 0, 0), (1, 0, 0)),
+    Family.OMEGA: ((1, -1, 0), (0, -1, -1), (-1, 0, 0), (-1, -1, -1)),
+}
+
+
+def q_closed_row(family: Family | str, n: int, count: int) -> list[int]:
+    """Coefficients q_0 .. q_{count-1} by the closed form, independent of the
+    recurrence; past the degree they are 0.
 
     gamma (n >= 0):  C((n+k)/3, k) + C((n+k+1)/3, k), a term vanishing
     whenever 3 does not divide its numerator.
@@ -174,24 +195,38 @@ def q_closed(family: Family | str, n: int, k: int) -> int:
     + Y((n+k-1)/3, k), with the same vanishing rule; exactly one term can
     survive. The formula is not valid below n = 2 (it would give 2 instead
     of 0 for q_0 at n = 1), so n < 2 delegates to the recurrence.
+
+    Every term is a line C(m+i, j+3i), i = 0, 1, ..., over one residue of k
+    mod 3. A line starts from one ``binom_ext`` at its first lower index
+    j >= 0 and steps by the exact ratio
+    C(m+1, j+3) = C(m, j) * (m+1)(m-j)(m-j-1) / ((j+1)(j+2)(j+3)),
+    which reaches 0 past the support and keeps it there.
     """
     fam = _family(family)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if k < 0:
-        return 0
-    if fam is Family.GAMMA:
-        return binom_ext_div3(n + k, k) + binom_ext_div3(n + k + 1, k)
-    if n < 2:
-        return qpoly_rec(fam, n).coefficient(k)
-    total = 0
-    if (n + k + 1) % 3 == 0:
-        total += binom_ext((n + k + 1) // 3 - 1, k)
-    if (n + k) % 3 == 0:
-        total += binom_ext((n + k) // 3 - 1, k - 1)
-    if (n + k - 1) % 3 == 0:
-        total += _y_ext((n + k - 1) // 3, k)
-    return total
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if fam is Family.OMEGA and n < 2:
+        return [qpoly_rec(fam, n).coefficient(k) for k in range(count)]
+    row = [0] * count
+    for s, d, e in _LINES[fam]:
+        k0 = (-n - s) % 3
+        if k0 + e < 0:
+            k0 += 3
+        m, j = (n + k0 + s) // 3 + d, k0 + e
+        c = binom_ext(m, j)
+        for k in range(k0, count, 3):
+            row[k] += c
+            c = c * (m + 1) * (m - j) * (m - j - 1) // ((j + 1) * (j + 2) * (j + 3))
+            m, j = m + 1, j + 3
+    return row
+
+
+def q_closed(family: Family | str, n: int, k: int) -> int:
+    """Coefficient q_k by the closed form: entry k of :func:`q_closed_row`."""
+    row = q_closed_row(family, n, max(k + 1, 0))  # checks family and n at every k
+    return row[k] if k >= 0 else 0
 
 
 def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:
@@ -391,9 +426,10 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
                    _misses((n, lucas[n], eval_at(polys[n], 2)) for n in whole[2:]),
                    f"[n=2..{n_max}]"))
     lo = 0 if fam is Family.GAMMA else 2
+    closed = [q_closed_row(fam, n, polys[n].degree + 2) for n in whole]
     add(_check(f"{f} closed-form coefficients equal recurrence", _misses(
-        (n, polys[n].coefficient(k), q_closed(fam, n, k))
-        for n in whole[lo:] for k in range(polys[n].degree + 2)
+        (n, polys[n].coefficient(k), value)
+        for n in whole[lo:] for k, value in enumerate(closed[n])
     ), f"[n={lo}..{n_max}, all k]"))
     series = gf_series(fam, n_max)
     add(_check(f"{f} series-expansion terms equal recurrence",
@@ -461,8 +497,8 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
         ))
         # the same split on n+k, read off the closed form
         add(_check("gamma two-term closed form follows the C(m,k) case split", _misses(
-            (n, binom_ext((n + k + 1) // 3, k) if (n + k) % 3 != 1 else 0, q_closed(fam, n, k))
-            for n in whole for k in range(polys[n].degree + 2)
+            (n, binom_ext((n + k + 1) // 3, k) if (n + k) % 3 != 1 else 0, value)
+            for n in whole for k, value in enumerate(closed[n])
         ), rng))
         return entries
 

@@ -8,7 +8,9 @@ exact at every index exercised by the test suite (up to n = 500).
 Nothing is memoised. The three sequences and the triangle's rows are
 streamed, each by one forward pass that holds only the terms or the row
 its recurrence reads; a single term is read from its stream, computed from
-index 0 on every call.
+index 0 on every call. The binomial row C(n, 0..n) is built the same way,
+by the multiplicative step C(n, k+1) = C(n, k) * (n-k) / (k+1), and a single
+Lucas-triangle entry by formula is read from its row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import count, islice
 from math import comb
+from operator import add
 from typing import Iterator
 
 __all__ = [
@@ -25,7 +28,9 @@ __all__ = [
     "padovan_closed",
     "binom_ext",
     "binom_ext_div3",
+    "binomial_row",
     "lucas_triangle",
+    "lucas_triangle_additive_row",
     "lucas_triangle_rows",
     "lucas_triangle_row",
 ]
@@ -110,8 +115,28 @@ def binom_ext_div3(numerator: int, k: int) -> int:
     return binom_ext(numerator // 3, k)
 
 
+def binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n), each from the last by C(n, k+1) = C(n, k) * (n-k) / (k+1)."""
+    _check_index(n)
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
+def lucas_triangle_additive_row(n: int) -> list[int]:
+    """Row n of the Lucas triangle by the additive formula C(n,k) + C(n-1,k-1).
+
+    The second term's row is C(n-1, k-1) for k = 0..n: 0 then row n-1, or at
+    the apex the single C(-1,-1) = 1, which makes Y(0,0) = 2.
+    """
+    _check_index(n)
+    shifted = [binom_ext(-1, -1)] if n == 0 else [0, *binomial_row(n - 1)]
+    return list(map(add, binomial_row(n), shifted))
+
+
 def lucas_triangle(n: int, k: int) -> int:
-    """Entry Y(n, k) of the Lucas triangle, via C(n,k) + C(n-1,k-1).
+    """Entry Y(n, k) of the Lucas triangle, read from :func:`lucas_triangle_additive_row`.
 
     Rows start 2 / 1 2 / 1 3 2 / ...; the apex Y(0,0) = 2 comes from the
     C(-1,-1) = 1 convention. Rejects k outside [0, n].
@@ -119,7 +144,7 @@ def lucas_triangle(n: int, k: int) -> int:
     _check_index(n)
     if k < 0 or k > n:
         raise ValueError(f"k must lie in [0, {n}], got {k}")
-    return binom_ext(n, k) + binom_ext(n - 1, k - 1)
+    return lucas_triangle_additive_row(n)[k]
 
 
 def lucas_triangle_rows() -> Iterator[list[int]]:
@@ -128,7 +153,8 @@ def lucas_triangle_rows() -> Iterator[list[int]]:
     Interior entries satisfy Y(n,k) = Y(n-1,k-1) + Y(n-1,k); the boundary
     columns are seeds (the Pascal step alone would give row 1 = [2, 2]
     instead of [1, 2]). The second, independent route next to
-    :func:`lucas_triangle`; each row handed out is a fresh list it no longer reads.
+    :func:`lucas_triangle_additive_row`; each row handed out is a fresh list
+    it no longer reads.
     """
     row = [2]
     for m in count(1):

@@ -5,6 +5,9 @@ the computed side of each check and pin every line the audits print: a
 recurrence coefficient on a row of each residue of n mod 3 (plus n=6, below
 the omega nonzero-count's known first failure), one closed-form
 coefficient, one Padovan closed-form term and one Lucas-triangle entry.
+The closed-form and Lucas-triangle faults go into one entry of the row
+functions the audits read, ``q_closed_row`` and
+``lucas_triangle_additive_row``.
 Faults enter through module attributes the audits look up at call time.
 """
 
@@ -195,10 +198,12 @@ def test_identity_audit_under_a_bumped_recurrence_coefficient(monkeypatch, famil
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])
 def test_identity_audit_under_a_wrong_closed_form_coefficient(monkeypatch, family):
-    clean = polynomials.q_closed
-    monkeypatch.setattr(
-        polynomials, "q_closed", lambda fam, n, k: clean(fam, n, k) + ((n, k) == (12, 2))
-    )
+    clean = polynomials.q_closed_row
+
+    def bumped(fam, n, count):
+        return [c + ((n, k) == (12, 2)) for k, c in enumerate(clean(fam, n, count))]
+
+    monkeypatch.setattr(polynomials, "q_closed_row", bumped)
     lines = [e.line() for e in identity_audit(family, 30)]
     assert lines == EXPECTED[("closed", 12, 2, family)]
 
@@ -226,9 +231,11 @@ def test_sequence_audit_under_a_wrong_padovan_closed_form(monkeypatch):
 
 
 def test_sequence_audit_under_a_wrong_lucas_triangle_entry(monkeypatch):
-    clean = sequences.lucas_triangle
-    monkeypatch.setattr(
-        sequences, "lucas_triangle", lambda n, k: clean(n, k) + ((n, k) == (12, 5))
-    )
+    clean = sequences.lucas_triangle_additive_row
+
+    def bumped(n):
+        return [c + ((n, k) == (12, 5)) for k, c in enumerate(clean(n))]
+
+    monkeypatch.setattr(sequences, "lucas_triangle_additive_row", bumped)
     lines = [e.line() for e in audit.sequence_audit(30)]
     assert lines == EXPECTED[("lucas_triangle", 12, 5)]

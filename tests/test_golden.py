@@ -19,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("verify_all_max8_offline.txt", ["verify", "--suite", "all", "--max-n", "8", "--offline"], 1),
     ("verify_identities_max8.txt", ["verify", "--suite", "identities", "--max-n", "8"], 1),
+    ("verify_identities_max300.txt", ["verify", "--suite", "identities", "--max-n", "300"], 1),
     ("verify_oracle_max16.txt", ["verify", "--suite", "oracle", "--max-n", "16"], 0),
 ] + [
     (

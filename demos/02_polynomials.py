@@ -10,7 +10,7 @@ from cubefactor import (
     lucas,
     padovan,
     poly_to_json,
-    q_closed,
+    q_closed_row,
     qpoly_rec,
 )
 
@@ -31,11 +31,8 @@ for family in Family:
     for n in range(41):
         poly = qpoly_rec(family, n)
         assert series[n] == poly.coeffs
-        if n >= lo:
-            assert all(
-                q_closed(family, n, k) == poly.coefficient(k)
-                for k in range(poly.degree + 1)
-            )
+        if n >= lo:  # one closed-form row per n
+            assert q_closed_row(family, n, poly.degree + 1) == list(poly.coeffs)
 print("\nthree routes agree for n <= 40, both families")
 
 # The evaluations tie the polynomials back to the sequences: the total

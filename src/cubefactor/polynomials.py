@@ -39,11 +39,19 @@ coefficient at a time in Python. Each route writes its own step,
 prediction and returns a list of PASS / FAIL / INFO ``AuditEntry`` values,
 the shape every suite in ``audit`` returns; predictions are never used as
 the computation path, so a wrong prediction shows up as an entry instead
-of poisoning the numbers. Every check over a range of indices,
-here and in ``audit``, builds its PASS / FAIL entry with one helper,
-``_check``, which reads a lazy stream of failures and names the first;
-the audit reads the Fibonacci, Lucas and Padovan numbers from one stream
-each.
+of poisoning the numbers. Its coefficient checks run a row at a time. The
+diagonal slices are read by plain indexing off the recurrence rows, each
+zero-padded once to n_max + 1 entries. Each prediction is one row per n:
+a ``sequences.binomial_row``, a ``sequences.lucas_triangle_additive_row``
+(the Lucas-triangle entries Y(m, k) of the omega case splits), a prefix of
+a diagonal C(m+k, k) built by its multiplicative step, or one ``math.comb``
+per entry. No prediction reads ``q_closed_row``, ``qpoly_rows`` or
+``_expand_rational``, so the routes stay independent. Rows are compared
+with ``==``, and k is walked only inside a row that differs, to name its
+first differing entry. Every check over a range of indices, here and in
+``audit``, builds its PASS / FAIL entry with one helper, ``_check``, which
+reads a lazy stream of failures and names the first; the audit reads the
+Fibonacci, Lucas and Padovan numbers from one stream each.
 """
 
 from __future__ import annotations
@@ -51,12 +59,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice
+from itertools import count, islice, zip_longest
+from math import comb
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .oeis import _INT_PATTERN
-from .sequences import _terms, binom_ext
+from .sequences import _terms, binom_ext, binomial_row, lucas_triangle_additive_row
 
 __all__ = [
     "Family",
@@ -168,11 +177,6 @@ def poly_degree(family: Family | str, n: int) -> int:
     if fam is Family.GAMMA:
         return (n + 1) // 2
     return 1 if n == 1 else n // 2
-
-
-def _y_ext(m: int, k: int) -> int:
-    # Lucas triangle entry extended by 0 outside 0 <= k <= m
-    return binom_ext(m, k) + binom_ext(m - 1, k - 1)
 
 
 # each closed-form term as lines C((n+k+s)/3 + d, k + e) over k = k0, k0+3, ...,
@@ -326,14 +330,24 @@ def antidiagonal_profile(family: Family | str, n: int, cap: int = 10) -> Diagona
         raise ValueError(f"n must be non-negative, got {n}")
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
-    return _profile(list(islice(qpoly_rows(fam), n + 2 * cap + 1)), n, cap)
+    rows = _padded(islice(qpoly_rows(fam), n + 2 * cap + 1), max(n, cap) + 1)
+    anti, shifted, skew = map(tuple, _slices(rows, n, cap))
+    return DiagonalProfile(fam, n, anti, sum(anti), shifted, skew, sum(skew))
 
 
-def _profile(polys: Sequence[CubeFactorPolynomial], n: int, cap: int) -> DiagonalProfile:
-    anti = tuple(polys[n - k].coefficient(k) for k in range(n + 1))
-    shifted = tuple(polys[n + 2 * k].coefficient(k) for k in range(cap + 1))
-    skew = tuple(polys[n - 4 * k].coefficient(k) for k in range(n // 4 + 1))
-    return DiagonalProfile(polys[n].family, n, anti, sum(anti), shifted, skew, sum(skew))
+def _padded(polys: Iterable[CubeFactorPolynomial], width: int) -> list[list[int]]:
+    # coefficient rows zero-padded to at least ``width`` entries
+    return [list(p.coeffs) + [0] * (width - len(p.coeffs)) for p in polys]
+
+
+def _slices(rows: Sequence[Sequence[int]], n: int, cap: int) -> tuple[list[int], ...]:
+    # q_k(n-k) for k <= n, q_k(n+2k) for k <= cap and q_k(n-4k) for 4k <= n,
+    # off rows padded past max(n, cap)
+    return (
+        [rows[n - k][k] for k in range(n + 1)],
+        [rows[n + 2 * k][k] for k in range(cap + 1)],
+        [rows[n - 4 * k][k] for k in range(n // 4 + 1)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +366,23 @@ def poly_to_json(poly: CubeFactorPolynomial) -> str:
 
 
 def poly_from_json(text: str) -> CubeFactorPolynomial:
-    """Parse poly_to_json text; malformed input raises ValueError."""
+    """Parse poly_to_json text; malformed input raises ValueError.
+
+    Only what poly_to_json writes parses: n >= 0, and coefficients that are
+    non-empty and stripped, with no trailing 0 past the constant term.
+    """
     data = json.loads(text)
     if not (
         isinstance(data, dict)
         and isinstance(data.get("family"), str)
         and type(data.get("n")) is int  # not bool: JSON true/false decode to bools
+        and data["n"] >= 0
         and isinstance(data.get("coeffs"), list)
         and all(
             type(c) is int or type(c) is str and _INT_PATTERN.fullmatch(c) for c in data["coeffs"]
         )
+        and data["coeffs"]
+        and (len(data["coeffs"]) == 1 or int(data["coeffs"][-1]) != 0)
     ):
         raise ValueError("malformed polynomial: expected an object with family, n and coeffs")
     return CubeFactorPolynomial(
@@ -397,12 +418,44 @@ def _misses(triples: Iterable[tuple[int, object, object]]) -> Iterator[str]:
     return (f"{n}: expected {e}, got {a}" for n, e, a in triples if e != a)
 
 
+def _first_difference(
+    expected: Sequence[int], actual: Sequence[int]
+) -> tuple[int, object, object] | None:
+    """Index and entries where two rows first differ, None when they agree;
+    a row that ends early reads None past its end, so no tail is dropped."""
+    if expected == actual:
+        return None
+    pairs = enumerate(zip_longest(expected, actual))
+    return next(((k, e, a) for k, (e, a) in pairs if e != a), None)
+
+
+def _row_misses(rows: Iterable[tuple[int, Sequence[int], Sequence[int]]]) -> Iterator[str]:
+    # (n, expected row, actual row) triples -> one failure per row that
+    # differs, at its first differing entry
+    for n, expected, actual in rows:
+        first = _first_difference(expected, actual)
+        if first is not None:
+            yield f"{n}: expected {first[1]}, got {first[2]}"
+
+
+def _diagonal(m: int, count: int) -> list[int]:
+    # C(m+k, k) for k < count, by C(m+k+1, k+1) = C(m+k, k) * (m+k+1) / (k+1);
+    # all 0 for m < 0, where binom_ext is 0 on the whole diagonal
+    row = [int(m >= 0)]
+    for k in range(count - 1):
+        row.append(row[-1] * (m + k + 1) // (k + 1))
+    return row[:count]
+
+
 def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
     """Audit every polynomial identity and case-split prediction up to n_max.
 
     Each entry is PASS/FAIL with the first failing index, or INFO for the
     documented prediction discrepancies (which are reported with the
-    empirically matching reading instead of gating the result).
+    empirically matching reading instead of gating the result). Checks over
+    coefficients compare a whole row per n and walk k only in a row that
+    differs; every prediction row is built from binomial rows, binomial
+    diagonals or ``math.comb``, never from another polynomial route.
     """
     fam = _family(family)
     if n_max < 5:
@@ -427,9 +480,8 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
                    f"[n=2..{n_max}]"))
     lo = 0 if fam is Family.GAMMA else 2
     closed = [q_closed_row(fam, n, polys[n].degree + 2) for n in whole]
-    add(_check(f"{f} closed-form coefficients equal recurrence", _misses(
-        (n, polys[n].coefficient(k), value)
-        for n in whole[lo:] for k, value in enumerate(closed[n])
+    add(_check(f"{f} closed-form coefficients equal recurrence", _row_misses(
+        (n, [*polys[n].coeffs, 0], closed[n]) for n in whole[lo:]
     ), f"[n={lo}..{n_max}, all k]"))
     series = gf_series(fam, n_max)
     add(_check(f"{f} series-expansion terms equal recurrence",
@@ -459,32 +511,39 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
                    _misses((n, poly_degree(fam, n), polys[n].degree) for n in whole[2:]),
                    f"[n=2..{n_max}]"))
 
-    # diagonal slices, oracle side from the recurrence polynomials; every
-    # case split reads n as 3m-1, 3m or 3m+1 (n % 3 = 2, 0, 1)
-    profiles = [_profile(polys, n, (n_max - n) // 2) for n in whole]
+    # diagonal slices, oracle side read off the recurrence rows zero-padded
+    # past n_max, so every slice is plain indexing; every case split reads n
+    # as 3m-1, 3m or 3m+1 (n % 3 = 2, 0, 1)
+    rows = _padded(polys, n_max + 1)
+    anti, shifted, skew = zip(*(_slices(rows, n, (n_max - n) // 2) for n in whole))
     split = [(n, (n + 1) // 3) for n in whole]
+    # C(m+k, k) for k <= n_max/2, the longest shifted slice, once per m (and
+    # the all-zero m = -1); each shifted prediction is a prefix of these
+    diagonals = {m: _diagonal(m, n_max // 2 + 1) for m in range(-1, split[-1][1] + 1)}
 
     if fam is Family.GAMMA:
         # every slice vanishes on n = 3m+1
         add(_check("gamma anti-diagonal sum equals 2^m on n=3m-1,3m else 0", _misses(
-            (n, 2**m if n % 3 != 1 else 0, profiles[n].anti_sum) for n, m in split
+            (n, 2**m if n % 3 != 1 else 0, sum(anti[n])) for n, m in split
         ), rng))
-        add(_check("gamma anti-diagonal per-k values follow the C(m,k) case split", _misses(
-            (n, binom_ext(m, k) if n % 3 != 1 else 0, value)
-            for n, m in split for k, value in enumerate(profiles[n].anti_terms)
+        add(_check("gamma anti-diagonal per-k values follow the C(m,k) case split", _row_misses(
+            (n, binomial_row(m) + [0] * (n - m) if n % 3 != 1 else [0] * (n + 1), anti[n])
+            for n, m in split
         ), rng))
         add(_check(
-            "gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0", _misses(
-                (n, binom_ext(m + k, k) if n % 3 != 1 else 0, value)
-                for n, m in split for k, value in enumerate(profiles[n].shifted_terms)
+            "gamma shifted-index values q_k(n+2k) equal C(m+k,k) on n=3m-1,3m else 0", _row_misses(
+                (n, diagonals[m if n % 3 != 1 else -1][:len(shifted[n])], shifted[n])
+                for n, m in split
             ), rng))
 
         # skew sums: scan fibonacci index shifts, report the ones that match;
         # a negative predicted index counts as a mismatch for that shift
+        skew_sums = [sum(terms) for terms in skew]
+
         def skew_matches(n: int, m: int, shift: int) -> bool:
             if n % 3 == 1:
-                return profiles[n].skew_sum == 0
-            return m + shift >= 0 and profiles[n].skew_sum == fib[m + shift]
+                return skew_sums[n] == 0
+            return m + shift >= 0 and skew_sums[n] == fib[m + shift]
 
         matching_shifts = [
             shift for shift in range(-2, 4) if all(skew_matches(n, m, shift) for n, m in split)
@@ -496,51 +555,54 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
             f"(observed fib(m+1)) {rng}",
         ))
         # the same split on n+k, read off the closed form
-        add(_check("gamma two-term closed form follows the C(m,k) case split", _misses(
-            (n, binom_ext((n + k + 1) // 3, k) if (n + k) % 3 != 1 else 0, value)
-            for n in whole for k, value in enumerate(closed[n])
+        add(_check("gamma two-term closed form follows the C(m,k) case split", _row_misses(
+            (n, [comb((n + k + 1) // 3, k) if (n + k) % 3 != 1 else 0
+                 for k in range(len(closed[n]))], closed[n])
+            for n in whole
         ), rng))
         return entries
 
     # omega
     add(_check("omega anti-diagonal sum follows the 2^(m-1) / 3*2^(m-1) case split", _misses(
-        (n, 2 ** (m - 1) * (3 if n % 3 == 1 else 1), profiles[n].anti_sum) for n, m in split[3:]
+        (n, 2 ** (m - 1) * (3 if n % 3 == 1 else 1), sum(anti[n])) for n, m in split[3:]
     ), f"[n=3..{n_max}]"))
 
-    def anti_term(n: int, m: int, k: int) -> int:
-        # the per-k case split restates the closed form
+    def anti_row(n: int, m: int) -> list[int]:
+        # the per-k case split restates the closed form: Y(m, k) on n = 3m+1,
+        # else C(m-1, k) or, on n = 3m, C(m-1, k-1); zero-padded to k = n
         if n % 3 == 1:
-            return _y_ext(m, k)
-        return binom_ext(m - 1, k if n % 3 == 2 else k - 1)
+            row = lucas_triangle_additive_row(m)
+        else:
+            row = [0] * (n % 3 == 0) + binomial_row(m - 1)
+        return row + [0] * (n + 1 - len(row))
 
-    # valid for inner index n-k >= 2 and k >= 2
-    add(_check("omega anti-diagonal per-k values follow the closed-form case split", _misses(
-        (n, anti_term(n, m, k), profiles[n].anti_terms[k])
-        for n, m in split for k in range(2, n - 1)
+    # valid for inner index n-k >= 2 and k >= 2, which leaves n < 4 empty
+    add(_check("omega anti-diagonal per-k values follow the closed-form case split", _row_misses(
+        (n, anti_row(n, m)[2:n - 1], anti[n][2:n - 1]) for n, m in split[4:]
     ), f"[n=0..{n_max}, k>=2, n-k>=2]"))
 
-    # shifted-index prediction: audit the printed reading against the
-    # substituted one and report which matches
-    def readings() -> Iterator[tuple[int, int, int, int, int]]:
-        for n, m in split:
-            for k, value in enumerate(profiles[n].shifted_terms):
-                if n == 1 or k == 0:
-                    continue
-                if n % 3 == 1:
-                    printed = substituted = _y_ext(m + k, k)
-                elif n % 3 == 2:
-                    printed, substituted = binom_ext(m + k, k), binom_ext(m + k - 1, k)
-                else:
-                    printed, substituted = binom_ext(m + k - 1, k), binom_ext(m + k - 1, k - 1)
-                yield n, k, printed, substituted, value
-
-    printed_miss = next((
-        f" (first miss n={n}, k={k}: predicted {p}, got {v})"
-        for n, k, p, _, v in readings() if p != v
-    ), "")
-    substituted_miss = next(
-        (f" (first miss n={n}, k={k})" for n, k, _, sub, v in readings() if sub != v), ""
-    )
+    # shifted-index prediction for k >= 1: audit the printed reading against
+    # the substituted one in one pass and report which matches
+    printed_miss = substituted_miss = ""
+    for n, m in split:
+        values = shifted[n][1:]
+        if n == 1 or not values:
+            continue
+        # C(m+k, k) and C(m-1+k, k) for k = 0..cap
+        diagonal, below = diagonals[m][:len(values) + 1], diagonals[m - 1][:len(values) + 1]
+        if n % 3 == 1:
+            printed = substituted = [diagonal[k] + diagonal[k - 1] for k in range(1, len(diagonal))]
+        elif n % 3 == 2:
+            printed, substituted = diagonal[1:], below[1:]
+        else:
+            printed, substituted = below[1:], diagonal[:-1]
+        miss = None if printed_miss else _first_difference(printed, values)
+        if miss is not None:
+            k, p, v = miss
+            printed_miss = f" (first miss n={n}, k={k + 1}: predicted {p}, got {v})"
+        miss = None if substituted_miss else _first_difference(substituted, values)
+        if miss is not None:
+            substituted_miss = f" (first miss n={n}, k={miss[0] + 1})"
     add(AuditEntry(
         "omega shifted-index values q_k(n+2k), dual reading",
         "INFO",
@@ -548,6 +610,6 @@ def identity_audit(family: Family | str, n_max: int) -> list[AuditEntry]:
         f"substituted reading matches: {not substituted_miss}{substituted_miss}",
     ))
     add(_check("omega skew-diagonal sum follows the fib/lucas case split", _misses(
-        (n, (fib[m - 1], lucas[m], fib[m])[n % 3], profiles[n].skew_sum) for n, m in split[6:]
+        (n, (fib[m - 1], lucas[m], fib[m])[n % 3], sum(skew[n])) for n, m in split[6:]
     ), f"[n=6..{n_max}]"))
     return entries

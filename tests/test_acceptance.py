@@ -30,7 +30,7 @@ from cubefactor.polynomials import (
     eval_at,
     gf_series,
     identity_audit,
-    q_closed,
+    q_closed_row,
     qpoly_rec,
 )
 from cubefactor.sequences import fib, lucas, padovan, padovan_closed
@@ -87,10 +87,7 @@ def test_criterion_2_three_way_polynomial_agreement():
             if series[n] != poly.coeffs:
                 ok, first_bad = False, (family.value, n, "gf")
                 break
-            if n >= lo and any(
-                q_closed(family, n, k) != poly.coefficient(k)
-                for k in range(poly.degree + 2)
-            ):
+            if n >= lo and q_closed_row(family, n, poly.degree + 2) != [*poly.coeffs, 0]:
                 ok, first_bad = False, (family.value, n, "closed")
                 break
         if not ok:
@@ -147,7 +144,7 @@ def test_criterion_4_omega_structural_counts():
     for n in range(4, 201):
         expected = omega_nonzero_count(n)
         rec = qpoly_rec("omega", n).nonzero_count
-        closed = sum(1 for k in range(n // 2 + 1) if q_closed("omega", n, k))
+        closed = sum(1 for c in q_closed_row("omega", n, n // 2 + 1) if c)
         if not rec == closed == expected:
             wrong.append((n, expected, rec, closed))
     prediction_misses = [

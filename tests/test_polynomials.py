@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from cubefactor.polynomials import (
     _NUMERATOR,
     Family,
+    _diagonal,
     _expand_rational,
+    _row_misses,
     _shift_add,
     antidiagonal_profile,
     eval_at,
@@ -22,10 +24,11 @@ from cubefactor.polynomials import (
     poly_from_json,
     poly_to_json,
     q_closed,
+    q_closed_row,
     qpoly_rec,
     qpoly_rows,
 )
-from cubefactor.sequences import fib, lucas, padovan
+from cubefactor.sequences import binom_ext, fib, lucas, padovan
 
 # coefficient rows n = 0..8, frozen from the tabulated triangles
 TABLE_GAMMA = [
@@ -78,9 +81,8 @@ def test_three_routes_agree_to_60():
         for n in range(61):
             poly = qpoly_rec(family, n)
             assert series[n] == poly.coeffs, (family, n)
-            if n >= lo:
-                for k in range(poly.degree + 3):
-                    assert q_closed(family, n, k) == poly.coefficient(k), (family, n, k)
+            if n >= lo:  # every k up to two past the degree
+                assert q_closed_row(family, n, poly.degree + 3) == [*poly.coeffs, 0, 0], (family, n)
 
 
 def test_recurrence_and_series_agree_to_1500():
@@ -94,16 +96,14 @@ def test_recurrence_and_series_agree_to_1500():
 @given(st.sampled_from(list(Family)), st.integers(0, 2000))
 def test_closed_form_equals_recurrence_at_sampled_n(family, n):
     poly = qpoly_rec(family, n)
-    ks = range(poly.degree + 2)
-    assert [q_closed(family, n, k) for k in ks] == [poly.coefficient(k) for k in ks]
+    assert q_closed_row(family, n, poly.degree + 2) == [*poly.coeffs, 0]
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_closed_form_equals_recurrence_at_3000(family):
     # the order the benchmark's poly commands compute, at every k
     poly = qpoly_rec(family, 3000)
-    ks = range(poly.degree + 2)
-    assert [q_closed(family, 3000, k) for k in ks] == [poly.coefficient(k) for k in ks]
+    assert q_closed_row(family, 3000, poly.degree + 2) == [*poly.coeffs, 0]
 
 
 def test_shift_add_pads_either_row():
@@ -226,7 +226,7 @@ def test_omega_nonzero_counts_agree_across_routes():
     series = gf_series("omega", 60)
     for n in range(2, 61):
         poly = qpoly_rec("omega", n)
-        closed = [q_closed("omega", n, k) for k in range(poly.degree + 1)]
+        closed = q_closed_row("omega", n, poly.degree + 1)
         assert sum(1 for c in closed if c) == poly.nonzero_count
         assert sum(1 for c in series[n] if c) == poly.nonzero_count
 
@@ -240,17 +240,15 @@ def test_trailing_coefficient_positive():
 
 
 def test_gamma_detailed_case_split_to_60():
-    from cubefactor.sequences import binom_ext
-
     for n in range(61):
-        for k in range(qpoly_rec("gamma", n).degree + 3):
+        for k, value in enumerate(q_closed_row("gamma", n, qpoly_rec("gamma", n).degree + 3)):
             if (n + k) % 3 == 2:
                 expected = binom_ext((n + k + 1) // 3, k)
             elif (n + k) % 3 == 0:
                 expected = binom_ext((n + k) // 3, k)
             else:
                 expected = 0
-            assert q_closed("gamma", n, k) == expected, (n, k)
+            assert value == expected, (n, k)
 
 
 def test_antidiagonal_profile_spot_sums():
@@ -299,6 +297,25 @@ def test_audit_omega_entries():
     assert "n=8" in count.detail
 
 
+def test_row_misses_name_the_first_differing_entry_and_keep_every_tail():
+    rows = [
+        (3, [1, 2], [1, 2]),
+        (4, [1, 2, 3], [1, 5, 7]),
+        (5, [1, 2], [1, 2, 9]),
+        (6, [1, 2, 0], [1, 2]),
+    ]
+    assert list(_row_misses(rows)) == [
+        "4: expected 2, got 5", "5: expected None, got 9", "6: expected 0, got None",
+    ]
+
+
+def test_diagonals_equal_the_extended_binomials():
+    # the audit's shifted-index predictions read these C(m+k, k) rows
+    for m in range(-3, 60):
+        assert _diagonal(m, 40) == [binom_ext(m + k, k) for k in range(40)], m
+    assert _diagonal(5, 0) == [] and _diagonal(5, 1) == [1]
+
+
 def test_audit_rejects_small_range_and_is_deterministic():
     with pytest.raises(ValueError):
         identity_audit("gamma", 4)
@@ -327,6 +344,9 @@ def test_poly_json_exact_format_and_round_trip():
         '{"family":"gamma","n":1,"coeffs":[" 5"]}',
         '{"family":"gamma","n":1,"coeffs":["\u0663"]}',
         '{"family":"gamma","n":1,"coeffs":["+2"]}',
+        '{"family":"gamma","n":-3,"coeffs":["1"]}',
+        '{"family":"gamma","n":3,"coeffs":[]}',
+        '{"family":"gamma","n":3,"coeffs":["1","1","0"]}',
     ],
 )
 def test_poly_json_rejects_malformed_shapes(text):

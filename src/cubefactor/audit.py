@@ -80,7 +80,11 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     padovan(n+1) and ``check_witness``. Exact search builds the same
     witness from its own cubes as its lower bound; what the audit adds is
     its own ``cube_independent_set`` call and ``check_witness``'s scan of
-    every cube.
+    every cube. The solvers read a member's cubes as subcubes of its label
+    coordinates, and ``check_witness`` reads ``enumerate_cubes``; the
+    audit checks that the coordinates place every edge at Hamming distance
+    1 over the build range and that the two enumerators agree at every
+    dimension over the solver range.
     Graphs are built up to the construction cap and the solvers run on the
     built graphs up to the exact-search cap; an INFO entry names the orders
     either cap skipped."""
@@ -162,6 +166,22 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         ],
         rng,
     ))
+    # the solvers read the coordinate subcubes wherever these coordinates
+    # exist; the two entries check that they exist on every member and that
+    # the subcubes are exactly the extension route's cubes
+    coords = [factors._embedding(g) for g in built]
+    entries += [
+        _check(
+            f"{f} adjacency is Hamming distance 1 on the label coordinates",
+            [n for n in build_ns if coords[n] is None],
+            built_rng,
+        ),
+        _check(
+            f"{f} cube enumeration equals coordinate subcubes at every dimension",
+            [n for n in solver_ns if coords[n] is None or _subcube_levels_differ(built[n], coords[n])],
+            rng,
+        ),
+    ]
     # ranges come off the built annotations: the split's here, omega's
     # cross edges' below
     split = ("cube-pair-0", "second", "third")
@@ -234,6 +254,11 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     if skipped:
         entries.append(AuditEntry(f"{f} orders skipped", "INFO", "; ".join(skipped)))
     return entries
+
+
+def _subcube_levels_differ(g: graphs.LabeledGraph, coords: tuple[int, ...]) -> bool:
+    k_max = g.vertex_count.bit_length() - 1  # a member has a vertex
+    return factors.interval_cubes(coords, k_max) != factors.enumerate_cubes(g, k_max)
 
 
 def _extracts(g: graphs.LabeledGraph, name: str) -> bool:

@@ -24,7 +24,7 @@ The lower half of optimality has its own route, a *witness*: a vertex set
 S no induced cube of dimension >= 1 meets twice. Each part of a factor
 holds at most one vertex of S, so every factor has at least |S| parts
 (weak LP duality for set cover; Lovasz, Discrete Math. 13, 1975).
-``cube_independent_set`` picks S greedily from the enumerated cubes and
+``cube_independent_set`` picks S greedily from the solvers' cubes and
 ``check_witness`` lists the pairs of a given S that share a cube. Exact
 search computes the same witness from its own cube table and stops at the
 first cover of |S| parts, which is then the first optimal cover in search
@@ -40,16 +40,31 @@ bound prunes only nodes below which no cover strictly beats the
 incumbent, and only strict improvements replace it, so neither bound
 changes which cover the core returns.
 
-``enumerate_cubes`` builds each (k+1)-cube from a k-cube a, which keeps
-its vertices in coordinate order, and the image of a under the cube's
-matching, extended one coordinate at a time from a neighbour w of a's
-least vertex m; the image joins when its vertex set is a k-cube. Only the
-canonical split is built: a holds m, and w is m's largest neighbour in
-the cube. Its docstring has the proof; it needs no duplicate check and
-holds on any graph. Each level is a list of (sorted vertices, mask)
-pairs, the mask being the bit set of the vertices; the solvers read these
-pairs and build an ``InducedCube`` only for the parts they return.
-``verify_factor`` builds each part's mask once, after checking its ids.
+Two enumerators list the induced cubes, with the same output: per
+dimension, a list of (sorted vertices, mask) pairs, the mask being the bit
+set of the vertices, in canonical order. Each docstring has its proof.
+
+* ``enumerate_cubes`` holds on any graph. It builds each (k+1)-cube from a
+  k-cube a, which keeps its vertices in coordinate order, and the image of
+  a under the cube's matching, extended one coordinate at a time from a
+  neighbour w of a's least vertex m; the image joins when its vertex set
+  is a k-cube. Only the canonical split is built: a holds m, and w is m's
+  largest neighbour in the cube, so it needs no duplicate check.
+* ``interval_cubes`` lists the subcubes of a vertex set in the hypercube,
+  for a graph whose edges are exactly the pairs at Hamming distance 1.
+  Each (k+1)-subcube joins two k-subcubes that differ in one bit above
+  their span.
+
+The solvers (exact, greedy and ``cube_independent_set``) read the
+subcubes of the label coordinates (``graphs.coordinate``) when the graph
+is a gamma or omega member whose edges are exactly its pairs at Hamming
+distance 1 in them, and ``enumerate_cubes`` on every other graph. The
+choice is read off the graph, and a custom graph costs one family test.
+``check_witness`` always reads ``enumerate_cubes``, so on a member the
+witness is built from one enumerator and checked by the other, and the
+oracle audit compares the two at every dimension. The solvers build an
+``InducedCube`` only for the parts they return. ``verify_factor`` builds
+each part's mask once, after checking its ids.
 
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
@@ -63,9 +78,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import LabeledGraph, _bits, build_graph
+from .graphs import LabeledGraph, _bits, build_graph, coordinate
 from .polynomials import Family, _family
 
 __all__ = [
@@ -75,6 +90,7 @@ __all__ = [
     "FactorProfile",
     "FactorViolation",
     "enumerate_cubes",
+    "interval_cubes",
     "cube_independent_set",
     "check_witness",
     "exact_min_factor",
@@ -254,9 +270,93 @@ def enumerate_cubes(
     return levels
 
 
+def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
+    """All induced k-cubes for k = 0..k_max of the graph whose vertex v has
+    hypercube coordinate ``coords[v]`` and whose edges are exactly its pairs
+    at Hamming distance 1, in the levels and order of
+    :func:`enumerate_cubes`.
+
+    The cubes are the subcubes {u | s : s subset of F} inside the coordinate
+    set, u and F disjoint bit sets, |F| = k. Level k+1 is read off level k:
+    the subcube (u, F) is extended by a bit j above F's highest bit, clear
+    in u, when (u | 2**j, F) is in level k too, and the new cube's vertices
+    and mask are the union of the two halves. Each subcube is formed once,
+    from its split at the highest bit of its span.
+
+    Proof. Sound: a subcube inside the set induces a k-cube, since its
+    vertices' edges are their pairs at distance 1, which are the k-cube's.
+    Complete: every induced Q_k inside a hypercube is a subcube, by
+    induction on k. Q_0 is one vertex. A Q_(k+1) is two facets, each a Q_k
+    and so a subcube, (u, F) and (u', F), joined by a perfect matching phi
+    that is an isomorphism between them; phi(x) = x ^ 2**j(x), adjacent
+    vertices differing in one bit. An edge x, y of the first facet gives
+    the 4-cycle x, y, phi(y), phi(x), and every 4-cycle of a hypercube is a
+    face, flipping two bits twice each, so j(x) = j(y). A facet is
+    connected, so phi flips one bit j throughout; j is outside F, since
+    phi(x) is outside the first facet, and u' = u ^ 2**j. So the cube is
+    the subcube (min(u, u'), F + j), and it lies inside the set. The proof
+    reads only the coordinates and the Hamming-distance rule, so it holds
+    on any such graph.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
+    full = (1 << max(coords, default=0).bit_length()) - 1
+    level = {(u, 0): ((v,), 1 << v) for v, u in enumerate(coords)}  # (u, F) -> cube
+    levels = [sorted(level.values())]
+    for _ in range(k_max):
+        grown: dict[tuple[int, int], _Cube] = {}
+        for (u, span), (vertices, mask) in level.items():
+            top = span.bit_length()
+            free = ~u & full >> top << top  # the bits j above F's highest, clear in u
+            while free:
+                bit = free & -free
+                free ^= bit
+                other = level.get((u | bit, span))
+                if other is not None:
+                    grown[u, span | bit] = (tuple(sorted(vertices + other[0])), mask | other[1])
+        level = grown
+        levels.append(sorted(level.values()))
+    return levels
+
+
+def _embedding(g: LabeledGraph) -> tuple[int, ...] | None:
+    """The members' label coordinates (``graphs.coordinate``) when the
+    graph's edges are exactly its pairs at Hamming distance 1 in them, the
+    condition :func:`interval_cubes` needs; otherwise None. A custom graph
+    costs one family test; a graph that claims a family but carries other
+    labels or other edges gets None."""
+    if g.family not in ("gamma", "omega"):
+        return None
+    try:
+        coords = tuple(coordinate(g.family, g.n, label) for label in g.labels)
+    except ValueError:
+        return None
+    index = {u: v for v, u in enumerate(coords)}
+    if len(index) != len(coords):
+        return None
+    flips = [1 << i for i in range(max(coords, default=0).bit_length())]
+    for u, row in zip(coords, g.adj):
+        near = 0  # the ids at Hamming distance 1 from u
+        for bit in flips:
+            w = index.get(u ^ bit)
+            if w is not None:
+                near |= 1 << w
+        if near != row:
+            return None
+    return coords
+
+
+def _dimensions(g: LabeledGraph) -> int:
+    # no induced cube is larger than the vertex set
+    return max(g.vertex_count.bit_length() - 1, 0)
+
+
 def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
-    # the induced cubes of dimension >= 1, one list per dimension, largest first
-    return enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[:0:-1]
+    # the induced cubes of dimension >= 1, one list per dimension, largest
+    # first: subcubes of the coordinates on a member, extensions elsewhere
+    coords, k_max = _embedding(g), _dimensions(g)
+    levels = enumerate_cubes(g, k_max) if coords is None else interval_cubes(coords, k_max)
+    return levels[:0:-1]
 
 
 def _all_cubes(g: LabeledGraph) -> list[_Cube]:
@@ -341,7 +441,10 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
 
     An empty list certifies that every cube factor of g has at least as
     many parts as the witness has distinct vertices (violations are data,
-    not exceptions). An id outside the graph raises ValueError.
+    not exceptions). An id outside the graph raises ValueError. The cubes
+    come from ``enumerate_cubes`` on every graph, so a member's witness,
+    which the solvers build from its coordinate subcubes, is checked
+    against the other enumerator.
     """
     members = 0
     for v in witness:
@@ -349,8 +452,9 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
             raise ValueError(f"vertex id {v} is outside the graph")
         members |= 1 << v
     pairs: set[tuple[int, int]] = set()
-    for _, mask in _all_cubes(g):
-        pairs.update(combinations(_bits(mask & members), 2))
+    for level in enumerate_cubes(g, _dimensions(g))[1:]:
+        for _, mask in level:
+            pairs.update(combinations(_bits(mask & members), 2))
     return sorted(pairs)
 
 

@@ -30,7 +30,9 @@ down, "10" and "00" two down, "010" three down; gamma from orders
 their first part). ``build_graph`` annotates each member with the parts
 read off it, and the audit reads its ranges off the annotations.
 ``canonical_subgraph`` strips a part's prefix, assembles it as a graph
-and compares it with the freshly built smaller member. (The structural
+and compares it with the freshly built smaller member. ``coordinate``
+reads a vertex's hypercube coordinate off its label by the same
+recursion, B's vertices taking the new top bit. (The structural
 factor builds its parts from the same label prefixes and does not read
 the annotations.)
 """
@@ -53,6 +55,7 @@ __all__ = [
     "build_omega",
     "build_graph",
     "canonical_subgraph",
+    "coordinate",
     "custom_graph",
     "export_graph",
     "find_isomorphism",
@@ -201,6 +204,40 @@ def build_gamma(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
 def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
     """Matchable-Lucas-cube reconstruction of order n with annotations."""
     return build_graph(Family.OMEGA, n, max_n)
+
+
+def coordinate(family: Family | str, n: int, label: str) -> int:
+    """The hypercube coordinate of a member's vertex, read off its label.
+
+    Gamma's is the label read in binary ("" gives 0). Omega's strips the
+    recursion prefixes: "0" takes the order down by one, "10" by two and
+    sets bit order-1, until the order is at most 3 and one base symbol c is
+    left, whose coordinate 2**c - 1 places the base path 0, 1, 3, 7. This
+    is the recursion of ``_member``: A keeps its coordinates, B's vertex v
+    takes A's vertex v's plus the new bit, so the matching flips that bit
+    and A's and B's own edges flip one lower bit each. So the members'
+    edges are exactly their pairs at Hamming distance 1, as
+    ``factors._embedding`` checks before it reads these coordinates.
+
+    Only the label is read, never the adjacency. A label the rule cannot
+    read raises ValueError.
+    """
+    fam = _family(family)
+    if fam is Family.GAMMA:
+        if len(label) != n or label.strip("01"):
+            raise ValueError(f"{label!r} is not a gamma label of order {n}")
+        return int(label or "0", 2)
+    rest, order, coord = label, n, 0
+    while order > 3:
+        if rest.startswith("10"):
+            rest, order, coord = rest[2:], order - 2, coord | 1 << order - 1
+        elif rest.startswith("0"):
+            rest, order = rest[1:], order - 1
+        else:
+            break
+    if order > 3 or len(rest) != 1 or not "0" <= rest <= str(order):
+        raise ValueError(f"{label!r} is not an omega label of order {n}")
+    return coord | (1 << int(rest)) - 1
 
 
 def custom_graph(labels: list[str], edges: list[tuple[str, str]]) -> LabeledGraph:

@@ -116,12 +116,14 @@ def binom_ext_div3(numerator: int, k: int) -> int:
 
 
 def binomial_row(n: int) -> list[int]:
-    """C(n, 0), ..., C(n, n), each from the last by C(n, k+1) = C(n, k) * (n-k) / (k+1)."""
+    """C(n, 0), ..., C(n, n): up to the middle each from the last by
+    C(n, k+1) = C(n, k) * (n-k) / (k+1), the rest mirrored by
+    C(n, k) = C(n, n-k)."""
     _check_index(n)
     row = [1]
-    for k in range(n):
+    for k in range(n // 2):
         row.append(row[-1] * (n - k) // (k + 1))
-    return row
+    return row + row[: (n + 1) // 2][::-1]
 
 
 def lucas_triangle_additive_row(n: int) -> list[int]:

@@ -1,0 +1,147 @@
+"""The members' label coordinates and the subcube enumerator they feed.
+
+``graphs.coordinate`` reads a hypercube coordinate off a member's label;
+``factors._embedding`` hands those coordinates to the solvers only where
+the edges are exactly the pairs at Hamming distance 1, and
+``factors.interval_cubes`` lists the subcubes inside the coordinate set.
+These tests hold the subcubes against ``enumerate_cubes`` on drawn
+coordinate sets, check that any other graph keeps the extension route, and
+check the coordinates against the built members' edges.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubefactor.factors import (
+    _embedding,
+    cube_independent_set,
+    enumerate_cubes,
+    exact_min_factor,
+    greedy_layered_factor,
+    interval_cubes,
+)
+from cubefactor.graphs import DEFAULT_MAX_N, build_graph, coordinate, custom_graph
+
+
+def k_max_of(g):
+    return max(g.vertex_count.bit_length() - 1, 0)
+
+
+def hamming_graph(d, coords):
+    """The induced subgraph of Q_d on ``coords``. Each label is a
+    coordinate's d bits written lowest first, so vertex ids, which follow
+    the sorted labels, are not in coordinate order."""
+    labels = {c: f"{c:0{d}b}"[::-1] or "-" for c in coords}
+    edges = [(labels[a], labels[b]) for a in coords for b in coords if a < b and (a ^ b).bit_count() == 1]
+    g = custom_graph(list(labels.values()), edges)
+    by_label = {lab: c for c, lab in labels.items()}
+    return g, tuple(by_label[lab] for lab in g.labels)
+
+
+@st.composite
+def coordinate_sets(draw):
+    d = draw(st.integers(0, 6))
+    return d, sorted(draw(st.sets(st.integers(0, (1 << d) - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinate_sets())
+def test_subcubes_equal_the_extension_route_on_drawn_coordinate_sets(drawn):
+    g, coords = hamming_graph(*drawn)
+    assert _embedding(g) is None  # a custom graph keeps the extension route
+    k_max = k_max_of(g)
+    assert interval_cubes(coords, k_max) == enumerate_cubes(g, k_max)
+
+
+def test_interval_cubes_fills_every_level_it_is_asked_for():
+    levels = interval_cubes((0, 1, 2, 3), 4)
+    assert [len(level) for level in levels] == [4, 4, 1, 0, 0]
+    assert levels[2] == [((0, 1, 2, 3), 0b1111)]
+    with pytest.raises(ValueError):
+        interval_cubes((0,), -1)
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+@pytest.mark.parametrize("n", range(DEFAULT_MAX_N + 1))
+def test_coordinates_place_exactly_the_edges_at_hamming_distance_1(family, n):
+    g = build_graph(family, n)
+    coords = [coordinate(family, n, label) for label in g.labels]
+    assert len(set(coords)) == g.vertex_count
+    assert max(coords) < 1 << n
+    index = {c: v for v, c in enumerate(coords)}
+    for v, c in enumerate(coords):
+        near = [index[c ^ 1 << i] for i in range(n) if c ^ 1 << i in index]
+        assert sum(1 << u for u in near) == g.adj[v]
+    assert _embedding(g) == tuple(coords)
+
+
+@pytest.mark.parametrize(
+    "family, n, label",
+    [
+        ("gamma", 2, "0"),  # too short
+        ("gamma", 2, "02"),  # not binary
+        ("omega", 4, "4"),  # a base symbol above the order
+        ("omega", 2, "3"),
+        ("omega", 5, "11"),  # neither "0" nor "10" in front
+        ("omega", 5, "0"),  # stripped before the order reaches 3
+        ("omega", 0, ""),
+        ("custom", 1, "0"),
+    ],
+)
+def test_coordinate_rejects_a_label_the_rule_cannot_read(family, n, label):
+    with pytest.raises(ValueError):
+        coordinate(family, n, label)
+
+
+def toggled(g, u, v):
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return dataclasses.replace(g, adj=tuple(adj))
+
+
+def forged_members():
+    # members with one edge removed or one added between vertices at
+    # Hamming distance 2 (a diagonal of a 4-cycle)
+    for family in ("gamma", "omega"):
+        for n in (4, 7):
+            g = build_graph(family, n)
+            u, v = next(g.edges())
+            yield pytest.param(toggled(g, u, v), id=f"{family}-{n}-removed")
+            w = next(w for w in range(g.vertex_count) if w != u and not g.has_edge(u, w)
+                     and g.adj[u] & g.adj[w])
+            yield pytest.param(toggled(g, u, w), id=f"{family}-{n}-added")
+
+
+def as_custom(g):
+    return custom_graph(list(g.labels), [(g.labels[u], g.labels[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("g", forged_members())
+def test_a_member_with_other_edges_keeps_the_extension_route(g):
+    assert _embedding(g) is None
+    twin = as_custom(g)  # same ids and edges, family "custom"
+    assert exact_min_factor(g) == exact_min_factor(twin)
+    assert greedy_layered_factor(g) == greedy_layered_factor(twin)
+    assert cube_independent_set(g) == cube_independent_set(twin)
+
+
+def test_a_member_under_another_family_name_keeps_the_extension_route():
+    g = build_graph("gamma", 6)
+    assert _embedding(dataclasses.replace(g, family="omega")) is None
+    assert _embedding(dataclasses.replace(g, family="custom")) is None
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+@pytest.mark.parametrize("n", range(9))
+def test_both_routes_give_the_same_factors_on_the_members(family, n):
+    g = build_graph(family, n)
+    twin = as_custom(g)
+    assert exact_min_factor(g) == exact_min_factor(twin)
+    assert greedy_layered_factor(g) == greedy_layered_factor(twin)
+    assert cube_independent_set(g) == cube_independent_set(twin)

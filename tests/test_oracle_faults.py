@@ -6,8 +6,10 @@ result on the computed side of ``oracle_audit`` and pins every line it
 prints at max_n 9: a solver's factor at one or two orders, the witness's
 size or independence at one order, a verification verdict, an expected
 vertex count too high at one order or too low at the first order past the
-exact-search cap, a dropped dimension-1 cube, a failed isomorphism, a subcopy
-extraction, the JSON parser and the exporter.
+exact-search cap, a dropped dimension-1 cube, a cube dropped from every level
+of ``enumerate_cubes`` at one order, a cube dropped from ``interval_cubes``
+(which only the entry comparing the two enumerators notices), a failed
+isomorphism, a subcopy extraction, the JSON parser and the exporter.
 Faults enter through module attributes the audit looks up at call time.
 """
 
@@ -126,6 +128,33 @@ def missing_edge_cube(mp):
     mp.setattr(factors, "enumerate_cubes", enumerate_cubes)
 
 
+def dropped_cube_per_level(mp):
+    # the extension route loses the last cube of every level above 0 at n=7;
+    # the solvers read coordinate subcubes and keep theirs
+    clean = factors.enumerate_cubes
+
+    def enumerate_cubes(g, k_max, stats=None):
+        levels = clean(g, k_max, stats)
+        return levels[:1] + [level[:-1] for level in levels[1:]] if g.n == 7 else levels
+
+    mp.setattr(factors, "enumerate_cubes", enumerate_cubes)
+
+
+def dropped_subcube(mp):
+    # the coordinate route loses the last cube of its top filled level on
+    # the solver-range members above 40 vertices, order 8 in both families
+    clean = factors.interval_cubes
+
+    def interval_cubes(coords, k_max):
+        levels = clean(coords, k_max)
+        if len(coords) > 40:
+            top = max(k for k, level in enumerate(levels) if level)
+            levels[top] = levels[top][:-1]
+        return levels
+
+    mp.setattr(factors, "interval_cubes", interval_cubes)
+
+
 def no_isomorphism(mp):
     mp.setattr(graphs, "find_isomorphism", lambda g, h: None)
 
@@ -162,7 +191,8 @@ FAULTS = {
     for f in (
         extra_exact_part, reshaped_exact_profile, extra_greedy_part, extra_structural_part,
         short_witness, clashing_witness, rejecting_verify, wrong_vertex_count,
-        undercounted_vertices, missing_edge_cube, no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
+        undercounted_vertices, missing_edge_cube, dropped_cube_per_level, dropped_subcube,
+        no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
     )
 }
 
@@ -177,6 +207,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[7]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -193,6 +225,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[7]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -211,6 +245,8 @@ EXPECTED = {
         'FAIL gamma verify-factor passes on all three solvers: first failure at n=5',
         'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[5, 8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -227,6 +263,8 @@ EXPECTED = {
         'FAIL omega verify-factor passes on all three solvers: first failure at n=5',
         'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[5, 8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -245,6 +283,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -261,6 +301,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -279,6 +321,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -295,6 +339,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -313,6 +359,8 @@ EXPECTED = {
         'FAIL gamma verify-factor passes on all three solvers: first failure at n=5',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'FAIL gamma factor JSON round-trips through verification: [n=5]',
@@ -329,6 +377,8 @@ EXPECTED = {
         'FAIL omega verify-factor passes on all three solvers: first failure at n=5',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -347,6 +397,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -363,6 +415,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -381,6 +435,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -397,6 +453,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -415,6 +473,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'FAIL gamma dimension-1 cubes are exactly the edge set: first failure at n=6',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -431,6 +491,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'FAIL omega dimension-1 cubes are exactly the edge set: first failure at n=6',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -449,6 +511,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -465,6 +529,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -483,6 +549,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'FAIL gamma canonical subcopies equal freshly built members: first failure at n=6 (first)',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -499,6 +567,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'FAIL omega canonical subcopies equal freshly built members: first failure at n=6 (first)',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -517,6 +587,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'FAIL gamma factor JSON round-trips through verification: [n=5]',
@@ -533,6 +605,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -551,6 +625,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -567,6 +643,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -585,6 +663,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -601,6 +681,8 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -619,6 +701,8 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -635,6 +719,84 @@ EXPECTED = {
         'PASS omega verify-factor passes on all three solvers: [n=0..8]',
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('dropped_cube_per_level', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'FAIL gamma dimension-1 cubes are exactly the edge set: first failure at n=7',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=7',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('dropped_cube_per_level', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'FAIL omega dimension-1 cubes are exactly the edge set: first failure at n=7',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=7',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('dropped_subcube', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
+    ],
+    ('dropped_subcube', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',

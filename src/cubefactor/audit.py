@@ -166,19 +166,18 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         ],
         rng,
     ))
-    # the solvers read the coordinate subcubes wherever these coordinates
-    # exist; the two entries check that they exist on every member and that
-    # the subcubes are exactly the extension route's cubes
-    coords = [factors._embedding(g) for g in built]
+    # the solvers read the coordinate subcubes wherever their level 1 is
+    # the edge set; the two entries check that it is on every member and
+    # that the subcubes are exactly the extension route's cubes
     entries += [
         _check(
             f"{f} adjacency is Hamming distance 1 on the label coordinates",
-            [n for n in build_ns if coords[n] is None],
+            [n for n in build_ns if factors._subcubes(built[n], 1) is None],
             built_rng,
         ),
         _check(
             f"{f} cube enumeration equals coordinate subcubes at every dimension",
-            [n for n in solver_ns if coords[n] is None or _subcube_levels_differ(built[n], coords[n])],
+            [n for n in solver_ns if _subcube_levels_differ(built[n])],
             rng,
         ),
     ]
@@ -256,9 +255,9 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     return entries
 
 
-def _subcube_levels_differ(g: graphs.LabeledGraph, coords: tuple[int, ...]) -> bool:
-    k_max = g.vertex_count.bit_length() - 1  # a member has a vertex
-    return factors.interval_cubes(coords, k_max) != factors.enumerate_cubes(g, k_max)
+def _subcube_levels_differ(g: graphs.LabeledGraph) -> bool:
+    k_max = factors._dimensions(g)
+    return factors._subcubes(g, k_max) != factors.enumerate_cubes(g, k_max)
 
 
 def _extracts(g: graphs.LabeledGraph, name: str) -> bool:

@@ -55,11 +55,13 @@ set of the vertices, in canonical order. Each docstring has its proof.
   Each (k+1)-subcube joins two k-subcubes that differ in one bit above
   their span.
 
-The solvers (exact, greedy and ``cube_independent_set``) read the
-subcubes of the label coordinates (``graphs.coordinate``) when the graph
-is a gamma or omega member whose edges are exactly its pairs at Hamming
-distance 1 in them, and ``enumerate_cubes`` on every other graph. The
-choice is read off the graph, and a custom graph costs one family test.
+The solvers (exact, greedy and ``cube_independent_set``) read
+``_subcubes``: the subcubes of a gamma or omega member's label
+coordinates (``graphs.coordinate``), kept only when the adjacency rows
+rebuilt from their own level 1 equal the graph's, so the level the
+solvers read is the one checked. Every other graph, and a member that
+fails the check, is read through ``enumerate_cubes``. The choice is read
+off the graph, and a custom graph costs one family test.
 ``check_witness`` always reads ``enumerate_cubes``, so on a member the
 witness is built from one enumerator and checked by the other, and the
 oracle audit compares the two at every dimension. The solvers build an
@@ -296,12 +298,14 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     phi(x) is outside the first facet, and u' = u ^ 2**j. So the cube is
     the subcube (min(u, u'), F + j), and it lies inside the set. The proof
     reads only the coordinates and the Hamming-distance rule, so it holds
-    on any such graph.
+    on any such graph. Repeated or negative coordinates raise ValueError.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    full = (1 << max(coords, default=0).bit_length()) - 1
     level = {(u, 0): ((v,), 1 << v) for v, u in enumerate(coords)}  # (u, F) -> cube
+    if len(level) != len(coords) or min(coords, default=0) < 0:
+        raise ValueError("coordinates must be distinct and non-negative")
+    full = (1 << max(coords, default=0).bit_length()) - 1
     levels = [sorted(level.values())]
     for _ in range(k_max):
         grown: dict[tuple[int, int], _Cube] = {}
@@ -319,31 +323,26 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     return levels
 
 
-def _embedding(g: LabeledGraph) -> tuple[int, ...] | None:
-    """The members' label coordinates (``graphs.coordinate``) when the
-    graph's edges are exactly its pairs at Hamming distance 1 in them, the
-    condition :func:`interval_cubes` needs; otherwise None. A custom graph
-    costs one family test; a graph that claims a family but carries other
-    labels or other edges gets None."""
+def _subcubes(g: LabeledGraph, k_max: int) -> list[list[_Cube]] | None:
+    """The :func:`interval_cubes` levels 0..k_max of a gamma or omega
+    member's label coordinates (``graphs.coordinate``) when the graph's
+    edges are exactly its level-1 pairs, the pairs at Hamming distance 1,
+    the condition those levels need; otherwise None. A custom graph costs
+    one family test; a graph that claims a family but carries other labels
+    or other edges gets None. Rows are compared whole, so one-sided
+    adjacency is caught too."""
     if g.family not in ("gamma", "omega"):
         return None
+    fam = _family(g.family)
     try:
-        coords = tuple(coordinate(g.family, g.n, label) for label in g.labels)
-    except ValueError:
+        levels = interval_cubes([coordinate(fam, g.n, label) for label in g.labels], max(k_max, 1))
+    except ValueError:  # a label the rule cannot read, or a repeated coordinate
         return None
-    index = {u: v for v, u in enumerate(coords)}
-    if len(index) != len(coords):
-        return None
-    flips = [1 << i for i in range(max(coords, default=0).bit_length())]
-    for u, row in zip(coords, g.adj):
-        near = 0  # the ids at Hamming distance 1 from u
-        for bit in flips:
-            w = index.get(u ^ bit)
-            if w is not None:
-                near |= 1 << w
-        if near != row:
-            return None
-    return coords
+    rows = [0] * g.vertex_count
+    for (u, v), _ in levels[1]:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return levels[:k_max + 1] if tuple(rows) == g.adj else None
 
 
 def _dimensions(g: LabeledGraph) -> int:
@@ -354,8 +353,8 @@ def _dimensions(g: LabeledGraph) -> int:
 def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
     # the induced cubes of dimension >= 1, one list per dimension, largest
     # first: subcubes of the coordinates on a member, extensions elsewhere
-    coords, k_max = _embedding(g), _dimensions(g)
-    levels = enumerate_cubes(g, k_max) if coords is None else interval_cubes(coords, k_max)
+    k_max = _dimensions(g)
+    levels = _subcubes(g, k_max) or enumerate_cubes(g, k_max)
     return levels[:0:-1]
 
 

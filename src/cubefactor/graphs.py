@@ -209,22 +209,23 @@ def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
 def coordinate(family: Family | str, n: int, label: str) -> int:
     """The hypercube coordinate of a member's vertex, read off its label.
 
-    Gamma's is the label read in binary ("" gives 0). Omega's strips the
-    recursion prefixes: "0" takes the order down by one, "10" by two and
-    sets bit order-1, until the order is at most 3 and one base symbol c is
-    left, whose coordinate 2**c - 1 places the base path 0, 1, 3, 7. This
+    Gamma's is the label, n binary digits with no two adjacent 1s, read in
+    binary ("" gives 0). Omega's strips the recursion prefixes: "0" takes
+    the order down by one, "10" by two and sets bit order-1, until the
+    order is at most 3 and one base symbol c is left, whose coordinate
+    2**c - 1 places the base path 0, 1, 3, 7. This
     is the recursion of ``_member``: A keeps its coordinates, B's vertex v
     takes A's vertex v's plus the new bit, so the matching flips that bit
     and A's and B's own edges flip one lower bit each. So the members'
     edges are exactly their pairs at Hamming distance 1, as
-    ``factors._embedding`` checks before it reads these coordinates.
+    ``factors._subcubes`` checks on the subcubes it reads off them.
 
     Only the label is read, never the adjacency. A label the rule cannot
     read raises ValueError.
     """
     fam = _family(family)
     if fam is Family.GAMMA:
-        if len(label) != n or label.strip("01"):
+        if len(label) != n or label.strip("01") or "11" in label:
             raise ValueError(f"{label!r} is not a gamma label of order {n}")
         return int(label or "0", 2)
     rest, order, coord = label, n, 0

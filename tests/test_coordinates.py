@@ -1,9 +1,10 @@
 """The members' label coordinates and the subcube enumerator they feed.
 
 ``graphs.coordinate`` reads a hypercube coordinate off a member's label;
-``factors._embedding`` hands those coordinates to the solvers only where
-the edges are exactly the pairs at Hamming distance 1, and
-``factors.interval_cubes`` lists the subcubes inside the coordinate set.
+``factors.interval_cubes`` lists the subcubes inside the coordinate set,
+and ``factors._subcubes`` hands a member's subcubes to the solvers only
+where its adjacency rows are exactly the level-1 pairs, the pairs at
+Hamming distance 1.
 These tests hold the subcubes against ``enumerate_cubes`` on drawn
 coordinate sets, check that any other graph keeps the extension route, and
 check the coordinates against the built members' edges.
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubefactor.factors import (
-    _embedding,
+    _subcubes,
     cube_independent_set,
     enumerate_cubes,
     exact_min_factor,
@@ -53,8 +54,8 @@ def coordinate_sets(draw):
 @given(coordinate_sets())
 def test_subcubes_equal_the_extension_route_on_drawn_coordinate_sets(drawn):
     g, coords = hamming_graph(*drawn)
-    assert _embedding(g) is None  # a custom graph keeps the extension route
     k_max = k_max_of(g)
+    assert _subcubes(g, k_max) is None  # a custom graph keeps the extension route
     assert interval_cubes(coords, k_max) == enumerate_cubes(g, k_max)
 
 
@@ -62,8 +63,9 @@ def test_interval_cubes_fills_every_level_it_is_asked_for():
     levels = interval_cubes((0, 1, 2, 3), 4)
     assert [len(level) for level in levels] == [4, 4, 1, 0, 0]
     assert levels[2] == [((0, 1, 2, 3), 0b1111)]
-    with pytest.raises(ValueError):
-        interval_cubes((0,), -1)
+    for coords, k_max in (((0,), -1), ([0, 0, 1], 1), ([-1, 0], 1)):  # repeated, negative
+        with pytest.raises(ValueError):
+            interval_cubes(coords, k_max)
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])
@@ -77,7 +79,8 @@ def test_coordinates_place_exactly_the_edges_at_hamming_distance_1(family, n):
     for v, c in enumerate(coords):
         near = [index[c ^ 1 << i] for i in range(n) if c ^ 1 << i in index]
         assert sum(1 << u for u in near) == g.adj[v]
-    assert _embedding(g) == tuple(coords)
+    k_max = k_max_of(g)
+    assert _subcubes(g, k_max) == interval_cubes(tuple(coords), k_max)
 
 
 @pytest.mark.parametrize(
@@ -85,6 +88,7 @@ def test_coordinates_place_exactly_the_edges_at_hamming_distance_1(family, n):
     [
         ("gamma", 2, "0"),  # too short
         ("gamma", 2, "02"),  # not binary
+        ("gamma", 3, "011"),  # two adjacent 1s
         ("omega", 4, "4"),  # a base symbol above the order
         ("omega", 2, "3"),
         ("omega", 5, "11"),  # neither "0" nor "10" in front
@@ -124,7 +128,7 @@ def as_custom(g):
 
 @pytest.mark.parametrize("g", forged_members())
 def test_a_member_with_other_edges_keeps_the_extension_route(g):
-    assert _embedding(g) is None
+    assert _subcubes(g, 1) is None
     twin = as_custom(g)  # same ids and edges, family "custom"
     assert exact_min_factor(g) == exact_min_factor(twin)
     assert greedy_layered_factor(g) == greedy_layered_factor(twin)
@@ -133,8 +137,18 @@ def test_a_member_with_other_edges_keeps_the_extension_route(g):
 
 def test_a_member_under_another_family_name_keeps_the_extension_route():
     g = build_graph("gamma", 6)
-    assert _embedding(dataclasses.replace(g, family="omega")) is None
-    assert _embedding(dataclasses.replace(g, family="custom")) is None
+    assert _subcubes(dataclasses.replace(g, family="omega"), 1) is None
+    assert _subcubes(dataclasses.replace(g, family="custom"), 1) is None
+
+
+def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():
+    # one adjacency bit cleared on one side only: edges() reads the upper
+    # triangle and would still list the edge, the rows do not
+    g = build_graph("gamma", 5)
+    u, v = next(g.edges())
+    adj = list(g.adj)
+    adj[v] ^= 1 << u
+    assert _subcubes(dataclasses.replace(g, adj=tuple(adj)), 1) is None
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])

@@ -19,6 +19,7 @@ from cubefactor.factors import (
     _cube_table,
     _first_min_cover,
     _is_induced_cube,
+    _packing_bound,
     check_witness,
     cube_independent_set,
     enumerate_cubes,
@@ -210,12 +211,13 @@ def first_maximum_packings(g):
 
 
 @st.composite
-def family_subgraphs(draw):
-    """Induced subgraphs of gamma/omega members of order <= 6 (at most 16
-    kept vertices, which keeps the unbounded reference walk short)."""
-    g = build_graph(draw(st.sampled_from(["gamma", "omega"])), draw(st.integers(0, 6)))
+def family_subgraphs(draw, orders=range(7), most=16):
+    """Induced subgraphs of gamma/omega members of the given orders, with at
+    most ``most`` kept vertices (None: no limit). The default, order <= 6
+    and 16 vertices, keeps the unbounded reference walks short."""
+    g = build_graph(draw(st.sampled_from(["gamma", "omega"])), draw(st.sampled_from(orders)))
     flags = draw(st.lists(st.booleans(), min_size=g.vertex_count, max_size=g.vertex_count))
-    keep = [v for v, kept in enumerate(flags) if kept][:16]
+    keep = [v for v, kept in enumerate(flags) if kept][:most]
     edges = [(g.labels[u], g.labels[v]) for u, v in g.edges() if u in keep and v in keep]
     return custom_graph([g.labels[v] for v in keep], edges)
 
@@ -624,6 +626,12 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
     factor = greedy_layered_factor(build_omega(6), stats=stats)
     assert factor == greedy_layered_factor(build_omega(6))
     assert set(stats) == {"nodes", "bound_prunes", "memo_hits"}
+    # in the subgraph of gamma 6 without 000001, 010101 and 100000 the
+    # sweeps bound the 2-cube packing by 4, one more than its maximum 3, so
+    # that layer must prove optimality: 16 nodes, 17 before the bound
+    stats = {}
+    greedy_layered_factor(without(build_gamma(6), "000001", "010101", "100000"), stats=stats)
+    assert stats["nodes"] <= 16
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
     # no layer to search: the keys are still there, at zero
     stats = {}
@@ -631,38 +639,81 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
     assert stats == {"nodes": 0, "bound_prunes": 0, "memo_hits": 0}
 
 
-# Greedy search nodes summed over the layers. `recorded` is the count with
-# the shared exact-cover core alone; WALK_RECORDS holds the tighter count
-# with the witness walk at every node as well. The per-dimension packing
-# search the core replaced took 5,629 (gamma 11) and 59,573 (omega 12).
-WALK_RECORDS = {("gamma", 11): 198, ("omega", 12): 432, ("gamma", 12): 1389}
-
-
+# Greedy search nodes summed over the layers, recorded with each layer told
+# the sweep bound of _packing_bound, which meets the packing on every layer
+# of these members: the search stops at its first packing. Before it, the
+# core with the witness walk at every node took 198, 432 and 1,389 nodes;
+# the core alone 198, 444 and 1,409; the per-dimension packing search the
+# core replaced 5,629 (gamma 11) and 59,573 (omega 12).
 @pytest.mark.parametrize(
-    "family, n, recorded", [("gamma", 11, 198), ("omega", 12, 444), ("gamma", 12, 1409)]
+    "family, n, recorded", [("gamma", 11, 27), ("omega", 12, 36), ("gamma", 12, 35)]
 )
 def test_greedy_search_node_count(family, n, recorded):
     g = build_graph(family, n)
     stats = {}
     greedy_layered_factor(g, cap=g.vertex_count, stats=stats)
-    assert stats["nodes"] <= WALK_RECORDS[family, n] <= recorded
+    assert stats["nodes"] <= recorded
 
 
 # sha256 of factor_to_json for greedy with the cap raised to the vertex
-# count, recorded from the per-dimension packing search that preceded the
-# shared core: the factors must stay byte-identical.
+# count: orders 11 and 12 recorded from the per-dimension packing search
+# that preceded the shared core, orders 13 to 15 from the core before the
+# packing bound (gamma 14 then took 30,930 nodes, omega 15 70,300). The
+# factors must stay byte-identical.
 @pytest.mark.parametrize(
     "family, n, digest",
     [
         ("gamma", 11, "b96522bed71e0fd538bc9c2dc603186abfadc5a933a2c8c5d4044fd681607a26"),
         ("omega", 12, "770cde4715c5e8f368c07a21bfbcf0a2589815396c51251228b62fc9805208a6"),
         ("gamma", 12, "cd81d7380517990924925e19d8a2966819de09d5792c06a44e666aa74367f85c"),
+        ("gamma", 13, "2a766f269ea3e2a644623f02c06a1577051116aa1e9817bca220fa6cdf546366"),
+        ("gamma", 14, "e7456ddeb1931101977494b8d7cd34097ce7a3b57efe24526e1164fc5ac582a5"),
+        ("omega", 15, "3355bcd78064b946a5e74dd8978e02adf032ac8233bcc548999c2a2009a772cb"),
     ],
 )
 def test_greedy_factor_is_byte_identical_beyond_the_cap(family, n, digest):
     g = build_graph(family, n)
     text = factor_to_json(g, greedy_layered_factor(g, cap=g.vertex_count))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "masks, groups",
+    [
+        ([], 0),
+        ([0b0011], 1),
+        ([0b0011, 0b1100, 0b110000], 3),  # disjoint: one group each
+        ([0b0011, 0b0101, 0b1001, 0b10001], 1),  # all through vertex 0
+        # 0b0110 meets the first group's common part 0b0011 & 0b0101 = 0b0001
+        # nowhere, though it meets both cubes: it waits for the next sweep
+        ([0b0011, 0b0101, 0b0110], 2),
+    ],
+)
+def test_packing_bound_counts_the_sweep_groups(masks, groups):
+    assert _packing_bound(masks) == groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_subgraphs(orders=(6, 7), most=None))
+def test_the_packing_bound_holds_and_only_cuts_greedy_on_member_subgraphs(g):
+    # each layer run through the core told nothing: its packing is at most
+    # the sweep bound, and greedy, told the bound, returns the same factor
+    # in no more nodes
+    nv = g.vertex_count
+    remaining = (1 << nv) - 1
+    untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
+    parts = []
+    for layer in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1]:
+        fitting = [c for c in layer if not c[1] & ~remaining]
+        packing = _first_min_cover(_cube_table(fitting, remaining), untold, 0)
+        assert len(packing) <= _packing_bound([mask for _, mask in fitting])
+        for vertices, mask in packing:
+            parts.append(InducedCube(len(vertices).bit_length() - 1, vertices))
+            remaining &= ~mask
+    parts.extend(InducedCube(0, (v,)) for v in range(nv) if remaining >> v & 1)
+    stats = {}
+    assert greedy_layered_factor(g, stats=stats) == CubeFactor(tuple(parts))
+    assert stats["nodes"] <= untold["nodes"]
 
 
 def test_exact_min_factor_respects_the_cap():

@@ -12,7 +12,7 @@ read from one forward stream per suite.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 
 from . import factors, graphs, oeis, sequences
 from .polynomials import AuditEntry, Family, _check, _family, qpoly_rows
@@ -83,40 +83,34 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     every cube. The solvers read a member's cubes as subcubes of its label
     coordinates, and ``check_witness`` reads ``enumerate_cubes``; the
     audit checks that the coordinates place every edge at Hamming distance
-    1 over the build range and that the two enumerators agree at every
-    dimension over the solver range.
-    Graphs are built up to the construction cap and the solvers run on the
-    built graphs up to the exact-search cap; an INFO entry names the orders
-    either cap skipped."""
+    1 and that the two enumerators agree at every dimension.
+    Graphs are built up to the construction cap, and the entries over a
+    range of orders cover every built order; an INFO entry names the
+    orders the cap skipped."""
     fam = _family(family)
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     f = fam.value
     build_ns = range(min(max_n, graphs.DEFAULT_MAX_N) + 1)
     built = [graphs.build_graph(fam, n) for n in build_ns]
-    built_rng = f"[n=0..{build_ns[-1]}]"
+    rng = f"[n=0..{build_ns[-1]}]"
     expected_name = "fib(n+2)" if fam is Family.GAMMA else "lucas(n)"
     entries = [
         _check(
             f"{f} vertex count equals {expected_name}",
             [n for n in build_ns if built[n].vertex_count != graphs.expected_vertex_count(fam, n)],
-            built_rng,
+            rng,
         ),
         _check(
             f"{f} graphs are connected",
             [n for n in build_ns if not built[n].is_connected()],
-            built_rng,
+            rng,
         ),
     ]
 
-    # the solvers' cap is on the built graph, so the range is read off the
-    # built graphs, never off the vertex-count formula the audit checks
-    solver_ns = list(takewhile(
-        lambda n: built[n].vertex_count <= factors.EXACT_SEARCH_CAP, build_ns
-    ))
     bad: dict[str, list[int]] = defaultdict(list)
     part_counts = islice(sequences._terms("padovan"), 1, None)  # padovan(n+1) for n = 0, 1, ...
-    for n, poly, parts in zip(solver_ns, qpoly_rows(fam), part_counts):
+    for n, poly, parts in zip(build_ns, qpoly_rows(fam), part_counts):
         g = built[n]
         exact = factors.exact_min_factor(g)
         greedy = factors.greedy_layered_factor(g)
@@ -136,8 +130,6 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         for key, hit in failed.items():
             if hit:
                 bad[key].append(n)
-    hi = solver_ns[-1]
-    rng = f"[n=0..{hi}]"
     entries += [
         _check(f"{f} exact-min part count equals padovan(n+1)", bad["exact"], rng),
         _check(f"{f} cube-independent witness has padovan(n+1) vertices", bad["witness"], rng),
@@ -160,7 +152,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         f"{f} dimension-1 cubes are exactly the edge set",
         [
             n
-            for n in solver_ns
+            for n in build_ns
             if sorted(verts for verts, _ in factors.enumerate_cubes(built[n], 1)[1])
             != sorted(built[n].edges())
         ],
@@ -173,11 +165,11 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         _check(
             f"{f} adjacency is Hamming distance 1 on the label coordinates",
             [n for n in build_ns if factors._subcubes(built[n], 1) is None],
-            built_rng,
+            rng,
         ),
         _check(
             f"{f} cube enumeration equals coordinate subcubes at every dimension",
-            [n for n in solver_ns if _subcube_levels_differ(built[n])],
+            [n for n in build_ns if _subcube_levels_differ(built[n])],
             rng,
         ),
     ]
@@ -204,7 +196,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             for name in sorted(built[n].subcopies)
             if not _extracts(built[n], name)
         ],
-        built_rng,
+        rng,
     ))
 
     if fam is Family.OMEGA and len(built) > 4:
@@ -221,7 +213,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             "explicit isomorphism found" if iso is not None else "no isomorphism found",
         ))
 
-    probe_n = min(5, hi)
+    probe_n = min(5, build_ns[-1])
     g = built[probe_n]
     factor = factors.structural_factor(fam, probe_n, g)
     round_tripped = factors.factor_from_json(g, factors.factor_to_json(g, factor))
@@ -243,15 +235,13 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             f"[n={probe_n}]",
         ),
     ]
-    skipped = []
-    if max_n > hi:
-        skipped.append(f"solvers skip n={hi + 1}..{max_n} "
-                       f"(over the {factors.EXACT_SEARCH_CAP}-vertex exact-search cap)")
     if max_n > build_ns[-1]:
-        skipped.append(f"graphs skip n={build_ns[-1] + 1}..{max_n} "
-                       f"(over the construction cap n={graphs.DEFAULT_MAX_N})")
-    if skipped:
-        entries.append(AuditEntry(f"{f} orders skipped", "INFO", "; ".join(skipped)))
+        entries.append(AuditEntry(
+            f"{f} orders skipped",
+            "INFO",
+            f"graphs skip n={build_ns[-1] + 1}..{max_n} "
+            f"(over the construction cap n={graphs.DEFAULT_MAX_N})",
+        ))
     return entries
 
 

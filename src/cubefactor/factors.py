@@ -95,7 +95,6 @@ from .graphs import LabeledGraph, _bits, build_graph, coordinate
 from .polynomials import Family, _family
 
 __all__ = [
-    "EXACT_SEARCH_CAP",
     "InducedCube",
     "CubeFactor",
     "FactorProfile",
@@ -111,8 +110,6 @@ __all__ = [
     "factor_to_json",
     "factor_from_json",
 ]
-
-EXACT_SEARCH_CAP = 64
 
 _Cube = tuple[tuple[int, ...], int]  # an enumerated cube: (sorted vertices, mask)
 
@@ -575,7 +572,7 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
 
 
 def exact_min_factor(
-    g: LabeledGraph, cap: int = EXACT_SEARCH_CAP, stats: dict[str, int] | None = None
+    g: LabeledGraph, cap: int | None = None, stats: dict[str, int] | None = None
 ) -> CubeFactor:
     """A cube factor with the minimum number of parts, by exact search.
 
@@ -587,8 +584,9 @@ def exact_min_factor(
     is the lower bound: the search stops at the first cover of that many
     parts.
 
-    If ``stats`` is given, it receives the search effort: ``nodes``
-    (search calls), ``bound_prunes`` and ``memo_hits``, and
+    If ``cap`` is given, a graph of more vertices is refused with a
+    ``ValueError``. If ``stats`` is given, it receives the search effort:
+    ``nodes`` (search calls), ``bound_prunes`` and ``memo_hits``, and
     ``lower_bound``, the witness size.
     """
     _check_cap(g, cap)
@@ -603,7 +601,7 @@ def exact_min_factor(
 
 
 def greedy_layered_factor(
-    g: LabeledGraph, cap: int = EXACT_SEARCH_CAP, stats: dict[str, int] | None = None
+    g: LabeledGraph, cap: int | None = None, stats: dict[str, int] | None = None
 ) -> CubeFactor:
     """Factor built by taking a maximum disjoint k-cube packing for each
     dimension k from the largest down, deleting covered vertices between
@@ -625,9 +623,10 @@ def greedy_layered_factor(
     search returns, so the bound changes only the effort. On the members
     it equals the packing on every layer up to order 16.
 
-    If ``stats`` is given, it receives the search effort summed over the
-    layers: the keys of :func:`exact_min_factor` but ``lower_bound``, since
-    greedy computes no witness.
+    ``cap`` is :func:`exact_min_factor`'s. If ``stats`` is given, it
+    receives the search effort summed over the layers: the keys of
+    :func:`exact_min_factor` but ``lower_bound``, since greedy computes no
+    witness.
     """
     _check_cap(g, cap)
     effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
@@ -670,9 +669,9 @@ def _packing_bound(masks: list[int]) -> int:
     return groups
 
 
-def _check_cap(g: LabeledGraph, cap: int) -> None:
-    if g.vertex_count > cap:
-        raise ValueError(f"graph has {g.vertex_count} vertices, above the exact-search cap {cap}")
+def _check_cap(g: LabeledGraph, cap: int | None) -> None:
+    if cap is not None and g.vertex_count > cap:
+        raise ValueError(f"graph has {g.vertex_count} vertices, above the cap {cap}")
 
 
 def _with_single_vertices(nv: int, parts: list[_Cube]) -> CubeFactor:

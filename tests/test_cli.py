@@ -152,6 +152,17 @@ def test_factor_text_and_json(capsys):
     assert verify_factor(g, factor).counts == (1, 1, 2)
 
 
+# orders past 64 vertices: the construction cap is the one bound on the
+# graphs the solvers are handed
+@pytest.mark.parametrize(
+    "family, n, method, parts", [("gamma", 13, "exact", 37), ("omega", 16, "greedy", 86)]
+)
+def test_factor_runs_the_solvers_on_every_built_order(capsys, family, n, method, parts):
+    code, out, err = run(capsys, "factor", "--family", family, "--n", str(n), "--method", method)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"parts: {parts}"
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "table", "--family", "gamma", "--rows", "9", "--bogus")
     assert code == 2
@@ -238,12 +249,14 @@ def test_verify_reports_a_malformed_cached_bfile_apart_from_a_missing_one(
 
 
 def test_verify_oracle_names_the_orders_it_skips(capsys):
+    # every order up to the construction cap is built and handed to the
+    # solvers, so max-n 9 skips none
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "9")
     assert code == 0
-    assert [line for line in out.splitlines() if "orders skipped" in line] == [
-        f"INFO {fam} orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)"
-        for fam in ("gamma", "omega")
-    ]
+    assert "orders skipped" not in out
+    lines = out.splitlines()
+    for fam in ("gamma", "omega"):
+        assert f"PASS {fam} exact-min part count equals padovan(n+1): [n=0..9]" in lines
 
 
 def test_oracle_audit_names_the_construction_cap():
@@ -251,8 +264,7 @@ def test_oracle_audit_names_the_construction_cap():
 
     entry = oracle_audit("omega", 17)[-1]
     assert entry.line() == (
-        "INFO omega orders skipped: solvers skip n=9..17 (over the 64-vertex exact-search cap); "
-        "graphs skip n=17..17 (over the construction cap n=16)"
+        "INFO omega orders skipped: graphs skip n=17..17 (over the construction cap n=16)"
     )
 
 

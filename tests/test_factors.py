@@ -492,18 +492,6 @@ def test_the_witness_has_padovan_vertices_up_to_order_11(family):
         assert check_witness(g, witness) == []
 
 
-# Certified at the benchmark's probe ceiling: the witness is tight, so the
-# search stops at its first cover, one node per part plus the root at most.
-@pytest.mark.parametrize("family", ["gamma", "omega"])
-def test_exact_min_factor_certifies_order_12(family):
-    g = build_graph(family, 12)
-    stats = {}
-    factor = exact_min_factor(g, cap=g.vertex_count, stats=stats)
-    assert factor.part_count == stats["lower_bound"] == 28
-    assert stats["nodes"] <= 29
-    assert verify_factor(g, factor).counts == qpoly_rec(family, 12).coeffs
-
-
 def hypercube_graph(k):
     """Q_k on the k-bit strings, adjacent when they differ in one bit."""
     labels = [format(i, f"0{k}b") if k else "" for i in range(2**k)]
@@ -641,25 +629,38 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
 
 # Greedy search nodes summed over the layers, recorded with each layer told
 # the sweep bound of _packing_bound, which meets the packing on every layer
-# of these members: the search stops at its first packing. Before it, the
-# core with the witness walk at every node took 198, 432 and 1,389 nodes;
-# the core alone 198, 444 and 1,409; the per-dimension packing search the
-# core replaced 5,629 (gamma 11) and 59,573 (omega 12).
+# of these members: the search stops at its first packing, within the parts
+# plus one node per layer. Before it, the core with the witness walk at
+# every node took 198, 432 and 1,389 nodes at gamma 11, omega 12 and gamma
+# 12; the core alone 198, 444 and 1,409; the per-dimension packing search
+# the core replaced 5,629 (gamma 11) and 59,573 (omega 12).
 @pytest.mark.parametrize(
-    "family, n, recorded", [("gamma", 11, 27), ("omega", 12, 36), ("gamma", 12, 35)]
+    "family, n, recorded",
+    [
+        ("gamma", 11, 27),
+        ("omega", 12, 36),
+        ("gamma", 12, 35),
+        ("gamma", 13, 46),
+        ("gamma", 14, 57),
+        ("gamma", 15, 74),
+        ("gamma", 16, 97),
+        ("omega", 13, 45),
+        ("omega", 14, 57),
+        ("omega", 15, 75),
+        ("omega", 16, 96),
+    ],
 )
 def test_greedy_search_node_count(family, n, recorded):
-    g = build_graph(family, n)
     stats = {}
-    greedy_layered_factor(g, cap=g.vertex_count, stats=stats)
+    greedy_layered_factor(build_graph(family, n), stats=stats)
     assert stats["nodes"] <= recorded
 
 
-# sha256 of factor_to_json for greedy with the cap raised to the vertex
-# count: orders 11 and 12 recorded from the per-dimension packing search
-# that preceded the shared core, orders 13 to 15 from the core before the
-# packing bound (gamma 14 then took 30,930 nodes, omega 15 70,300). The
-# factors must stay byte-identical.
+# sha256 of factor_to_json for greedy past 64 vertices, where the solvers
+# once stopped unless told a higher cap: orders 11 and 12 recorded from the
+# per-dimension packing search that preceded the shared core, orders 13 to
+# 15 from the core before the packing bound (gamma 14 then took 30,930
+# nodes, omega 15 70,300). The factors must stay byte-identical.
 @pytest.mark.parametrize(
     "family, n, digest",
     [
@@ -673,8 +674,41 @@ def test_greedy_search_node_count(family, n, recorded):
 )
 def test_greedy_factor_is_byte_identical_beyond_the_cap(family, n, digest):
     g = build_graph(family, n)
-    text = factor_to_json(g, greedy_layered_factor(g, cap=g.vertex_count))
+    text = factor_to_json(g, greedy_layered_factor(g))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Certified from the benchmark's probe ceiling n=12 up to the construction
+# cap: the witness is tight, so the search stops at its first cover, within
+# one node per part plus the root; the ceilings are the nodes recorded.
+# The digests (sha256 of factor_to_json) were recorded with the former
+# 64-vertex cap raised to the vertex count, and the factors must stay
+# byte-identical. On these members they equal the greedy factors.
+EXACT_RECORDS = [
+    ("gamma", 12, 28, "cd81d7380517990924925e19d8a2966819de09d5792c06a44e666aa74367f85c"),
+    ("gamma", 13, 38, "2a766f269ea3e2a644623f02c06a1577051116aa1e9817bca220fa6cdf546366"),
+    ("gamma", 14, 49, "e7456ddeb1931101977494b8d7cd34097ce7a3b57efe24526e1164fc5ac582a5"),
+    ("gamma", 15, 65, "c576e69f11af3a02b3024aeafbc190d3be671664c74b9889ce12c38ac6aa6a51"),
+    ("gamma", 16, 87, "1e68b624d41a96020018aa20a9d65755f857001093a2ca9dc95f3c01a4e98de3"),
+    ("omega", 12, 29, "770cde4715c5e8f368c07a21bfbcf0a2589815396c51251228b62fc9805208a6"),
+    ("omega", 13, 37, "6283d84de0ddab612a226b143bae4eafac62664e214d8ab64d0e4c179c7ab243"),
+    ("omega", 14, 49, "4e00938a72381e74527b4fa70fa8beec0fd8531f78d3e098620d1446977ed7d6"),
+    ("omega", 15, 66, "3355bcd78064b946a5e74dd8978e02adf032ac8233bcc548999c2a2009a772cb"),
+    ("omega", 16, 86, "f32d56a85bf1b59b366f0c561b4b8689d1083b4d2757066e56e4f92e65626e4b"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, n, nodes, digest", EXACT_RECORDS, ids=[f"{f}-{n}" for f, n, _, _ in EXACT_RECORDS]
+)
+def test_exact_min_factor_certifies_order_12(family, n, nodes, digest):
+    g = build_graph(family, n)
+    stats = {}
+    factor = exact_min_factor(g, stats=stats)
+    assert factor.part_count == stats["lower_bound"] == padovan(n + 1)
+    assert stats["nodes"] <= nodes
+    assert verify_factor(g, factor).counts == qpoly_rec(family, n).coeffs
+    assert hashlib.sha256(factor_to_json(g, factor).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -717,10 +751,12 @@ def test_the_packing_bound_holds_and_only_cuts_greedy_on_member_subgraphs(g):
 
 
 def test_exact_min_factor_respects_the_cap():
-    with pytest.raises(ValueError):
-        exact_min_factor(build_gamma(10))
-    with pytest.raises(ValueError):
-        greedy_layered_factor(build_gamma(10))
+    # a cap binds only when the caller passes one
+    g = build_gamma(10)
+    for solver in (exact_min_factor, greedy_layered_factor):
+        with pytest.raises(ValueError, match="^graph has 144 vertices, above the cap 143$"):
+            solver(g, cap=143)
+        assert solver(g, cap=144) == solver(g)
 
 
 def test_greedy_layered_small_cases():

@@ -5,12 +5,13 @@ Every oracle line in the goldens is PASS, so each test here corrupts one
 result on the computed side of ``oracle_audit`` and pins every line it
 prints at max_n 9: a solver's factor at one or two orders, the witness's
 size or independence at one order, a verification verdict, an expected
-vertex count too high at one order or too low at the first order past the
-exact-search cap, a dropped dimension-1 cube, a cube dropped from every level
-of ``enumerate_cubes`` at one order, a cube dropped from ``interval_cubes``
-(which the entry comparing the two enumerators notices, and the Hamming
-entry too, since ``_subcubes`` checks the level 1 it reads), a failed
-isomorphism, a subcopy extraction, the JSON parser and the exporter.
+vertex count too high at one order or too low at the last, a dropped
+dimension-1 cube, a cube dropped from every level of ``enumerate_cubes`` at
+one order, a cube dropped from ``interval_cubes`` (which the entry
+comparing the two enumerators notices, the Hamming entry too, since
+``_subcubes`` checks the level 1 it reads, and at order 9 the solvers'
+entries), a failed isomorphism, a subcopy extraction, the JSON parser and
+the exporter.
 Faults enter through module attributes the audit looks up at call time.
 """
 
@@ -111,8 +112,8 @@ def wrong_vertex_count(mp):
 
 
 def undercounted_vertices(mp):
-    # the formula under-counts n=9 by 30, below the exact-search cap, while
-    # the built graph stays above it: the solvers must not be handed it
+    # the formula under-counts n=9 by 30: its entry fails there, and every
+    # other entry reads the built graphs, so their ranges still reach n=9
     clean = graphs.expected_vertex_count
     mp.setattr(graphs, "expected_vertex_count", lambda fam, n: clean(fam, n) - 30 * (n == 9))
 
@@ -146,7 +147,8 @@ def dropped_subcube(mp):
     # the members above 40 vertices, orders 8 and 9 in both families. The
     # Hamming entry asks for level 1 only, so the lost cube is an edge and
     # the member fails it; the solvers ask for every level and lose one
-    # 4-cube at order 8, which changes no optimum there
+    # 4-cube at order 8, which changes no optimum there, and at order 9
+    # gamma's only 5-cube and one of omega's nine 4-cubes, which does
     clean = factors.interval_cubes
 
     def interval_cubes(coords, k_max):
@@ -205,543 +207,515 @@ EXPECTED = {
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
         'FAIL gamma exact-min part count equals padovan(n+1): first failure at n=7',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
         'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[7]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('extra_exact_part', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'FAIL omega exact-min part count equals padovan(n+1): first failure at n=7',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
         'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[7]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('reshaped_exact_profile', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
         'FAIL gamma verify-factor passes on all three solvers: first failure at n=5',
         'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[5, 8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('reshaped_exact_profile', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
         'FAIL omega verify-factor passes on all three solvers: first failure at n=5',
         'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[5, 8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('extra_greedy_part', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
         'FAIL gamma greedy-layered profile equals recurrence coefficients: first failure at n=8',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('extra_greedy_part', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
         'FAIL omega greedy-layered profile equals recurrence coefficients: first failure at n=8',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('extra_structural_part', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
         'FAIL gamma structural profile equals recurrence coefficients: first failure at n=4',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('extra_structural_part', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
         'FAIL omega structural profile equals recurrence coefficients: first failure at n=4',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('rejecting_verify', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
         'FAIL gamma verify-factor passes on all three solvers: first failure at n=5',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'FAIL gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('rejecting_verify', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
         'FAIL omega verify-factor passes on all three solvers: first failure at n=5',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'FAIL omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('wrong_vertex_count', 'gamma'): [
         'FAIL gamma vertex count equals fib(n+2): first failure at n=3',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('wrong_vertex_count', 'omega'): [
         'FAIL omega vertex count equals lucas(n): first failure at n=3',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('undercounted_vertices', 'gamma'): [
         'FAIL gamma vertex count equals fib(n+2): first failure at n=9',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('undercounted_vertices', 'omega'): [
         'FAIL omega vertex count equals lucas(n): first failure at n=9',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('missing_edge_cube', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
         'FAIL gamma dimension-1 cubes are exactly the edge set: first failure at n=6',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('missing_edge_cube', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
         'FAIL omega dimension-1 cubes are exactly the edge set: first failure at n=6',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('no_isomorphism', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('no_isomorphism', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'FAIL omega order-4 member is the grid-plus-pendant graph: no isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('rejected_subcopy', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'FAIL gamma canonical subcopies equal freshly built members: first failure at n=6 (first)',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('rejected_subcopy', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'FAIL omega canonical subcopies equal freshly built members: first failure at n=6 (first)',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('reversed_json', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'FAIL gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('reversed_json', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'FAIL omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('drifting_export', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'FAIL gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('drifting_export', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'FAIL omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('short_witness', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
         'FAIL gamma cube-independent witness has padovan(n+1) vertices: first failure at n=6',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('short_witness', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
         'FAIL omega cube-independent witness has padovan(n+1) vertices: first failure at n=6',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('clashing_witness', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
         'FAIL gamma cube-independent witness has padovan(n+1) vertices: first failure at n=4',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('clashing_witness', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
         'FAIL omega cube-independent witness has padovan(n+1) vertices: first failure at n=4',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..8]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('dropped_cube_per_level', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
         'FAIL gamma dimension-1 cubes are exactly the edge set: first failure at n=7',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
         'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=7',
@@ -749,17 +723,16 @@ EXPECTED = {
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('dropped_cube_per_level', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
         'FAIL omega dimension-1 cubes are exactly the edge set: first failure at n=7',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
         'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=7',
@@ -769,36 +742,34 @@ EXPECTED = {
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('dropped_subcube', 'gamma'): [
         'PASS gamma vertex count equals fib(n+2): [n=0..9]',
         'PASS gamma graphs are connected: [n=0..9]',
-        'PASS gamma exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma verify-factor passes on all three solvers: [n=0..8]',
-        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'FAIL gamma exact-min part count equals padovan(n+1): first failure at n=9',
+        'FAIL gamma cube-independent witness has padovan(n+1) vertices: first failure at n=9',
+        'FAIL gamma greedy-layered profile equals recurrence coefficients: first failure at n=9',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
         'FAIL gamma adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
         'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
         'PASS gamma exports are deterministic: [n=5]',
-        'INFO gamma orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
     ('dropped_subcube', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
-        'PASS omega exact-min part count equals padovan(n+1): [n=0..8]',
-        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..8]',
-        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega structural profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega verify-factor passes on all three solvers: [n=0..8]',
-        'PASS omega exact-min profile equals recurrence coefficients: [n=0..8]',
-        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..8]',
+        'FAIL omega exact-min part count equals padovan(n+1): first failure at n=9',
+        'FAIL omega cube-independent witness has padovan(n+1) vertices: first failure at n=9',
+        'FAIL omega greedy-layered profile equals recurrence coefficients: first failure at n=9',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'FAIL omega adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
         'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
@@ -807,7 +778,6 @@ EXPECTED = {
         'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
         'PASS omega factor JSON round-trips through verification: [n=5]',
         'PASS omega exports are deterministic: [n=5]',
-        'INFO omega orders skipped: solvers skip n=9..9 (over the 64-vertex exact-search cap)',
     ],
 }
 

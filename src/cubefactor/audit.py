@@ -77,127 +77,103 @@ def sequence_audit(max_n: int) -> list[AuditEntry]:
 def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     """Built graphs and the three factor solvers against the sequences and
     the recurrence coefficients, and the cube-independent witness against
-    padovan(n+1) and ``check_witness``. Exact search builds the same
+    padovan(n+1) and ``enumerate_cubes``. Exact search builds the same
     witness from its own cubes as its lower bound; what the audit adds is
-    its own ``cube_independent_set`` call and ``check_witness``'s scan of
-    every cube. The solvers read a member's cubes as subcubes of its label
-    coordinates, and ``check_witness`` reads ``enumerate_cubes``; the
-    audit checks that the coordinates place every edge at Hamming distance
-    1 and that the two enumerators agree at every dimension.
-    Graphs are built up to the construction cap, and the entries over a
-    range of orders cover every built order; an INFO entry names the
-    orders the cap skipped."""
+    its own ``cube_independent_set`` call and a scan of every cube for a
+    pair of the witness. The solvers read a member's cubes as subcubes of
+    its label coordinates (``factors._subcubes``), and the witness is
+    checked against the other enumerator.
+
+    One pass over the built members lists each member's cubes once with
+    ``enumerate_cubes`` and once with ``_subcubes``, both up to its top
+    dimension (at least 1), and reads the witness, dimension-1, Hamming
+    and enumerator-equality checks off those two listings; it drops them
+    before the solvers list their own. Every check over a range of orders
+    is one key of the pass's failure table, printed in the order of the
+    name table. Graphs are built up to the construction cap, and the
+    entries over a range of orders cover every built order; an INFO entry
+    names the orders the cap skipped."""
     fam = _family(family)
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
     f = fam.value
     build_ns = range(min(max_n, graphs.DEFAULT_MAX_N) + 1)
     built = [graphs.build_graph(fam, n) for n in build_ns]
-    rng = f"[n=0..{build_ns[-1]}]"
     expected_name = "fib(n+2)" if fam is Family.GAMMA else "lucas(n)"
-    entries = [
-        _check(
-            f"{f} vertex count equals {expected_name}",
-            [n for n in build_ns if built[n].vertex_count != graphs.expected_vertex_count(fam, n)],
-            rng,
-        ),
-        _check(
-            f"{f} graphs are connected",
-            [n for n in build_ns if not built[n].is_connected()],
-            rng,
-        ),
-    ]
-
-    bad: dict[str, list[int]] = defaultdict(list)
+    # one entry per key of the failure table, in this order; the split has
+    # its own range, and a profile that differs is INFO, not FAIL
+    names = {
+        "count": f"{f} vertex count equals {expected_name}",
+        "connected": f"{f} graphs are connected",
+        "exact": f"{f} exact-min part count equals padovan(n+1)",
+        "witness": f"{f} cube-independent witness has padovan(n+1) vertices",
+        "greedy": f"{f} greedy-layered profile equals recurrence coefficients",
+        "structural": f"{f} structural profile equals recurrence coefficients",
+        "verify": f"{f} verify-factor passes on all three solvers",
+        "profile": f"{f} exact-min profile equals recurrence coefficients",
+        "edges": f"{f} dimension-1 cubes are exactly the edge set",
+        "hamming": f"{f} adjacency is Hamming distance 1 on the label coordinates",
+        "enumerators": f"{f} cube enumeration equals coordinate subcubes at every dimension",
+        "split": f"{f} recursion split partitions the vertex set",
+        "subcopies": f"{f} canonical subcopies equal freshly built members",
+    }
+    split = ("cube-pair-0", "second", "third")
+    split_ns: list[int] = []
+    bad: dict[str, list[object]] = defaultdict(list)
     part_counts = islice(sequences._terms("padovan"), 1, None)  # padovan(n+1) for n = 0, 1, ...
-    for n, poly, parts in zip(build_ns, qpoly_rows(fam), part_counts):
-        g = built[n]
+    for n, g, poly, parts in zip(build_ns, built, qpoly_rows(fam), part_counts):
+        witness = factors.cube_independent_set(g)
+        k = max(factors._dimensions(g), 1)
+        cubes, subcubes = factors.enumerate_cubes(g, k), factors._subcubes(g, k)
+        failed = {
+            "count": g.vertex_count != graphs.expected_vertex_count(fam, n),
+            "connected": not g.is_connected(),
+            "witness": len(witness) != parts
+            or bool(factors._shared_pairs(cubes, sum(1 << v for v in witness))),
+            "edges": sorted(verts for verts, _ in cubes[1]) != sorted(g.edges()),
+            # the solvers read the coordinate subcubes wherever their level 1
+            # is the edge set; the two keys check that it is on every member
+            # and that the subcubes are exactly the extension route's cubes
+            "hamming": subcubes is None,
+            "enumerators": subcubes != cubes,
+        }
+        del cubes, subcubes  # the solvers list their own
         exact = factors.exact_min_factor(g)
         greedy = factors.greedy_layered_factor(g)
         structural = factors.structural_factor(fam, n, g)
-        witness = factors.cube_independent_set(g)
-        failed = {
-            "witness": len(witness) != parts or bool(factors.check_witness(g, witness)),
-            "verify": any(
+        failed.update(
+            exact=exact.part_count != parts,
+            greedy=greedy.profile().counts != poly.coeffs,
+            structural=structural.profile().counts != poly.coeffs,
+            verify=any(
                 isinstance(factors.verify_factor(g, factor), factors.FactorViolation)
                 for factor in (exact, greedy, structural)
             ),
-            "exact": exact.part_count != parts,
-            "greedy": greedy.profile().counts != poly.coeffs,
-            "structural": structural.profile().counts != poly.coeffs,
-            "profile": exact.profile().counts != poly.coeffs,
-        }
+            profile=exact.profile().counts != poly.coeffs,
+        )
+        if set(split) <= g.subcopies.keys():
+            split_ns.append(n)
+            failed["split"] = sorted(
+                v for name in split for v in g.subcopies[name].vertices
+            ) != list(range(g.vertex_count))
+        bad["subcopies"] += [f"{n} ({name})" for name in sorted(g.subcopies) if not _extracts(g, name)]
         for key, hit in failed.items():
             if hit:
                 bad[key].append(n)
-    entries += [
-        _check(f"{f} exact-min part count equals padovan(n+1)", bad["exact"], rng),
-        _check(f"{f} cube-independent witness has padovan(n+1) vertices", bad["witness"], rng),
-        _check(f"{f} greedy-layered profile equals recurrence coefficients", bad["greedy"], rng),
-        _check(f"{f} structural profile equals recurrence coefficients", bad["structural"], rng),
-        _check(f"{f} verify-factor passes on all three solvers", bad["verify"], rng),
-    ]
-    if bad["profile"]:
-        entries.append(AuditEntry(
-            f"{f} exact-min profile vs recurrence coefficients",
-            "INFO",
-            f"minimum-count factor with a different profile at n={bad['profile']}",
-        ))
-    else:
-        entries.append(
-            AuditEntry(f"{f} exact-min profile equals recurrence coefficients", "PASS", rng)
-        )
 
-    entries.append(_check(
-        f"{f} dimension-1 cubes are exactly the edge set",
-        [
-            n
-            for n in build_ns
-            if sorted(verts for verts, _ in factors.enumerate_cubes(built[n], 1)[1])
-            != sorted(built[n].edges())
-        ],
-        rng,
-    ))
-    # the solvers read the coordinate subcubes wherever their level 1 is
-    # the edge set; the two entries check that it is on every member and
-    # that the subcubes are exactly the extension route's cubes
-    entries += [
-        _check(
-            f"{f} adjacency is Hamming distance 1 on the label coordinates",
-            [n for n in build_ns if factors._subcubes(built[n], 1) is None],
-            rng,
-        ),
-        _check(
-            f"{f} cube enumeration equals coordinate subcubes at every dimension",
-            [n for n in build_ns if _subcube_levels_differ(built[n])],
-            rng,
-        ),
-    ]
-    # ranges come off the built annotations: the split's here, omega's
-    # cross edges' below
-    split = ("cube-pair-0", "second", "third")
-    split_ns = [n for n in build_ns if set(split) <= built[n].subcopies.keys()]
-    if split_ns:
-        entries.append(_check(
-            f"{f} recursion split partitions the vertex set",
-            [
-                n
-                for n in split_ns
-                if sorted(v for name in split for v in built[n].subcopies[name].vertices)
-                != list(range(built[n].vertex_count))
-            ],
-            f"[n={split_ns[0]}..{split_ns[-1]}]",
-        ))
-    entries.append(_check(
-        f"{f} canonical subcopies equal freshly built members",
-        [
-            f"{n} ({name})"
-            for n in build_ns
-            for name in sorted(built[n].subcopies)
-            if not _extracts(built[n], name)
-        ],
-        rng,
-    ))
+    rng = f"[n=0..{build_ns[-1]}]"
+    entries = []
+    for key, name in names.items():
+        if key == "profile" and bad[key]:
+            entries.append(AuditEntry(
+                f"{f} exact-min profile vs recurrence coefficients",
+                "INFO",
+                f"minimum-count factor with a different profile at n={bad[key]}",
+            ))
+        elif key != "split":
+            entries.append(_check(name, bad[key], rng))
+        elif split_ns:  # the split's range comes off the built annotations
+            entries.append(_check(name, bad[key], f"[n={split_ns[0]}..{split_ns[-1]}]"))
 
     if fam is Family.OMEGA and len(built) > 4:
         cross_ns = [n for n in build_ns if "second" in built[n].subcopies]
@@ -243,11 +219,6 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             f"(over the construction cap n={graphs.DEFAULT_MAX_N})",
         ))
     return entries
-
-
-def _subcube_levels_differ(g: graphs.LabeledGraph) -> bool:
-    k_max = factors._dimensions(g)
-    return factors._subcubes(g, k_max) != factors.enumerate_cubes(g, k_max)
 
 
 def _extracts(g: graphs.LabeledGraph, name: str) -> bool:

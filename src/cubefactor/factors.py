@@ -72,8 +72,11 @@ solvers read is the one checked. Every other graph, and a member that
 fails the check, is read through ``enumerate_cubes``. The choice is read
 off the graph, and a custom graph costs one family test.
 ``check_witness`` always reads ``enumerate_cubes``, so on a member the
-witness is built from one enumerator and checked by the other, and the
-oracle audit compares the two at every dimension. The solvers build an
+witness is built from one enumerator and checked by the other. The oracle
+audit lists each member's cubes once through each of ``enumerate_cubes``
+and ``_subcubes``: it checks the witness against the first listing
+(``check_witness``'s scan, ``_shared_pairs``) and compares the two at
+every dimension, while the solvers list their own. The solvers build an
 ``InducedCube`` only for the parts they return. ``verify_factor`` builds
 each part's mask once, after checking its ids.
 
@@ -449,15 +452,22 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
     not exceptions). An id outside the graph raises ValueError. The cubes
     come from ``enumerate_cubes`` on every graph, so a member's witness,
     which the solvers build from its coordinate subcubes, is checked
-    against the other enumerator.
+    against the other enumerator. The scan is :func:`_shared_pairs`,
+    which the oracle audit calls on its own ``enumerate_cubes`` listing.
     """
     members = 0
     for v in witness:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"vertex id {v} is outside the graph")
         members |= 1 << v
+    return _shared_pairs(enumerate_cubes(g, _dimensions(g)), members)
+
+
+def _shared_pairs(levels: list[list[_Cube]], members: int) -> list[tuple[int, int]]:
+    # the pairs of the vertex bit set ``members`` that share a cube of
+    # ``levels`` above level 0, sorted
     pairs: set[tuple[int, int]] = set()
-    for level in enumerate_cubes(g, _dimensions(g))[1:]:
+    for level in levels[1:]:
         for _, mask in level:
             pairs.update(combinations(_bits(mask & members), 2))
     return sorted(pairs)

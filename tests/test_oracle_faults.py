@@ -5,14 +5,17 @@ Every oracle line in the goldens is PASS, so each test here corrupts one
 result on the computed side of ``oracle_audit`` and pins every line it
 prints at max_n 9: a solver's factor at one or two orders, the witness's
 size or independence at one order, a verification verdict, an expected
-vertex count too high at one order or too low at the last, a dropped
-dimension-1 cube, a cube dropped from every level of ``enumerate_cubes`` at
-one order, a cube dropped from ``interval_cubes`` (which the entry
-comparing the two enumerators notices, the Hamming entry too, since
-``_subcubes`` checks the level 1 it reads, and at order 9 the solvers'
-entries), a failed isomorphism, a subcopy extraction, the JSON parser and
-the exporter.
+vertex count too high at one order or too low at the last, an edge
+dropped from every ``enumerate_cubes`` listing at one order, a cube
+dropped from every level of ``enumerate_cubes`` at one order, a top-level
+cube dropped from ``interval_cubes`` (which the entry comparing the two
+enumerators notices, and at order 9 the solvers' entries), an edge dropped
+from ``interval_cubes`` (which the Hamming entry notices, since
+``_subcubes`` checks the level 1 it reads), a failed isomorphism, a
+subcopy extraction, the JSON parser and the exporter.
 Faults enter through module attributes the audit looks up at call time.
+The audit lists each member's cubes once per enumerator, which the last
+test counts.
 """
 
 from __future__ import annotations
@@ -119,11 +122,13 @@ def undercounted_vertices(mp):
 
 
 def missing_edge_cube(mp):
+    # every extension listing at n=6 loses its first edge; the solvers read
+    # coordinate subcubes and keep it
     clean = factors.enumerate_cubes
 
     def enumerate_cubes(g, k_max, stats=None):
         levels = clean(g, k_max, stats)
-        if g.n == 6 and k_max == 1:
+        if g.n == 6:
             levels[1] = levels[1][1:]
         return levels
 
@@ -144,11 +149,11 @@ def dropped_cube_per_level(mp):
 
 def dropped_subcube(mp):
     # the coordinate route loses the last cube of its top filled level on
-    # the members above 40 vertices, orders 8 and 9 in both families. The
-    # Hamming entry asks for level 1 only, so the lost cube is an edge and
-    # the member fails it; the solvers ask for every level and lose one
-    # 4-cube at order 8, which changes no optimum there, and at order 9
-    # gamma's only 5-cube and one of omega's nine 4-cubes, which does
+    # the members above 40 vertices, orders 8 and 9 in both families. Every
+    # caller asks for every level, so level 1 stays whole and the Hamming
+    # entry passes; the enumerators differ from order 8, and the solvers
+    # lose one 4-cube at order 8, which changes no optimum there, and at
+    # order 9 gamma's only 5-cube and one of omega's nine 4-cubes, which does
     clean = factors.interval_cubes
 
     def interval_cubes(coords, k_max):
@@ -156,6 +161,22 @@ def dropped_subcube(mp):
         if len(coords) > 40:
             top = max(k for k, level in enumerate(levels) if level)
             levels[top] = levels[top][:-1]
+        return levels
+
+    mp.setattr(factors, "interval_cubes", interval_cubes)
+
+
+def dropped_edge_subcube(mp):
+    # the coordinate route loses its last edge on the same members, so
+    # ``_subcubes`` rejects their coordinates: the Hamming and enumerator
+    # entries fail from order 8, and the solvers read the extension route
+    # there and keep their optima
+    clean = factors.interval_cubes
+
+    def interval_cubes(coords, k_max):
+        levels = clean(coords, k_max)
+        if len(coords) > 40:
+            levels[1] = levels[1][:-1]
         return levels
 
     mp.setattr(factors, "interval_cubes", interval_cubes)
@@ -198,7 +219,7 @@ FAULTS = {
         extra_exact_part, reshaped_exact_profile, extra_greedy_part, extra_structural_part,
         short_witness, clashing_witness, rejecting_verify, wrong_vertex_count,
         undercounted_vertices, missing_edge_cube, dropped_cube_per_level, dropped_subcube,
-        no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
+        dropped_edge_subcube, no_isomorphism, rejected_subcopy, reversed_json, drifting_export,
     )
 }
 
@@ -466,7 +487,7 @@ EXPECTED = {
         'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
         'FAIL gamma dimension-1 cubes are exactly the edge set: first failure at n=6',
         'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
+        'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=6',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
         'PASS gamma factor JSON round-trips through verification: [n=5]',
@@ -483,7 +504,7 @@ EXPECTED = {
         'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
         'FAIL omega dimension-1 cubes are exactly the edge set: first failure at n=6',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
-        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
+        'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=6',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -753,7 +774,7 @@ EXPECTED = {
         'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
         'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[9]',
         'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
-        'FAIL gamma adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
         'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
         'PASS gamma recursion split partitions the vertex set: [n=3..9]',
         'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
@@ -769,6 +790,42 @@ EXPECTED = {
         'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
         'PASS omega verify-factor passes on all three solvers: [n=0..9]',
         'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+    ],
+    ('dropped_edge_subcube', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
+        'FAIL gamma adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
+        'FAIL gamma cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+    ],
+    ('dropped_edge_subcube', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'FAIL omega adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
         'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
@@ -855,3 +912,20 @@ def test_omega_cross_edge_entry_reaches_the_construction_cap(monkeypatch):
     monkeypatch.setattr(audit, "_second_copy_matched", lambda g: g.n != 14 and clean(g))
     [entry] = [e for e in audit.oracle_audit("omega", 16) if e.name == CROSS_EDGES]
     assert entry.line() == f"FAIL {CROSS_EDGES}: first failure at n=14"
+
+
+def test_oracle_audit_lists_each_members_cubes_once_per_enumerator(monkeypatch):
+    # per order: enumerate_cubes once, by the audit, since the solvers read
+    # a member's subcubes; _subcubes four times, by the audit, exact search,
+    # greedy and cube_independent_set
+    calls = dict.fromkeys(("enumerate_cubes", "_subcubes"), 0)
+    for name in calls:
+        clean = getattr(factors, name)
+
+        def counted(*args, _name=name, _clean=clean, **kwargs):
+            calls[_name] += 1
+            return _clean(*args, **kwargs)
+
+        monkeypatch.setattr(factors, name, counted)
+    audit.oracle_audit("gamma", 8)
+    assert calls == {"enumerate_cubes": 9, "_subcubes": 36}

@@ -49,6 +49,13 @@ bound prunes only nodes below which no cover strictly beats the
 incumbent, and only strict improvements replace it, so neither bound
 changes which cover the core returns.
 
+Each search reads its cubes through one table, ``_CubeTable``. It lists
+each vertex's cubes when it is built, since the core branches on them, and
+builds the walk's data, each vertex's union of cubes and the visiting
+order, at the first walk. Exact search walks at its root; greedy's layers
+on the members stop on their first descent and never walk, so they never
+pay for it.
+
 Two enumerators list the induced cubes, with the same output: per
 dimension, a list of (sorted vertices, mask) pairs, the mask being the bit
 set of the vertices, in canonical order. Each docstring has its proof.
@@ -62,7 +69,9 @@ set of the vertices, in canonical order. Each docstring has its proof.
 * ``interval_cubes`` lists the subcubes of a vertex set in the hypercube,
   for a graph whose edges are exactly the pairs at Hamming distance 1.
   Each (k+1)-subcube joins two k-subcubes that differ in one bit above
-  their span.
+  their span. Each subcube carries the bits along which it extends, so no
+  lookup misses, and on ids in coordinate order, as on the members, two
+  halves' vertices join without a sort.
 
 The solvers (exact, greedy and ``cube_independent_set``) read
 ``_subcubes``: the subcubes of a gamma or omega member's label
@@ -89,10 +98,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import LabeledGraph, _bits, build_graph, coordinate
 from .polynomials import Family, _family
@@ -288,11 +297,18 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     :func:`enumerate_cubes`.
 
     The cubes are the subcubes {u | s : s subset of F} inside the coordinate
-    set, u and F disjoint bit sets, |F| = k. Level k+1 is read off level k:
-    the subcube (u, F) is extended by a bit j above F's highest bit, clear
-    in u, when (u | 2**j, F) is in level k too, and the new cube's vertices
-    and mask are the union of the two halves. Each subcube is formed once,
-    from its split at the highest bit of its span.
+    set, u and F disjoint bit sets, |F| = k. Level k+1 is read off level k
+    without a lookup that misses. Each subcube (u, F) carries ups(u, F), the
+    bits j above F's highest bit, clear in u, for which (u | 2**j, F) is in
+    level k too; level 0 reads them off the coordinate set, from each
+    coordinate's set bits. (u, F) is extended by each j of ups(u, F) to
+    (u, F + j), the union of the two halves, which carries ups(u, F) &
+    ups(u | 2**j, F) above j. Each subcube is formed once, from its split
+    at the highest bit of its span. Every coordinate of the lower half is
+    below every one of the upper half, the two first differing at bit j, so
+    when the lower half's last id is below the upper half's first, as on
+    ids in coordinate order, the halves' vertices are concatenated; other
+    ids are sorted.
 
     Proof. Sound: a subcube inside the set induces a k-cube, since its
     vertices' edges are their pairs at distance 1, which are the k-cube's.
@@ -305,30 +321,42 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     face, flipping two bits twice each, so j(x) = j(y). A facet is
     connected, so phi flips one bit j throughout; j is outside F, since
     phi(x) is outside the first facet, and u' = u ^ 2**j. So the cube is
-    the subcube (min(u, u'), F + j), and it lies inside the set. The proof
-    reads only the coordinates and the Hamming-distance rule, so it holds
-    on any such graph. Repeated or negative coordinates raise ValueError.
+    the subcube (min(u, u'), F + j), and it lies inside the set. The ups
+    rule, by induction on k, level 0's being read off the set: a bit i of
+    ups(u, F + j) lies above j, the highest bit of F + j, is clear in u,
+    and so is clear in u | 2**j too. The subcube (u | 2**i, F + j) is
+    inside the set exactly when its halves at bit j, (u | 2**i, F) and
+    (u | 2**i | 2**j, F), are, that is, exactly when i is in ups(u, F) and
+    in ups(u | 2**j, F). So each subcube carries exactly its ups, and each
+    is extended along exactly the bits j that the split at the highest bit
+    of the span needs. The proof reads only the coordinates and the
+    Hamming-distance rule, so it holds on any such graph. Repeated or
+    negative coordinates raise ValueError.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be non-negative, got {k_max}")
-    level = {(u, 0): ((v,), 1 << v) for v, u in enumerate(coords)}  # (u, F) -> cube
-    if len(level) != len(coords) or min(coords, default=0) < 0:
+    ups = dict.fromkeys(coords, 0)  # u -> ups(u, 0)
+    if len(ups) != len(coords) or min(coords, default=0) < 0:
         raise ValueError("coordinates must be distinct and non-negative")
-    full = (1 << max(coords, default=0).bit_length()) - 1
-    levels = [sorted(level.values())]
+    for u in ups:
+        for j in _bits(u):
+            if u ^ 1 << j in ups:
+                ups[u ^ 1 << j] |= 1 << j
+    width = max(coords, default=0).bit_length()
+    # the key F << width | u -> (cube, ups(u, F))
+    level = {u: (((v,), 1 << v), ups[u]) for v, u in enumerate(coords)}
+    levels = [sorted(cube for cube, _ in level.values())]
     for _ in range(k_max):
-        grown: dict[tuple[int, int], _Cube] = {}
-        for (u, span), (vertices, mask) in level.items():
-            top = span.bit_length()
-            free = ~u & full >> top << top  # the bits j above F's highest, clear in u
+        grown: dict[int, tuple[_Cube, int]] = {}
+        for key, ((vertices, mask), free) in level.items():
             while free:
                 bit = free & -free
-                free ^= bit
-                other = level.get((u | bit, span))
-                if other is not None:
-                    grown[u, span | bit] = (tuple(sorted(vertices + other[0])), mask | other[1])
+                free ^= bit  # the bits left in free lie above j
+                (other, other_mask), other_ups = level[key | bit]
+                joined = vertices + other if vertices[-1] < other[0] else tuple(sorted(vertices + other))
+                grown[key | bit << width] = ((joined, mask | other_mask), free & other_ups)
         level = grown
-        levels.append(sorted(level.values()))
+        levels.append(sorted(cube for cube, _ in level.values()))
     return levels
 
 
@@ -376,28 +404,34 @@ def _all_cubes(g: LabeledGraph) -> list[_Cube]:
 # ---------------------------------------------------------------------------
 
 
-class _CubeTable(NamedTuple):
+class _CubeTable:
     """The cubes of one cover search, read by vertex. Built once per search
-    and shared by the search core and the witness walk."""
+    and shared by the search core and the witness walk: ``through``, which
+    the core branches on, with the table, and ``walk``, the walk's data,
+    at the first walk, which greedy's layers on the members never reach.
+    """
 
-    ordered: list[_Cube]  # dimension >= 1, all inside target
-    target: int  # the vertex set to cover
-    through: list[list[tuple[int, int]]]  # per vertex: (index in ordered, mask) of its cubes
-    unions: list[int]  # per vertex: its own bit and the masks of its cubes
-    order: list[tuple[int, int]]  # target's vertices as (id, bit), fewest conflicts first, ties by id
+    def __init__(self, ordered: list[_Cube], target: int) -> None:
+        self.ordered = ordered  # dimension >= 1, all inside target
+        self.target = target  # the vertex set to cover
+        through: list[list[tuple[int, int]]] = [[] for _ in range(target.bit_length())]
+        for idx, (vertices, mask) in enumerate(ordered):
+            entry = (idx, mask)
+            for v in vertices:
+                through[v].append(entry)
+        self.through = through  # per vertex: (index in ordered, mask) of its cubes
 
-
-def _cube_table(ordered: list[_Cube], target: int) -> _CubeTable:
-    through: list[list[tuple[int, int]]] = [[] for _ in range(target.bit_length())]
-    unions = [1 << v for v in range(target.bit_length())]
-    for idx, (vertices, mask) in enumerate(ordered):
-        entry = (idx, mask)
-        for v in vertices:
-            through[v].append(entry)
-            unions[v] |= mask
-    conflicts = [u.bit_count() for u in unions]
-    order = sorted(_bits(target), key=conflicts.__getitem__)  # stable: ties stay in id order
-    return _CubeTable(ordered, target, through, unions, [(v, 1 << v) for v in order])
+    @cached_property
+    def walk(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Per vertex, its own bit and the masks of its cubes; and the
+        target's vertices as (id, bit), fewest conflicts first, ties by id."""
+        unions = [1 << v for v in range(self.target.bit_length())]
+        for vertices, mask in self.ordered:
+            for v in vertices:
+                unions[v] |= mask
+        conflicts = [u.bit_count() for u in unions]
+        order = sorted(_bits(self.target), key=conflicts.__getitem__)  # stable: ties stay in id order
+        return unions, [(v, 1 << v) for v in order]
 
 
 def cube_independent_set(g: LabeledGraph) -> tuple[int, ...]:
@@ -410,7 +444,7 @@ def cube_independent_set(g: LabeledGraph) -> tuple[int, ...]:
     unless a vertex kept before it conflicts with it. It is the root walk
     of ``_cube_independent``, the walk exact search repeats at its nodes.
     """
-    table = _cube_table(_all_cubes(g), (1 << g.vertex_count) - 1)
+    table = _CubeTable(_all_cubes(g), (1 << g.vertex_count) - 1)
     return tuple(sorted(_cube_independent(table, 0, g.vertex_count)))
 
 
@@ -420,7 +454,7 @@ def _cube_independent(table: _CubeTable, covered: int, limit: int) -> list[int]:
     of the uncovered vertices by those cubes and single vertices has a part
     for each of them, so it has at least as many parts as the walk keeps.
 
-    The vertices are visited in ``table.order``, the order of fewest
+    The vertices are visited in the order of ``table.walk``, fewest
     conflicts over all the table's cubes (the conflicts at the root), and a
     vertex is kept unless a vertex kept before it blocks it. A kept vertex
     blocks the cubes through it that still fit: its precomputed union if
@@ -429,12 +463,13 @@ def _cube_independent(table: _CubeTable, covered: int, limit: int) -> list[int]:
     """
     kept: list[int] = []
     free = table.target & ~covered
-    for v, bit in table.order:
+    unions, order = table.walk
+    for v, bit in order:
         if free & bit:
             kept.append(v)
             if len(kept) > limit:
                 break
-            block = table.unions[v]
+            block = unions[v]
             if block & covered:
                 block = bit
                 for _, mask in table.through[v]:
@@ -601,7 +636,7 @@ def exact_min_factor(
     """
     _check_cap(g, cap)
     nv = g.vertex_count
-    table = _cube_table(_all_cubes(g), (1 << nv) - 1)
+    table = _CubeTable(_all_cubes(g), (1 << nv) - 1)
     lower = len(_cube_independent(table, 0, nv))
     effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
     factor = _with_single_vertices(nv, _first_min_cover(table, effort, lower))
@@ -646,7 +681,7 @@ def greedy_layered_factor(
         fitting = [c for c in layer if not c[1] & ~remaining]
         saved = len(fitting[0][0]) - 1 if fitting else 0  # 2**k - 1: the parts one k-cube saves
         lower = remaining.bit_count() - _packing_bound([mask for _, mask in fitting]) * saved
-        for vertices, mask in _first_min_cover(_cube_table(fitting, remaining), effort, lower):
+        for vertices, mask in _first_min_cover(_CubeTable(fitting, remaining), effort, lower):
             parts.append((vertices, mask))
             remaining &= ~mask
     if stats is not None:
@@ -777,13 +812,13 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
     size = len(vertices)
     if not _fits(dimension, size):
         return False
-    if len(set(vertices)) != size:
+    members = 0
+    for v in vertices:
+        members |= 1 << v
+    if members.bit_count() != size:  # a repeated vertex
         return False
-    if size == 1:
-        return True
-    members = sum(1 << v for v in vertices)  # the vertices are distinct
-    local = {v: g.adj[v] & members for v in vertices}
-    if any(a.bit_count() != dimension for a in local.values()):
+    local = {v: g.adj[v] & members for v in vertices}  # each vertex's induced neighbours
+    if any(near.bit_count() != dimension for near in local.values()):
         return False
 
     root = vertices[0]
@@ -793,13 +828,25 @@ def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int)
         coord.update(level)
         below, level = level, {}
         for u, c in below.items():
-            for w in _bits(local[u]):
+            near = local[u]
+            while near:
+                low = near & -near
+                near ^= low
+                w = low.bit_length() - 1
                 if w not in coord:
                     level[w] = level.get(w, 0) | c
     # a vertex the BFS never reached leaves fewer distinct coordinates
-    return len(set(coord.values())) == size and all(
-        (coord[u] ^ coord[w]).bit_count() == 1 for u in vertices for w in _bits(local[u])
-    )
+    if len(set(coord.values())) != size:
+        return False
+    for u, near in local.items():
+        c = coord[u]
+        while near:
+            low = near & -near
+            near ^= low
+            flipped = c ^ coord[low.bit_length() - 1]
+            if flipped & flipped - 1:  # more than one bit; coordinates are distinct
+                return False
+    return True
 
 
 def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | FactorViolation:

@@ -33,11 +33,12 @@ def k_max_of(g):
     return max(g.vertex_count.bit_length() - 1, 0)
 
 
-def hamming_graph(d, coords):
+def hamming_graph(d, coords, in_order):
     """The induced subgraph of Q_d on ``coords``. Each label is a
-    coordinate's d bits written lowest first, so vertex ids, which follow
-    the sorted labels, are not in coordinate order."""
-    labels = {c: f"{c:0{d}b}"[::-1] or "-" for c in coords}
+    coordinate's d bits, written highest first when ``in_order``, so that
+    vertex ids, which follow the sorted labels, are in coordinate order,
+    and lowest first otherwise, so that they are not."""
+    labels = {c: (f"{c:0{d}b}" if in_order else f"{c:0{d}b}"[::-1]) or "-" for c in coords}
     edges = [(labels[a], labels[b]) for a in coords for b in coords if a < b and (a ^ b).bit_count() == 1]
     g = custom_graph(list(labels.values()), edges)
     by_label = {lab: c for c, lab in labels.items()}
@@ -47,7 +48,7 @@ def hamming_graph(d, coords):
 @st.composite
 def coordinate_sets(draw):
     d = draw(st.integers(0, 6))
-    return d, sorted(draw(st.sets(st.integers(0, (1 << d) - 1))))
+    return d, sorted(draw(st.sets(st.integers(0, (1 << d) - 1)))), draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)

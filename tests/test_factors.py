@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import tracemalloc
 from math import comb
 
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubefactor import factors
 from cubefactor.factors import (
     CubeFactor,
     FactorProfile,
     FactorViolation,
     InducedCube,
     _cube_independent,
-    _cube_table,
+    _CubeTable,
     _first_min_cover,
     _is_induced_cube,
     _packing_bound,
@@ -393,7 +395,7 @@ def check_early_stop(g):
     ordered = [c for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1] for c in level]
     told = dict(nodes=0, bound_prunes=0, memo_hits=0)
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    table = _cube_table(ordered, (1 << nv) - 1)
+    table = _CubeTable(ordered, (1 << nv) - 1)
     cover = _first_min_cover(table, told, lower)
     assert cover == _first_min_cover(table, untold)
     assert told == {key: stats[key] for key in told}
@@ -431,7 +433,7 @@ def check_node_bound(g, data):
         v for v in range(nv)
         if not covered >> v & 1 and not any(mask >> v & 1 for mask in fitting)
     ]
-    table = _cube_table(ordered, (1 << nv) - 1)
+    table = _CubeTable(ordered, (1 << nv) - 1)
     after = covered | sum(1 << v for v in forced)
     kept = _cube_independent(table, after, nv)
     assert not after & sum(1 << v for v in kept)
@@ -472,7 +474,7 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     assert cube_independent_set(g) == (2, 3)
     assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    _first_min_cover(_cube_table(enumerate_cubes(g, 1)[1], 0b1111), untold)
+    _first_min_cover(_CubeTable(enumerate_cubes(g, 1)[1], 0b1111), untold)
     assert untold["nodes"] == 6
 
 
@@ -519,6 +521,49 @@ def test_is_induced_cube_matches_an_isomorphism_check_on_small_graphs(g, rng):
             assert _is_induced_cube(g, tuple(shuffled), k) is expected
             if k:
                 assert not _is_induced_cube(g, subset[:-1] + subset[:1], k)
+
+
+def circulant(order, steps):
+    labels = [f"{i:02d}" for i in range(order)]
+    return custom_graph(labels, [(labels[i], labels[(i + s) % order]) for i in range(order) for s in steps])
+
+
+def pairs(labels):
+    return list(itertools.combinations(labels, 2))
+
+
+def shuffled_hypercube(k, seed):
+    """Q_k with its vertex ids, which follow the sorted labels, in an order
+    other than the coordinates'."""
+    names = [f"{i:02d}" for i in range(2**k)]
+    random.Random(seed).shuffle(names)
+    return custom_graph(names, [(names[i], names[i ^ 1 << b]) for i in range(2**k) for b in range(k) if i >> b & 1])
+
+
+@pytest.mark.parametrize(
+    "g, k, cube",
+    [
+        pytest.param(circulant(8, (1, 4)), 3, False, id="wagner"),
+        pytest.param(custom_graph(list("abcdefgh"), [*pairs("abcd"), *pairs("efgh")]), 3, False, id="2K4"),
+        pytest.param(circulant(16, (1, 3)), 4, False, id="C16(1,3)"),
+        pytest.param(circulant(16, (1, 5)), 4, False, id="C16(1,5)"),
+        pytest.param(shuffled_hypercube(3, 1), 3, True, id="Q3"),
+        pytest.param(shuffled_hypercube(4, 2), 4, True, id="Q4"),
+    ],
+)
+def test_a_regular_graph_is_a_cube_only_when_its_coordinates_say_so(g, k, cube):
+    # every vertex has degree k, so the degree check passes them all and
+    # only the coordinate checks tell the non-cubes apart
+    assert all(row.bit_count() == k for row in g.adj)
+    assert (find_isomorphism(g, hypercube_graph(k)) is not None) is cube
+    everything = tuple(range(g.vertex_count))
+    assert _is_induced_cube(g, everything, k) is cube
+    assert _is_induced_cube(g, everything[::-1], k) is cube
+    outcome = verify_factor(g, CubeFactor((InducedCube(k, everything),)))
+    if cube:
+        assert outcome == FactorProfile((0,) * k + (1,))
+    else:
+        assert outcome == FactorViolation("not-a-cube", f"part 0 does not induce a {k}-cube", 0)
 
 
 # Cube polynomial of Fibonacci cubes (Klavzar & Mollard, "Cube polynomial
@@ -656,6 +701,27 @@ def test_greedy_search_node_count(family, n, recorded):
     assert stats["nodes"] <= recorded
 
 
+@pytest.mark.parametrize("family, n", [("gamma", 11), ("omega", 12)])
+def test_only_a_witness_walk_builds_the_walk_data(family, n, monkeypatch):
+    # greedy's layers stop on their first descent, which never walks, so no
+    # layer's table builds its walk data; exact search builds one table and
+    # walks at its root
+    tables = []
+
+    class Recorded(factors._CubeTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(factors, "_CubeTable", Recorded)
+    g = build_graph(family, n)
+    greedy_layered_factor(g)
+    assert tables and not any("walk" in vars(table) for table in tables)
+    tables.clear()
+    exact_min_factor(g)
+    assert ["walk" in vars(table) for table in tables] == [True]
+
+
 # sha256 of factor_to_json for greedy past 64 vertices, where the solvers
 # once stopped unless told a higher cap: orders 11 and 12 recorded from the
 # per-dimension packing search that preceded the shared core, orders 13 to
@@ -739,7 +805,7 @@ def test_the_packing_bound_holds_and_only_cuts_greedy_on_member_subgraphs(g):
     parts = []
     for layer in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1]:
         fitting = [c for c in layer if not c[1] & ~remaining]
-        packing = _first_min_cover(_cube_table(fitting, remaining), untold, 0)
+        packing = _first_min_cover(_CubeTable(fitting, remaining), untold, 0)
         assert len(packing) <= _packing_bound([mask for _, mask in fitting])
         for vertices, mask in packing:
             parts.append(InducedCube(len(vertices).bit_length() - 1, vertices))

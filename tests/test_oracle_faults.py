@@ -902,9 +902,9 @@ CROSS_EDGES = "omega cross edges form a perfect matching on the smaller copy"
 
 
 def test_omega_cross_edge_entry_names_every_order_it_checked():
+    # the entry's line at order 16, PASS ...: [n=4..16], is pinned by the
+    # golden of verify --suite oracle --max-n 16
     assert not [e for e in audit.oracle_audit("omega", 3) if e.name == CROSS_EDGES]
-    [entry] = [e for e in audit.oracle_audit("omega", 16) if e.name == CROSS_EDGES]
-    assert entry.line() == f"PASS {CROSS_EDGES}: [n=4..16]"
 
 
 def test_omega_cross_edge_entry_reaches_the_construction_cap(monkeypatch):

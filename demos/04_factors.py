@@ -28,7 +28,7 @@ def show(g, factor, title):
 g5 = build_gamma(5)
 
 # What raw material is there? Count the induced cubes per dimension.
-levels = enumerate_cubes(g5, 3)
+levels = enumerate_cubes(g5)
 print("induced cubes in gamma order 5:", [len(level) for level in levels])
 
 # Route one: exact branch-and-bound cover. The minimum part count is a

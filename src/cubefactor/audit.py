@@ -86,13 +86,13 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
 
     One pass over the built members lists each member's cubes once with
     ``enumerate_cubes`` and once with ``_subcubes``, both up to its top
-    dimension (at least 1), and reads the witness, dimension-1, Hamming
-    and enumerator-equality checks off those two listings; it drops them
+    dimension, and reads the witness, dimension-1, Hamming and
+    enumerator-equality checks off those two listings; it drops them
     before the solvers list their own. Every check over a range of orders
     is one key of the pass's failure table, printed in the order of the
-    name table. Graphs are built up to the construction cap, and the
-    entries over a range of orders cover every built order; an INFO entry
-    names the orders the cap skipped."""
+    name table with the range of the orders it ran on: every built order,
+    or those with the annotations it reads. Graphs are built up to the
+    construction cap; an INFO entry names the orders the cap skipped."""
     fam = _family(family)
     if max_n < 0:
         raise ValueError(f"max_n must be non-negative, got {max_n}")
@@ -100,8 +100,8 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     build_ns = range(min(max_n, graphs.DEFAULT_MAX_N) + 1)
     built = [graphs.build_graph(fam, n) for n in build_ns]
     expected_name = "fib(n+2)" if fam is Family.GAMMA else "lucas(n)"
-    # one entry per key of the failure table, in this order; the split has
-    # its own range, and a profile that differs is INFO, not FAIL
+    # one entry per key of the failure table that ran, in this order; a
+    # profile that differs is INFO, not FAIL
     names = {
         "count": f"{f} vertex count equals {expected_name}",
         "connected": f"{f} graphs are connected",
@@ -116,21 +116,21 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
         "enumerators": f"{f} cube enumeration equals coordinate subcubes at every dimension",
         "split": f"{f} recursion split partitions the vertex set",
         "subcopies": f"{f} canonical subcopies equal freshly built members",
+        "cross": f"{f} cross edges form a perfect matching on the smaller copy",
     }
     split = ("cube-pair-0", "second", "third")
-    split_ns: list[int] = []
     bad: dict[str, list[object]] = defaultdict(list)
+    ran: dict[str, list[int]] = defaultdict(list)  # the orders each key ran on
     part_counts = islice(sequences._terms("padovan"), 1, None)  # padovan(n+1) for n = 0, 1, ...
     for n, g, poly, parts in zip(build_ns, built, qpoly_rows(fam), part_counts):
         witness = factors.cube_independent_set(g)
-        k = max(factors._dimensions(g), 1)
-        cubes, subcubes = factors.enumerate_cubes(g, k), factors._subcubes(g, k)
+        cubes, subcubes = factors.enumerate_cubes(g), factors._subcubes(g)
         failed = {
             "count": g.vertex_count != graphs.expected_vertex_count(fam, n),
             "connected": not g.is_connected(),
             "witness": len(witness) != parts
             or bool(factors._shared_pairs(cubes, sum(1 << v for v in witness))),
-            "edges": sorted(verts for verts, _ in cubes[1]) != sorted(g.edges()),
+            "edges": sorted(pair for level in cubes[1:2] for pair, _ in level) != sorted(g.edges()),
             # the solvers read the coordinate subcubes wherever their level 1
             # is the edge set; the two keys check that it is on every member
             # and that the subcubes are exactly the extension route's cubes
@@ -152,16 +152,18 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             profile=exact.profile().counts != poly.coeffs,
         )
         if set(split) <= g.subcopies.keys():
-            split_ns.append(n)
             failed["split"] = sorted(
                 v for name in split for v in g.subcopies[name].vertices
             ) != list(range(g.vertex_count))
+        if fam is Family.OMEGA and "second" in g.subcopies:
+            failed["cross"] = not _second_copy_matched(g)
         bad["subcopies"] += [f"{n} ({name})" for name in sorted(g.subcopies) if not _extracts(g, name)]
+        ran["subcopies"].append(n)
         for key, hit in failed.items():
+            ran[key].append(n)
             if hit:
                 bad[key].append(n)
 
-    rng = f"[n=0..{build_ns[-1]}]"
     entries = []
     for key, name in names.items():
         if key == "profile" and bad[key]:
@@ -170,18 +172,10 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
                 "INFO",
                 f"minimum-count factor with a different profile at n={bad[key]}",
             ))
-        elif key != "split":
-            entries.append(_check(name, bad[key], rng))
-        elif split_ns:  # the split's range comes off the built annotations
-            entries.append(_check(name, bad[key], f"[n={split_ns[0]}..{split_ns[-1]}]"))
+        elif ran[key]:
+            entries.append(_check(name, bad[key], f"[n={ran[key][0]}..{ran[key][-1]}]"))
 
     if fam is Family.OMEGA and len(built) > 4:
-        cross_ns = [n for n in build_ns if "second" in built[n].subcopies]
-        entries.append(_check(
-            "omega cross edges form a perfect matching on the smaller copy",
-            [n for n in cross_ns if not _second_copy_matched(built[n])],
-            f"[n={cross_ns[0]}..{cross_ns[-1]}]",
-        ))
         iso = graphs.find_isomorphism(built[4], _grid_plus_pendant())
         entries.append(AuditEntry(
             "omega order-4 member is the grid-plus-pendant graph",

@@ -57,8 +57,9 @@ on the members stop on their first descent and never walk, so they never
 pay for it.
 
 Two enumerators list the induced cubes, with the same output: per
-dimension, a list of (sorted vertices, mask) pairs, the mask being the bit
-set of the vertices, in canonical order. Each docstring has its proof.
+dimension from 0 to floor(log2 |V|), the largest the vertex count allows,
+a list of (sorted vertices, mask) pairs, the mask being the bit set of the
+vertices, in canonical order. Each docstring has its proof.
 
 * ``enumerate_cubes`` holds on any graph. It builds each (k+1)-cube from a
   k-cube a, which keeps its vertices in coordinate order, and the image of
@@ -99,7 +100,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -183,11 +184,10 @@ def _fits(dimension: int, size: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_cubes(
-    g: LabeledGraph, k_max: int, stats: dict[str, int] | None = None
-) -> list[list[_Cube]]:
-    """All induced k-cubes for k = 0..k_max, canonically ordered per level,
-    each as its (sorted vertices, mask) pair.
+def enumerate_cubes(g: LabeledGraph, stats: dict[str, int] | None = None) -> list[list[_Cube]]:
+    """All induced k-cubes for k = 0..floor(log2 |V|), the largest
+    dimension the vertex count allows, canonically ordered per level, each
+    as its (sorted vertices, mask) pair.
 
     Level 0 is the single vertices. Level k+1 joins two disjoint level-k
     cubes a and b whose cross edges form a perfect matching phi that is an
@@ -231,16 +231,11 @@ def enumerate_cubes(
     If ``stats`` is given, it receives ``joins``, the number of complete
     images B looked up in level k.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
     adj = g.adj
     levels = [[((v,), 1 << v) for v in range(g.vertex_count)]]
     coords = [(v,) for v in range(g.vertex_count)]  # each cube of the last level in coordinate order
     joins = 0
-    for k in range(1, k_max + 1):
-        if not levels[-1]:  # a k-cube holds (k-1)-cubes, so no level above is filled
-            levels.append([])
-            continue
+    for k in range(1, g.vertex_count.bit_length()):
         size = 1 << k - 1
         # lower[c]: the coordinates c ^ 2**i for the set bits i of c
         lower = [[c ^ 1 << i for i in range(k - 1) if c >> i & 1] for c in range(size)]
@@ -290,11 +285,11 @@ def enumerate_cubes(
     return levels
 
 
-def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
-    """All induced k-cubes for k = 0..k_max of the graph whose vertex v has
-    hypercube coordinate ``coords[v]`` and whose edges are exactly its pairs
-    at Hamming distance 1, in the levels and order of
-    :func:`enumerate_cubes`.
+def interval_cubes(coords: Sequence[int]) -> list[list[_Cube]]:
+    """All induced k-cubes for k = 0..floor(log2 |V|) of the graph whose
+    vertex v has hypercube coordinate ``coords[v]`` and whose edges are
+    exactly its pairs at Hamming distance 1, in the levels and order of
+    :func:`enumerate_cubes`; |V| is ``len(coords)``.
 
     The cubes are the subcubes {u | s : s subset of F} inside the coordinate
     set, u and F disjoint bit sets, |F| = k. Level k+1 is read off level k
@@ -333,8 +328,6 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     Hamming-distance rule, so it holds on any such graph. Repeated or
     negative coordinates raise ValueError.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be non-negative, got {k_max}")
     ups = dict.fromkeys(coords, 0)  # u -> ups(u, 0)
     if len(ups) != len(coords) or min(coords, default=0) < 0:
         raise ValueError("coordinates must be distinct and non-negative")
@@ -346,7 +339,7 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     # the key F << width | u -> (cube, ups(u, F))
     level = {u: (((v,), 1 << v), ups[u]) for v, u in enumerate(coords)}
     levels = [sorted(cube for cube, _ in level.values())]
-    for _ in range(k_max):
+    for _ in range(len(coords).bit_length() - 1):
         grown: dict[int, tuple[_Cube, int]] = {}
         for key, ((vertices, mask), free) in level.items():
             while free:
@@ -360,39 +353,33 @@ def interval_cubes(coords: Sequence[int], k_max: int) -> list[list[_Cube]]:
     return levels
 
 
-def _subcubes(g: LabeledGraph, k_max: int) -> list[list[_Cube]] | None:
-    """The :func:`interval_cubes` levels 0..k_max of a gamma or omega
-    member's label coordinates (``graphs.coordinate``) when the graph's
+def _subcubes(g: LabeledGraph) -> list[list[_Cube]] | None:
+    """The :func:`interval_cubes` levels 0..floor(log2 |V|) of a gamma or
+    omega member's label coordinates (``graphs.coordinate``) when the graph's
     edges are exactly its level-1 pairs, the pairs at Hamming distance 1,
     the condition those levels need; otherwise None. A custom graph costs
     one family test; a graph that claims a family but carries other labels
     or other edges gets None. Rows are compared whole, so one-sided
-    adjacency is caught too."""
+    adjacency is caught too; a graph of one vertex has no level 1 and no
+    edges."""
     if g.family not in ("gamma", "omega"):
         return None
     fam = _family(g.family)
     try:
-        levels = interval_cubes([coordinate(fam, g.n, label) for label in g.labels], max(k_max, 1))
+        levels = interval_cubes([coordinate(fam, g.n, label) for label in g.labels])
     except ValueError:  # a label the rule cannot read, or a repeated coordinate
         return None
     rows = [0] * g.vertex_count
-    for (u, v), _ in levels[1]:
+    for (u, v), _ in chain.from_iterable(levels[1:2]):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return levels[:k_max + 1] if tuple(rows) == g.adj else None
-
-
-def _dimensions(g: LabeledGraph) -> int:
-    # no induced cube is larger than the vertex set
-    return max(g.vertex_count.bit_length() - 1, 0)
+    return levels if tuple(rows) == g.adj else None
 
 
 def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
     # the induced cubes of dimension >= 1, one list per dimension, largest
     # first: subcubes of the coordinates on a member, extensions elsewhere
-    k_max = _dimensions(g)
-    levels = _subcubes(g, k_max) or enumerate_cubes(g, k_max)
-    return levels[:0:-1]
+    return (_subcubes(g) or enumerate_cubes(g))[:0:-1]
 
 
 def _all_cubes(g: LabeledGraph) -> list[_Cube]:
@@ -495,7 +482,7 @@ def check_witness(g: LabeledGraph, witness: Iterable[int]) -> list[tuple[int, in
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"vertex id {v} is outside the graph")
         members |= 1 << v
-    return _shared_pairs(enumerate_cubes(g, _dimensions(g)), members)
+    return _shared_pairs(enumerate_cubes(g), members)
 
 
 def _shared_pairs(levels: list[list[_Cube]], members: int) -> list[tuple[int, int]]:

@@ -29,10 +29,6 @@ from cubefactor.factors import (
 from cubefactor.graphs import DEFAULT_MAX_N, build_graph, coordinate, custom_graph
 
 
-def k_max_of(g):
-    return max(g.vertex_count.bit_length() - 1, 0)
-
-
 def hamming_graph(d, coords, in_order):
     """The induced subgraph of Q_d on ``coords``. Each label is a
     coordinate's d bits, written highest first when ``in_order``, so that
@@ -55,18 +51,19 @@ def coordinate_sets(draw):
 @given(coordinate_sets())
 def test_subcubes_equal_the_extension_route_on_drawn_coordinate_sets(drawn):
     g, coords = hamming_graph(*drawn)
-    k_max = k_max_of(g)
-    assert _subcubes(g, k_max) is None  # a custom graph keeps the extension route
-    assert interval_cubes(coords, k_max) == enumerate_cubes(g, k_max)
+    assert _subcubes(g) is None  # a custom graph keeps the extension route
+    levels = interval_cubes(coords)
+    assert len(levels) == max(len(coords).bit_length() - 1, 0) + 1
+    assert levels == enumerate_cubes(g)
 
 
-def test_interval_cubes_fills_every_level_it_is_asked_for():
-    levels = interval_cubes((0, 1, 2, 3), 4)
-    assert [len(level) for level in levels] == [4, 4, 1, 0, 0]
+def test_interval_cubes_lists_the_dimensions_its_size_allows():
+    levels = interval_cubes((0, 1, 2, 3))
+    assert [len(level) for level in levels] == [4, 4, 1]
     assert levels[2] == [((0, 1, 2, 3), 0b1111)]
-    for coords, k_max in (((0,), -1), ([0, 0, 1], 1), ([-1, 0], 1)):  # repeated, negative
+    for coords in ([0, 0, 1], [-1, 0]):  # repeated, negative
         with pytest.raises(ValueError):
-            interval_cubes(coords, k_max)
+            interval_cubes(coords)
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])
@@ -80,8 +77,7 @@ def test_coordinates_place_exactly_the_edges_at_hamming_distance_1(family, n):
     for v, c in enumerate(coords):
         near = [index[c ^ 1 << i] for i in range(n) if c ^ 1 << i in index]
         assert sum(1 << u for u in near) == g.adj[v]
-    k_max = k_max_of(g)
-    assert _subcubes(g, k_max) == interval_cubes(tuple(coords), k_max)
+    assert _subcubes(g) == interval_cubes(tuple(coords))
 
 
 @pytest.mark.parametrize(
@@ -129,7 +125,7 @@ def as_custom(g):
 
 @pytest.mark.parametrize("g", forged_members())
 def test_a_member_with_other_edges_keeps_the_extension_route(g):
-    assert _subcubes(g, 1) is None
+    assert _subcubes(g) is None
     twin = as_custom(g)  # same ids and edges, family "custom"
     assert exact_min_factor(g) == exact_min_factor(twin)
     assert greedy_layered_factor(g) == greedy_layered_factor(twin)
@@ -138,8 +134,8 @@ def test_a_member_with_other_edges_keeps_the_extension_route(g):
 
 def test_a_member_under_another_family_name_keeps_the_extension_route():
     g = build_graph("gamma", 6)
-    assert _subcubes(dataclasses.replace(g, family="omega"), 1) is None
-    assert _subcubes(dataclasses.replace(g, family="custom"), 1) is None
+    assert _subcubes(dataclasses.replace(g, family="omega")) is None
+    assert _subcubes(dataclasses.replace(g, family="custom")) is None
 
 
 def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():
@@ -149,7 +145,7 @@ def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():
     u, v = next(g.edges())
     adj = list(g.adj)
     adj[v] ^= 1 << u
-    assert _subcubes(dataclasses.replace(g, adj=tuple(adj)), 1) is None
+    assert _subcubes(dataclasses.replace(g, adj=tuple(adj))) is None
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])

@@ -50,7 +50,7 @@ def induced_edge_count(g, vertices):
 
 def test_enumerate_cubes_on_the_three_vertex_path():
     g = build_gamma(2)
-    levels = enumerate_cubes(g, 1)
+    levels = enumerate_cubes(g)
     assert levels[0] == [((0,), 1), ((1,), 2), ((2,), 4)]
     assert [set(g.labels[v] for v in verts) for verts, _ in levels[1]] == [
         {"00", "01"}, {"00", "10"},
@@ -58,26 +58,9 @@ def test_enumerate_cubes_on_the_three_vertex_path():
 
 
 def test_enumerate_cubes_trivial_graph():
-    levels = enumerate_cubes(build_gamma(0), 0)
+    # one vertex allows dimension 0 only, so there is no level 1
+    levels = enumerate_cubes(build_gamma(0))
     assert levels == [[((0,), 1)]]
-
-
-def test_enumerate_cubes_stops_at_the_first_empty_level():
-    # a (k+1)-cube holds k-cubes, so every level past gamma 3's largest
-    # cube is empty without a 2**(k-1)-entry table per level up to k_max;
-    # those tables peak at 18 MB for k_max=16, which is checked before 40
-    g, stats, top = build_gamma(3), {}, {}
-    tracemalloc.start()
-    try:
-        assert len(enumerate_cubes(g, 16)) == 17
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
-    levels = enumerate_cubes(g, 40, stats=stats)
-    assert [len(level) for level in levels] == [5, 5, 1] + [0] * 38
-    assert levels[:3] == enumerate_cubes(g, 2, stats=top)
-    assert stats == top == {"joins": 6}
 
 
 def test_induced_cube_repr_eq_and_hash_read_its_two_fields():
@@ -111,13 +94,13 @@ def test_enumerate_dimension_one_is_the_edge_set():
     for family in ("gamma", "omega"):
         for n in range(7):
             g = build_graph(family, n)
-            ones = enumerate_cubes(g, 1)[1]
-            assert sorted(verts for verts, _ in ones) == sorted(g.edges())
+            ones = enumerate_cubes(g)[1:2]  # order 0 has one vertex and no level 1
+            assert sorted(verts for level in ones for verts, _ in level) == sorted(g.edges())
 
 
 def test_enumerated_cubes_have_hypercube_edge_counts():
     for g in (build_gamma(5), build_omega(5)):
-        levels = enumerate_cubes(g, 3)
+        levels = enumerate_cubes(g)
         for k, cubes in enumerate(levels):
             for verts, mask in cubes:
                 assert len(verts) == 2**k
@@ -128,7 +111,7 @@ def test_enumerated_cubes_have_hypercube_edge_counts():
 def test_gamma5_contains_the_free_position_3_cube():
     g = build_gamma(5)
     subset = ids_of(g, [a + "0" + b + "0" + c for a in "01" for b in "01" for c in "01"])
-    threes = enumerate_cubes(g, 3)[3]
+    threes = enumerate_cubes(g)[3]
     assert subset in [verts for verts, _ in threes]
 
 
@@ -150,7 +133,7 @@ def first_minimum_cover(g):
     the fewest parts, its parts in the solvers' output order."""
     nv = g.vertex_count
     full = (1 << nv) - 1
-    levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
+    levels = enumerate_cubes(g)
     ordered = [(verts, sum(1 << v for v in verts)) for level in reversed(levels) for verts, _ in level]
     best = None
     chosen = []
@@ -181,7 +164,7 @@ def first_maximum_packings(g):
     leave it out; keep the first packing with the most cubes and delete
     its vertices. Single vertices fill the rest."""
     nv = g.vertex_count
-    levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
+    levels = enumerate_cubes(g)
     remaining = (1 << nv) - 1
     parts = []
     for level in reversed(levels[1:]):
@@ -258,10 +241,16 @@ def test_greedy_is_the_first_maximum_packing_per_layer_on_small_graphs(g):
     assert greedy_layered_factor(g) == first_maximum_packings(g)
 
 
-def brute_force_cubes(g, k_max):
+def dimensions(g):
+    """floor(log2 |V|): no induced cube of g is larger than its vertex set."""
+    return max(g.vertex_count.bit_length() - 1, 0)
+
+
+def brute_force_cubes(g):
     """Every vertex subset of size 2**k that _is_induced_cube accepts, per
-    level, with the mask of its vertices. A vertex of an induced k-cube has
-    degree >= k, so only those vertices are combined."""
+    level k = 0..dimensions(g), with the mask of its vertices. A vertex of
+    an induced k-cube has degree >= k, so only those vertices are
+    combined."""
     return [
         [
             (subset, sum(1 << v for v in subset))
@@ -270,22 +259,24 @@ def brute_force_cubes(g, k_max):
             )
             if _is_induced_cube(g, subset, k)
         ]
-        for k in range(k_max + 1)
+        for k in range(dimensions(g) + 1)
     ]
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_graphs())
 def test_enumerate_cubes_matches_brute_force_on_small_graphs(g):
-    k_max = max(g.vertex_count.bit_length() - 1, 0)
-    assert enumerate_cubes(g, k_max) == brute_force_cubes(g, k_max)
+    levels = enumerate_cubes(g)
+    assert len(levels) == dimensions(g) + 1
+    assert levels == brute_force_cubes(g)
 
 
 @settings(max_examples=100, deadline=None)
 @given(family_subgraphs())
 def test_enumerate_cubes_matches_brute_force_on_family_subgraphs(g):
-    k_max = max(g.vertex_count.bit_length() - 1, 0)
-    assert enumerate_cubes(g, k_max) == brute_force_cubes(g, k_max)
+    levels = enumerate_cubes(g)
+    assert len(levels) == dimensions(g) + 1
+    assert levels == brute_force_cubes(g)
 
 
 def graph_on(count, edges):
@@ -332,10 +323,10 @@ REJECTING_GRAPHS = {
 @pytest.mark.parametrize("name", REJECTING_GRAPHS)
 def test_enumerate_cubes_matches_brute_force_where_joins_fail(name):
     g = REJECTING_GRAPHS[name]
-    k_max = max(g.vertex_count.bit_length() - 1, 0)
     stats = {}
-    levels = enumerate_cubes(g, k_max, stats=stats)
-    assert levels == brute_force_cubes(g, k_max)
+    levels = enumerate_cubes(g, stats=stats)
+    assert len(levels) == dimensions(g) + 1
+    assert levels == brute_force_cubes(g)
     cubes = sum(len(level) for level in levels[1:])
     # every complete image looked up in the level below is a cube there,
     # but the chorded 4-cycle {4, 5, 6, 7}
@@ -356,8 +347,7 @@ def assert_witness_matches_brute_force(g, subset):
     """cube_independent_set meets no brute-force cube twice and is no larger
     than the first minimum cover; check_witness lists exactly the pairs of
     ``subset`` that some brute-force cube of dimension >= 1 contains."""
-    cubes = [verts for level in brute_force_cubes(g, max(g.vertex_count.bit_length() - 1, 0))[1:]
-             for verts, _ in level]
+    cubes = [verts for level in brute_force_cubes(g)[1:] for verts, _ in level]
     witness = cube_independent_set(g)
     assert list(witness) == sorted(set(witness))
     assert all(len(set(verts) & set(witness)) <= 1 for verts in cubes)
@@ -392,7 +382,7 @@ def check_early_stop(g):
     lower = len(cube_independent_set(g))
     assert stats["lower_bound"] == lower <= factor.part_count
     nv = g.vertex_count
-    ordered = [c for level in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1] for c in level]
+    ordered = [c for level in enumerate_cubes(g)[:0:-1] for c in level]
     told = dict(nodes=0, bound_prunes=0, memo_hits=0)
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
     table = _CubeTable(ordered, (1 << nv) - 1)
@@ -422,7 +412,7 @@ def check_node_bound(g, data):
     fits holds two of them. A limit cuts the walk to its first limit + 1
     vertices."""
     nv = g.vertex_count
-    levels = enumerate_cubes(g, max(nv.bit_length() - 1, 0))
+    levels = enumerate_cubes(g)
     covered = 0
     for _, mask in data.draw(st.lists(st.sampled_from(sum(levels, [])), max_size=6)) if nv else []:
         if not mask & covered:
@@ -440,7 +430,7 @@ def check_node_bound(g, data):
     rest = without(g, *(g.labels[v] for v in range(nv) if covered >> v & 1))
     assert len(forced) + len(kept) <= first_minimum_cover(rest).part_count
     chosen = set(forced) | set(kept)
-    for level in brute_force_cubes(g, max(nv.bit_length() - 1, 0))[1:]:
+    for level in brute_force_cubes(g)[1:]:
         for verts, mask in level:
             if not mask & covered:
                 assert len(chosen & set(verts)) <= 1
@@ -474,7 +464,7 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     assert cube_independent_set(g) == (2, 3)
     assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    _first_min_cover(_CubeTable(enumerate_cubes(g, 1)[1], 0b1111), untold)
+    _first_min_cover(_CubeTable(enumerate_cubes(g)[1], 0b1111), untold)
     assert untold["nodes"] == 6
 
 
@@ -549,6 +539,14 @@ def shuffled_hypercube(k, seed):
         pytest.param(circulant(16, (1, 5)), 4, False, id="C16(1,5)"),
         pytest.param(shuffled_hypercube(3, 1), 3, True, id="Q3"),
         pytest.param(shuffled_hypercube(4, 2), 4, True, id="Q4"),
+        # Q4 with its edges 1-3 and 2-6 swapped for 1-2 and 3-6: from root
+        # 15 (ids reversed) the coordinates are distinct, so only the check
+        # that every induced edge flips one bit rejects it
+        pytest.param(
+            graph_on(16, [*(e for e in REJECTING_GRAPHS["Q_4"].edges() if e not in ((1, 3), (2, 6))),
+                          (1, 2), (3, 6)]),
+            4, False, id="Q4 with two edges swapped",
+        ),
     ],
 )
 def test_a_regular_graph_is_a_cube_only_when_its_coordinates_say_so(g, k, cube):
@@ -572,7 +570,7 @@ def test_a_regular_graph_is_a_cube_only_when_its_coordinates_say_so(g, k, cube):
 @pytest.mark.parametrize("n", range(15))
 def test_gamma_cube_counts_match_the_cube_polynomial(n):
     g = build_gamma(n)
-    levels = enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))
+    levels = enumerate_cubes(g)
     counts = [len(level) for level in levels]
     assert counts == [
         sum(comb(i, k) * comb(n - i + 1, i) for i in range(n + 1)) for k in range(len(levels))
@@ -585,7 +583,7 @@ def test_omega_cube_total_matches_observed_closed_form(n):
     # observed for n=2..16 (15 and 16 in CI), not proven: omega_n has
     # 2**n + (-1)**n induced cubes
     g = build_omega(n)
-    levels = enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0))
+    levels = enumerate_cubes(g)
     assert sum(len(level) for level in levels) == 2**n + (-1) ** n
 
 
@@ -596,7 +594,7 @@ def test_omega_cube_total_matches_observed_closed_form(n):
 def test_enumeration_join_count(family, n):
     g = build_graph(family, n)
     stats = {}
-    levels = enumerate_cubes(g, max(g.vertex_count.bit_length() - 1, 0), stats=stats)
+    levels = enumerate_cubes(g, stats=stats)
     assert set(stats) == {"joins"}
     assert stats["joins"] == sum(len(level) for level in levels[1:])
 
@@ -803,7 +801,7 @@ def test_the_packing_bound_holds_and_only_cuts_greedy_on_member_subgraphs(g):
     remaining = (1 << nv) - 1
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
     parts = []
-    for layer in enumerate_cubes(g, max(nv.bit_length() - 1, 0))[:0:-1]:
+    for layer in enumerate_cubes(g)[:0:-1]:
         fitting = [c for c in layer if not c[1] & ~remaining]
         packing = _first_min_cover(_CubeTable(fitting, remaining), untold, 0)
         assert len(packing) <= _packing_bound([mask for _, mask in fitting])

@@ -126,8 +126,8 @@ def missing_edge_cube(mp):
     # coordinate subcubes and keep it
     clean = factors.enumerate_cubes
 
-    def enumerate_cubes(g, k_max, stats=None):
-        levels = clean(g, k_max, stats)
+    def enumerate_cubes(g, stats=None):
+        levels = clean(g, stats)
         if g.n == 6:
             levels[1] = levels[1][1:]
         return levels
@@ -140,8 +140,8 @@ def dropped_cube_per_level(mp):
     # the solvers read coordinate subcubes and keep theirs
     clean = factors.enumerate_cubes
 
-    def enumerate_cubes(g, k_max, stats=None):
-        levels = clean(g, k_max, stats)
+    def enumerate_cubes(g, stats=None):
+        levels = clean(g, stats)
         return levels[:1] + [level[:-1] for level in levels[1:]] if g.n == 7 else levels
 
     mp.setattr(factors, "enumerate_cubes", enumerate_cubes)
@@ -150,14 +150,14 @@ def dropped_cube_per_level(mp):
 def dropped_subcube(mp):
     # the coordinate route loses the last cube of its top filled level on
     # the members above 40 vertices, orders 8 and 9 in both families. Every
-    # caller asks for every level, so level 1 stays whole and the Hamming
+    # listing holds every level, so level 1 stays whole and the Hamming
     # entry passes; the enumerators differ from order 8, and the solvers
     # lose one 4-cube at order 8, which changes no optimum there, and at
     # order 9 gamma's only 5-cube and one of omega's nine 4-cubes, which does
     clean = factors.interval_cubes
 
-    def interval_cubes(coords, k_max):
-        levels = clean(coords, k_max)
+    def interval_cubes(coords):
+        levels = clean(coords)
         if len(coords) > 40:
             top = max(k for k, level in enumerate(levels) if level)
             levels[top] = levels[top][:-1]
@@ -173,8 +173,8 @@ def dropped_edge_subcube(mp):
     # there and keep their optima
     clean = factors.interval_cubes
 
-    def interval_cubes(coords, k_max):
-        levels = clean(coords, k_max)
+    def interval_cubes(coords):
+        levels = clean(coords)
         if len(coords) > 40:
             levels[1] = levels[1][:-1]
         return levels
@@ -908,10 +908,13 @@ def test_omega_cross_edge_entry_names_every_order_it_checked():
 
 
 def test_omega_cross_edge_entry_reaches_the_construction_cap(monkeypatch):
+    # the audit reads the cap at call time; a cap of 10 keeps the run short,
+    # and the real cap's line is pinned by the max-16 golden
+    monkeypatch.setattr(graphs, "DEFAULT_MAX_N", 10)
     clean = audit._second_copy_matched
-    monkeypatch.setattr(audit, "_second_copy_matched", lambda g: g.n != 14 and clean(g))
-    [entry] = [e for e in audit.oracle_audit("omega", 16) if e.name == CROSS_EDGES]
-    assert entry.line() == f"FAIL {CROSS_EDGES}: first failure at n=14"
+    monkeypatch.setattr(audit, "_second_copy_matched", lambda g: g.n != 10 and clean(g))
+    [entry] = [e for e in audit.oracle_audit("omega", 11) if e.name == CROSS_EDGES]
+    assert entry.line() == f"FAIL {CROSS_EDGES}: first failure at n=10"
 
 
 def test_oracle_audit_lists_each_members_cubes_once_per_enumerator(monkeypatch):

@@ -49,12 +49,16 @@ bound prunes only nodes below which no cover strictly beats the
 incumbent, and only strict improvements replace it, so neither bound
 changes which cover the core returns.
 
-Each search reads its cubes through one table, ``_CubeTable``. It lists
-each vertex's cubes when it is built, since the core branches on them, and
-builds the walk's data, each vertex's union of cubes and the visiting
-order, at the first walk. Exact search walks at its root; greedy's layers
-on the members stop on their first descent and never walk, so they never
-pay for it.
+Each search reads its cubes through one table, ``_CubeTable``, built
+straight from an enumerator's levels, largest dimension first: exact
+search passes every level of dimension >= 1, a greedy layer its one list
+of fitting cubes. The table keeps those levels and, per vertex, the masks
+of its cubes, since the core branches on them; a cube's mask is all the
+search handles, and the chosen cubes are read back off the levels at the
+end. It builds the walk's data, each vertex's union of cubes and the
+visiting order, at the first walk. Exact search walks at its root;
+greedy's layers on the members stop on their first descent and never
+walk, so they never pay for it.
 
 Two enumerators list the induced cubes, with the same output: per
 dimension from 0 to floor(log2 |V|), the largest the vertex count allows,
@@ -98,6 +102,7 @@ byte-identical factors.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations
@@ -382,40 +387,35 @@ def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
     return (_subcubes(g) or enumerate_cubes(g))[:0:-1]
 
 
-def _all_cubes(g: LabeledGraph) -> list[_Cube]:
-    return [c for level in _levels_from_the_top(g) for c in level]
-
-
 # ---------------------------------------------------------------------------
 # witnesses: the lower bound
 # ---------------------------------------------------------------------------
 
 
 class _CubeTable:
-    """The cubes of one cover search, read by vertex. Built once per search
-    and shared by the search core and the witness walk: ``through``, which
-    the core branches on, with the table, and ``walk``, the walk's data,
-    at the first walk, which greedy's layers on the members never reach.
+    """The cubes of one cover search, shared by the search core and the
+    witness walk. Built with the table: ``levels``, the (vertices, mask)
+    pairs of one list per dimension, largest first, empty lists dropped,
+    and ``through``, the masks of each vertex's cubes in level order, which
+    the core branches on. Built at the first walk, which greedy's layers on
+    the members never reach: ``walk``, the walk's data.
     """
 
-    def __init__(self, ordered: list[_Cube], target: int) -> None:
-        self.ordered = ordered  # dimension >= 1, all inside target
+    def __init__(self, levels: list[list[_Cube]], target: int) -> None:
+        self.levels = [level for level in levels if level]  # dimension >= 1, all inside target
         self.target = target  # the vertex set to cover
-        through: list[list[tuple[int, int]]] = [[] for _ in range(target.bit_length())]
-        for idx, (vertices, mask) in enumerate(ordered):
-            entry = (idx, mask)
-            for v in vertices:
-                through[v].append(entry)
-        self.through = through  # per vertex: (index in ordered, mask) of its cubes
+        through: list[list[int]] = [[] for _ in range(target.bit_length())]
+        for level in self.levels:
+            for vertices, mask in level:
+                for v in vertices:
+                    through[v].append(mask)
+        self.through = through  # per vertex: the masks of its cubes, in level order
 
     @cached_property
     def walk(self) -> tuple[list[int], list[tuple[int, int]]]:
         """Per vertex, its own bit and the masks of its cubes; and the
         target's vertices as (id, bit), fewest conflicts first, ties by id."""
-        unions = [1 << v for v in range(self.target.bit_length())]
-        for vertices, mask in self.ordered:
-            for v in vertices:
-                unions[v] |= mask
+        unions = [reduce(or_, masks, 1 << v) for v, masks in enumerate(self.through)]
         conflicts = [u.bit_count() for u in unions]
         order = sorted(_bits(self.target), key=conflicts.__getitem__)  # stable: ties stay in id order
         return unions, [(v, 1 << v) for v in order]
@@ -431,7 +431,7 @@ def cube_independent_set(g: LabeledGraph) -> tuple[int, ...]:
     unless a vertex kept before it conflicts with it. It is the root walk
     of ``_cube_independent``, the walk exact search repeats at its nodes.
     """
-    table = _CubeTable(_all_cubes(g), (1 << g.vertex_count) - 1)
+    table = _CubeTable(_levels_from_the_top(g), (1 << g.vertex_count) - 1)
     return tuple(sorted(_cube_independent(table, 0, g.vertex_count)))
 
 
@@ -459,7 +459,7 @@ def _cube_independent(table: _CubeTable, covered: int, limit: int) -> list[int]:
             block = unions[v]
             if block & covered:
                 block = bit
-                for _, mask in table.through[v]:
+                for mask in table.through[v]:
                     if not mask & covered:
                         block |= mask
             free &= ~block
@@ -502,25 +502,26 @@ def _shared_pairs(levels: list[list[_Cube]], members: int) -> list[tuple[int, in
 
 def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) -> list[_Cube]:
     """The cubes of the first fewest-parts cover of ``table.target`` by the
-    cubes of ``table.ordered`` (dimension >= 1, all inside the target) and
+    cubes of ``table.levels`` (dimension >= 1, all inside the target) and
     single vertices.
 
-    Branch on the lowest uncovered vertex; try its fitting cubes in
-    ``ordered`` order, then the vertex alone, and replace the incumbent
-    only on a strict improvement, so the result is the first optimal cover
-    in that order. Each node is bounded twice before it branches.
+    Branch on the lowest uncovered vertex; try its fitting cubes in level
+    order, the order of ``table.through``, then the vertex alone, and
+    replace the incumbent only on a strict improvement, so the result is
+    the first optimal cover in that order. Each node is bounded twice
+    before it branches.
 
     * The fractional bound ceil(sum over uncovered v of 2**-kmax(v)), where
       kmax(v) is the largest dimension of a cube through v still disjoint
       from the covered set (0 if none): a k-part covers 2**k uncovered
       vertices, each with kmax >= k, so it lowers the sum by at most 1. The
       still-fitting cube masks travel down the recursion, one list per
-      dimension, and each child keeps those that miss its new part. So the
-      vertices of kmax d are the bits of the OR of dimension d's list minus
-      those of the higher dimensions, and the sum, in integer units of
-      2**-top, is read off the ORs' bit counts. The uncovered vertices
-      outside every list are forced single vertices, covered at once
-      instead of one search node each.
+      level of the table, and each child keeps those that miss its new
+      part. So the vertices of kmax d are the bits of the OR of dimension
+      d's list minus those of the higher dimensions, and the sum, in
+      integer units of 2**-top, is read off the ORs' bit counts. The
+      uncovered vertices outside every list are forced single vertices,
+      covered at once instead of one search node each.
     * The witness walk ``_cube_independent`` over the still-fitting cubes:
       a cover of what is left has at least as many parts as the walk keeps.
       It stops as soon as the forced vertices and the kept ones are more
@@ -544,14 +545,13 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
     optimal cover, the one the full search would return.
 
     ``effort`` has its ``nodes`` (search calls), ``bound_prunes`` and
-    ``memo_hits`` counts raised by this search's effort. The cubes come
-    back in ``ordered`` order.
+    ``memo_hits`` counts raised by this search's effort. The search keeps
+    the masks it picks and reads the cubes back off the levels, in level
+    order. It recurses once per part on a branch, so a cover of more parts
+    than Python's recursion limit allows raises ValueError.
     """
-    ordered, target, through = table.ordered, table.target, table.through
-    by_dimension: dict[int, list[int]] = {}
-    for vertices, mask in ordered:
-        by_dimension.setdefault(len(vertices).bit_length() - 1, []).append(mask)
-    dims = sorted(by_dimension, reverse=True)
+    target, through = table.target, table.through
+    dims = [len(level[0][0]).bit_length() - 1 for level in table.levels]
     top = dims[0] if dims else 0
     shifts = [top - d for d in dims]
     best_count = target.bit_count() + 1
@@ -589,18 +589,22 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
             effort["bound_prunes"] += 1
             return
         low = uncovered & -uncovered
-        for idx, mask in through[low.bit_length() - 1]:
+        for mask in through[low.bit_length() - 1]:
             if mask & covered:
                 continue
-            choice.append(idx)
+            choice.append(mask)
             search(covered | mask, parts + 1, [[m for m in level if not m & mask] for level in levels])
             choice.pop()
             if best_count <= lower:
                 return
         search(covered | low, parts + 1, [[m for m in level if not m & low] for level in levels])
 
-    search(0, 0, [by_dimension[d] for d in dims])
-    return [ordered[idx] for idx in sorted(best_choice)]
+    try:
+        search(0, 0, [[mask for _, mask in level] for level in table.levels])
+    except RecursionError:  # one frame per part on the branch
+        raise ValueError(f"the search is deeper than Python's recursion limit of {sys.getrecursionlimit()}") from None
+    chosen = set(best_choice)
+    return [cube for level in table.levels for cube in level if cube[1] in chosen]
 
 
 def exact_min_factor(
@@ -623,7 +627,7 @@ def exact_min_factor(
     """
     _check_cap(g, cap)
     nv = g.vertex_count
-    table = _CubeTable(_all_cubes(g), (1 << nv) - 1)
+    table = _CubeTable(_levels_from_the_top(g), (1 << nv) - 1)
     lower = len(_cube_independent(table, 0, nv))
     effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
     factor = _with_single_vertices(nv, _first_min_cover(table, effort, lower))
@@ -668,7 +672,7 @@ def greedy_layered_factor(
         fitting = [c for c in layer if not c[1] & ~remaining]
         saved = len(fitting[0][0]) - 1 if fitting else 0  # 2**k - 1: the parts one k-cube saves
         lower = remaining.bit_count() - _packing_bound([mask for _, mask in fitting]) * saved
-        for vertices, mask in _first_min_cover(_CubeTable(fitting, remaining), effort, lower):
+        for vertices, mask in _first_min_cover(_CubeTable([fitting], remaining), effort, lower):
             parts.append((vertices, mask))
             remaining &= ~mask
     if stats is not None:
@@ -738,13 +742,13 @@ _OMEGA_BASE_PARTS: dict[int, list[tuple[int, tuple[str, ...]]]] = {
 def _structural_parts(fam: Family, n: int) -> list[tuple[int, tuple[str, ...]]]:
     base = _GAMMA_BASE_PARTS if fam is Family.GAMMA else _OMEGA_BASE_PARTS
     if n in base:
-        return [(k, tuple(labels)) for k, labels in base[n]]
+        return base[n]
     lifted = [
-        (k + 1, tuple(sorted(["00" + lab for lab in labels] + ["10" + lab for lab in labels])))
+        (k + 1, tuple(prefix + lab for prefix in ("00", "10") for lab in labels))
         for k, labels in _structural_parts(fam, n - 2)
     ]
     embedded = [
-        (k, tuple(sorted("010" + lab for lab in labels)))
+        (k, tuple("010" + lab for lab in labels))
         for k, labels in _structural_parts(fam, n - 3)
     ]
     return lifted + embedded

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from cubefactor import cli, sequences
-from cubefactor.factors import factor_from_json, verify_factor
+from cubefactor import audit, cli, factors, sequences
+from cubefactor.factors import CubeFactor, factor_from_json, verify_factor
 from cubefactor.graphs import build_omega
 from cubefactor.sequences import fib
 
@@ -172,6 +172,18 @@ def test_usage_errors(capsys):
     assert code == 2 and "cap" in err
     code, _, _ = run(capsys, "verify", "--suite", "all", "--max-n", "4")
     assert code == 2
+    rows = "error: --rows must be non-negative\n"
+    assert run(capsys, "table", "--family", "gamma", "--rows", "-1") == (2, "", rows)
+    assert run(capsys, "triangle", "--rows", "-1") == (2, "", rows)
+    code, out, err = run(capsys, "poly", "--family", "omega", "--method", "gf", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: order must be non-negative, got -1\n")
+
+
+def test_factor_exits_1_when_the_factor_fails_verification(capsys, monkeypatch):
+    monkeypatch.setattr(factors, "exact_min_factor", lambda g: CubeFactor(()))
+    code, out, err = run(capsys, "factor", "--family", "gamma", "--n", "2", "--method", "exact")
+    assert (code, out) == (1, "")
+    assert err == "error: produced factor failed verification: vertex '00' is uncovered\n"
 
 
 def test_verify_oracle_suite_passes(capsys):
@@ -218,6 +230,37 @@ def test_oeis_scan_against_cached_fixture(capsys, tmp_path):
     )
     assert code == 0
     assert "best match at shift +5" in out
+
+
+def test_oeis_exits_1_without_an_overlap(capsys, tmp_path):
+    # one term at index 1000, far past the 120 local terms at every shift
+    (tmp_path / "A000931.txt").write_text("1000 5\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "oeis", "--id", "A000931", "--against", "padovan",
+        "--offline", "--cache-dir", str(tmp_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: no overlap with A000931 at any shift in [-5,5]\n"
+
+
+def test_oeis_exits_1_without_a_matching_shift(capsys, tmp_path):
+    (tmp_path / "A000931.txt").write_text("".join(f"{i} 7\n" for i in range(140)), encoding="utf-8")
+    code, out, err = run(
+        capsys, "oeis", "--id", "A000931", "--against", "padovan",
+        "--offline", "--cache-dir", str(tmp_path),
+    )
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert len(lines) == 12 and all(" mismatch at index " in line for line in lines[:11])
+    assert lines[-1] == "result: no matching shift"
+
+
+def test_oeis_audit_fails_a_bfile_that_matches_at_no_shift(tmp_path, monkeypatch):
+    monkeypatch.setenv("CUBEFACTOR_CACHE", str(tmp_path))
+    (tmp_path / "A000931.txt").write_text("".join(f"{i} 7\n" for i in range(140)), encoding="utf-8")
+    entries = audit.oeis_audit(offline=True)
+    assert entries[0].line() == "FAIL oeis A000931 vs padovan: no full-overlap match at any shift in [-5,5]"
+    assert [e.status for e in entries[1:]] == ["INFO"] * 3
 
 
 def test_oeis_malformed_cache_names_the_file(capsys, tmp_path):

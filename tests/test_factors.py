@@ -382,10 +382,9 @@ def check_early_stop(g):
     lower = len(cube_independent_set(g))
     assert stats["lower_bound"] == lower <= factor.part_count
     nv = g.vertex_count
-    ordered = [c for level in enumerate_cubes(g)[:0:-1] for c in level]
     told = dict(nodes=0, bound_prunes=0, memo_hits=0)
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    table = _CubeTable(ordered, (1 << nv) - 1)
+    table = _CubeTable(enumerate_cubes(g)[:0:-1], (1 << nv) - 1)
     cover = _first_min_cover(table, told, lower)
     assert cover == _first_min_cover(table, untold)
     assert told == {key: stats[key] for key in told}
@@ -417,13 +416,12 @@ def check_node_bound(g, data):
     for _, mask in data.draw(st.lists(st.sampled_from(sum(levels, [])), max_size=6)) if nv else []:
         if not mask & covered:
             covered |= mask
-    ordered = [c for level in levels[:0:-1] for c in level]
-    fitting = [mask for _, mask in ordered if not mask & covered]
+    fitting = [mask for level in levels[1:] for _, mask in level if not mask & covered]
     forced = [
         v for v in range(nv)
         if not covered >> v & 1 and not any(mask >> v & 1 for mask in fitting)
     ]
-    table = _CubeTable(ordered, (1 << nv) - 1)
+    table = _CubeTable(levels[:0:-1], (1 << nv) - 1)
     after = covered | sum(1 << v for v in forced)
     kept = _cube_independent(table, after, nv)
     assert not after & sum(1 << v for v in kept)
@@ -464,7 +462,7 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
     assert cube_independent_set(g) == (2, 3)
     assert stats == {"nodes": 4, "bound_prunes": 0, "memo_hits": 0, "lower_bound": 2}
     untold = dict(nodes=0, bound_prunes=0, memo_hits=0)
-    _first_min_cover(_CubeTable(enumerate_cubes(g)[1], 0b1111), untold)
+    _first_min_cover(_CubeTable(enumerate_cubes(g)[1:2], 0b1111), untold)
     assert untold["nodes"] == 6
 
 
@@ -803,7 +801,7 @@ def test_the_packing_bound_holds_and_only_cuts_greedy_on_member_subgraphs(g):
     parts = []
     for layer in enumerate_cubes(g)[:0:-1]:
         fitting = [c for c in layer if not c[1] & ~remaining]
-        packing = _first_min_cover(_CubeTable(fitting, remaining), untold, 0)
+        packing = _first_min_cover(_CubeTable([fitting], remaining), untold, 0)
         assert len(packing) <= _packing_bound([mask for _, mask in fitting])
         for vertices, mask in packing:
             parts.append(InducedCube(len(vertices).bit_length() - 1, vertices))
@@ -821,6 +819,17 @@ def test_exact_min_factor_respects_the_cap():
         with pytest.raises(ValueError, match="^graph has 144 vertices, above the cap 143$"):
             solver(g, cap=143)
         assert solver(g, cap=144) == solver(g)
+
+
+def test_a_search_deeper_than_the_recursion_limit_raises_value_error():
+    # the search recurses once per part on a branch, and a path's first
+    # descent takes its edges in order: 1,050 parts here, past Python's
+    # default limit of 1,000 frames
+    labels = [str(v) for v in range(2100)]
+    g = custom_graph(labels, list(zip(labels, labels[1:])))
+    for solver in (exact_min_factor, greedy_layered_factor):
+        with pytest.raises(ValueError, match="^the search is deeper than Python's recursion limit of "):
+            solver(g)
 
 
 def test_greedy_layered_small_cases():
@@ -954,6 +963,13 @@ def test_verify_factor_rejects_foreign_vertices():
     outcome = verify_factor(g, CubeFactor((InducedCube(0, (7,)),)))
     assert isinstance(outcome, FactorViolation)
     assert outcome.kind == "bad-vertex"
+
+
+def test_verify_factor_rejects_unsorted_vertices():
+    g = build_gamma(2)
+    edge = tuple(reversed(ids_of(g, ["00", "01"])))
+    outcome = verify_factor(g, CubeFactor((InducedCube(1, edge), InducedCube(0, ids_of(g, ["10"])))))
+    assert outcome == FactorViolation("bad-vertex", "part 0 vertices are not sorted", 0)
 
 
 def test_factor_json_round_trip():

@@ -136,6 +136,21 @@ def test_padovan_shift_scan_discovers_the_offset():
     assert [r.shift for r in reports if r.matched] == [5]
 
 
+def test_scan_shifts_skips_the_shifts_with_an_empty_overlap():
+    # one remote term at index 10 meets the local indices 0..7 only at
+    # shifts 3..5 of the window; local index 7 holds fib(7) = 13
+    reports = scan_shifts([fib(n) for n in range(8)], SequenceRecord(None, 10, (13,)))
+    assert [(r.shift, r.overlap, r.matched) for r in reports] == [(3, 1, True), (4, 1, False), (5, 1, False)]
+    assert best_match(reports) == reports[0]
+
+
+def test_best_match_is_none_when_no_shift_matches():
+    assert best_match([]) is None
+    reports = scan_shifts([fib(n) for n in range(30)], SequenceRecord(None, 0, (-1,) * 30))
+    assert len(reports) == 11 and not any(r.matched for r in reports)
+    assert best_match(reports) is None
+
+
 def test_lucas_triangle_rows_match_the_tabulated_bfile_head():
     flattened: list[int] = []
     n = 0

@@ -81,8 +81,11 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     witness from its own cubes as its lower bound; what the audit adds is
     its own ``cube_independent_set`` call and a scan of every cube for a
     pair of the witness. The solvers read a member's cubes as subcubes of
-    its label coordinates (``factors._subcubes``), and the witness is
-    checked against the other enumerator.
+    its coordinates (``factors._subcubes``), which ``graphs.member_coordinates``
+    builds from the construction without reading a label, and the witness is
+    checked against the other enumerator. The Hamming entry holds those
+    coordinates against the second route, ``graphs.coordinate`` read off
+    each label, once per built member.
 
     One pass over the built members lists each member's cubes once with
     ``enumerate_cubes`` and once with ``_subcubes``, both up to its top
@@ -132,9 +135,11 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
             or bool(factors._shared_pairs(cubes, sum(1 << v for v in witness))),
             "edges": sorted(pair for level in cubes[1:2] for pair, _ in level) != sorted(g.edges()),
             # the solvers read the coordinate subcubes wherever their level 1
-            # is the edge set; the two keys check that it is on every member
-            # and that the subcubes are exactly the extension route's cubes
-            "hamming": subcubes is None,
+            # is the edge set; the two keys check that it is on every member,
+            # with coordinates that the label rule reads too, and that the
+            # subcubes are exactly the extension route's cubes
+            "hamming": subcubes is None
+            or [graphs.coordinate(fam, n, lab) for lab in g.labels] != graphs.member_coordinates(fam, n),
             "enumerators": subcubes != cubes,
         }
         del cubes, subcubes  # the solvers list their own

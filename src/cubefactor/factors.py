@@ -76,15 +76,18 @@ vertices, in canonical order. Each docstring has its proof.
   Each (k+1)-subcube joins two k-subcubes that differ in one bit above
   their span. Each subcube carries the bits along which it extends, so no
   lookup misses, and on ids in coordinate order, as on the members, two
-  halves' vertices join without a sort.
+  halves' vertices join without a sort and each level comes out in
+  canonical order as it is built.
 
 The solvers (exact, greedy and ``cube_independent_set``) read
-``_subcubes``: the subcubes of a gamma or omega member's label
-coordinates (``graphs.coordinate``), kept only when the adjacency rows
-rebuilt from their own level 1 equal the graph's, so the level the
-solvers read is the one checked. Every other graph, and a member that
-fails the check, is read through ``enumerate_cubes``. The choice is read
-off the graph, and a custom graph costs one family test.
+``_subcubes``: the subcubes of the coordinates of the member a gamma or
+omega graph claims to be (``graphs.member_coordinates``, built from the
+construction, no label read), kept only when the graph has as many
+vertices and the adjacency rows rebuilt from their own level 1 equal the
+graph's, so the level the solvers read is the one checked. Every other
+graph, and a member that fails the check, is read through
+``enumerate_cubes``. The choice is read off the graph's family, order and
+rows, and a custom graph costs one family test.
 ``check_witness`` always reads ``enumerate_cubes``, so on a member the
 witness is built from one enumerator and checked by the other. The oracle
 audit lists each member's cubes once through each of ``enumerate_cubes``
@@ -109,7 +112,7 @@ from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .graphs import LabeledGraph, _bits, build_graph, coordinate
+from .graphs import LabeledGraph, _bits, build_graph, member_coordinates
 from .polynomials import Family, _family
 
 __all__ = [
@@ -308,7 +311,19 @@ def interval_cubes(coords: Sequence[int]) -> list[list[_Cube]]:
     below every one of the upper half, the two first differing at bit j, so
     when the lower half's last id is below the upper half's first, as on
     ids in coordinate order, the halves' vertices are concatenated; other
-    ids are sorted.
+    ids are sorted. Level 0 is in id order, which is canonical. When the
+    coordinates are strictly increasing in id, as on every member, each
+    higher level is kept in the order it is built; other coordinate sets
+    are sorted.
+
+    Order. Let the coordinates increase in id and level k be in canonical
+    order. Its subcubes are extended in that order, each along increasing
+    j, and each child's vertices are its lower half's, then its upper
+    half's, the ids of u | 2**j first. Two children of one parent share
+    its vertices as their first 2**k, and then the one with the smaller j
+    has the smaller id. Children of two parents P before Q start with P's
+    and Q's vertices, which first differ where P's id is smaller. So level
+    k+1 comes out in canonical order.
 
     Proof. Sound: a subcube inside the set induces a k-cube, since its
     vertices' edges are their pairs at distance 1, which are the k-cube's.
@@ -337,43 +352,49 @@ def interval_cubes(coords: Sequence[int]) -> list[list[_Cube]]:
     if len(ups) != len(coords) or min(coords, default=0) < 0:
         raise ValueError("coordinates must be distinct and non-negative")
     for u in ups:
-        for j in _bits(u):
-            if u ^ 1 << j in ups:
-                ups[u ^ 1 << j] |= 1 << j
+        rest = u
+        while rest:  # one pass per set bit, without a generator
+            rest ^= (bit := rest & -rest)
+            if u ^ bit in ups:
+                ups[u ^ bit] |= bit
     width = max(coords, default=0).bit_length()
-    # the key F << width | u -> (cube, ups(u, F))
-    level = {u: (((v,), 1 << v), ups[u]) for v, u in enumerate(coords)}
-    levels = [sorted(cube for cube, _ in level.values())]
+    ordered = all(a < b for a, b in zip(coords, coords[1:]))
+    # the key F << width | u -> (vertices, mask, ups(u, F))
+    level = {u: ((v,), 1 << v, ups[u]) for v, u in enumerate(coords)}
+    levels = [[(vertices, mask) for vertices, mask, _ in level.values()]]  # in id order
     for _ in range(len(coords).bit_length() - 1):
-        grown: dict[int, tuple[_Cube, int]] = {}
-        for key, ((vertices, mask), free) in level.items():
+        grown: dict[int, tuple[tuple[int, ...], int, int]] = {}
+        for key, (vertices, mask, free) in level.items():
             while free:
                 bit = free & -free
                 free ^= bit  # the bits left in free lie above j
-                (other, other_mask), other_ups = level[key | bit]
+                other, other_mask, other_ups = level[key | bit]
                 joined = vertices + other if vertices[-1] < other[0] else tuple(sorted(vertices + other))
-                grown[key | bit << width] = ((joined, mask | other_mask), free & other_ups)
+                grown[key | bit << width] = (joined, mask | other_mask, free & other_ups)
         level = grown
-        levels.append(sorted(cube for cube, _ in level.values()))
+        cubes = [(vertices, mask) for vertices, mask, _ in level.values()]
+        levels.append(cubes if ordered else sorted(cubes))
     return levels
 
 
 def _subcubes(g: LabeledGraph) -> list[list[_Cube]] | None:
-    """The :func:`interval_cubes` levels 0..floor(log2 |V|) of a gamma or
-    omega member's label coordinates (``graphs.coordinate``) when the graph's
-    edges are exactly its level-1 pairs, the pairs at Hamming distance 1,
-    the condition those levels need; otherwise None. A custom graph costs
-    one family test; a graph that claims a family but carries other labels
-    or other edges gets None. Rows are compared whole, so one-sided
-    adjacency is caught too; a graph of one vertex has no level 1 and no
-    edges."""
-    if g.family not in ("gamma", "omega"):
+    """The :func:`interval_cubes` levels 0..floor(log2 |V|) of the
+    coordinates of the member the graph claims to be,
+    ``graphs.member_coordinates(g.family, g.n)``, when the graph has as
+    many vertices and its edges are exactly the level-1 pairs, the pairs
+    at Hamming distance 1, the condition those levels need; otherwise
+    None. Only the family, n and the adjacency rows are read, never the
+    labels, so the rows check is what makes the listing sound on any graph
+    that claims a family. A custom graph costs one family test. Member n
+    has at least 2**((n-1)/2) vertices, so an n above twice the vertex
+    count's bit length cannot match and its coordinates are not built.
+    Rows are compared whole, so one-sided adjacency is caught too; a graph
+    of one vertex has no level 1 and no edges."""
+    if g.family not in ("gamma", "omega") or not 0 <= g.n <= 2 * g.vertex_count.bit_length():
         return None
-    fam = _family(g.family)
-    try:
-        levels = interval_cubes([coordinate(fam, g.n, label) for label in g.labels])
-    except ValueError:  # a label the rule cannot read, or a repeated coordinate
+    if len(coords := member_coordinates(g.family, g.n)) != g.vertex_count:
         return None
+    levels = interval_cubes(coords)
     rows = [0] * g.vertex_count
     for (u, v), _ in chain.from_iterable(levels[1:2]):
         rows[u] |= 1 << v

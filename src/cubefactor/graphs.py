@@ -30,11 +30,16 @@ down, "10" and "00" two down, "010" three down; gamma from orders
 their first part). ``build_graph`` annotates each member with the parts
 read off it, and the audit reads its ranges off the annotations.
 ``canonical_subgraph`` strips a part's prefix, assembles it as a graph
-and compares it with the freshly built smaller member. ``coordinate``
-reads a vertex's hypercube coordinate off its label by the same
-recursion, B's vertices taking the new top bit. (The structural
-factor builds its parts from the same label prefixes and does not read
-the annotations.)
+and compares it with the freshly built smaller member.
+
+Each member's vertices have hypercube coordinates, B's vertices taking
+the new top bit, so C_n = C_{n-1} followed by 2**(n-1) + C_{n-2}.
+``member_coordinates`` builds them by that recursion in vertex ids, with
+no label read, and the solvers' subcube listing reads it.
+``coordinate`` reads one vertex's coordinate off its label alone, the
+second route, which the oracle audit holds against the first. (The
+structural factor builds its parts from the same label prefixes and does
+not read the annotations.)
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ __all__ = [
     "export_graph",
     "find_isomorphism",
     "expected_vertex_count",
+    "member_coordinates",
 ]
 
 DEFAULT_MAX_N = 16
@@ -221,7 +227,9 @@ def coordinate(family: Family | str, n: int, label: str) -> int:
     ``factors._subcubes`` checks on the subcubes it reads off them.
 
     Only the label is read, never the adjacency. A label the rule cannot
-    read raises ValueError.
+    read raises ValueError. The solvers read :func:`member_coordinates`
+    instead; this rule is its second route, which the oracle audit's
+    Hamming entry compares with it on every member it builds.
     """
     fam = _family(family)
     if fam is Family.GAMMA:
@@ -239,6 +247,26 @@ def coordinate(family: Family | str, n: int, label: str) -> int:
     if order > 3 or len(rest) != 1 or not "0" <= rest <= str(order):
         raise ValueError(f"{label!r} is not an omega label of order {n}")
     return coord | (1 << int(rest)) - 1
+
+
+def member_coordinates(family: Family | str, n: int) -> list[int]:
+    """The hypercube coordinates of member n's vertices, by vertex id.
+
+    Built by the recursion ``_member`` follows, with no label read. The
+    bases are paths whose vertex c has coordinate 2**c - 1: gamma's [0],
+    [0, 1] and omega's [0], [0, 1], [0, 1, 3], [0, 1, 3, 7]. Member n is
+    member n-1's list followed by member n-2's with bit n-1 set. It equals
+    :func:`coordinate` on each label. A negative n or an unknown family
+    raises ValueError.
+    """
+    fam = _family(family)
+    _check_cap(n, n)  # the sign only: coordinates are built at any order
+    # the base member n, or the last base and the one before it
+    path = [(1 << c) - 1 for c in range(min(n + 1, 2 if fam is Family.GAMMA else 4))]
+    b, a = path[:-1], path
+    for order in range(len(path), n + 1):
+        b, a = a, a + [c | 1 << order - 1 for c in b]
+    return a
 
 
 def custom_graph(labels: list[str], edges: list[tuple[str, str]]) -> LabeledGraph:

@@ -1,13 +1,15 @@
-"""The members' label coordinates and the subcube enumerator they feed.
+"""The members' coordinates and the subcube enumerator they feed.
 
-``graphs.coordinate`` reads a hypercube coordinate off a member's label;
-``factors.interval_cubes`` lists the subcubes inside the coordinate set,
-and ``factors._subcubes`` hands a member's subcubes to the solvers only
-where its adjacency rows are exactly the level-1 pairs, the pairs at
-Hamming distance 1.
+``graphs.member_coordinates`` builds a member's hypercube coordinates from
+the construction and ``graphs.coordinate`` reads one off a label, the
+second route; ``factors.interval_cubes`` lists the subcubes inside the
+coordinate set, and ``factors._subcubes`` hands a member's subcubes to the
+solvers only where its adjacency rows are exactly the level-1 pairs, the
+pairs at Hamming distance 1.
 These tests hold the subcubes against ``enumerate_cubes`` on drawn
-coordinate sets, check that any other graph keeps the extension route, and
-check the coordinates against the built members' edges.
+coordinate sets, check that any other graph keeps the extension route,
+check both coordinate routes against the built members' edges, and check
+that ``_subcubes`` reads no label.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from cubefactor.factors import (
     greedy_layered_factor,
     interval_cubes,
 )
-from cubefactor.graphs import DEFAULT_MAX_N, build_graph, coordinate, custom_graph
+from cubefactor.graphs import DEFAULT_MAX_N, build_graph, coordinate, custom_graph, member_coordinates
 
 
 def hamming_graph(d, coords, in_order):
@@ -78,6 +80,13 @@ def test_coordinates_place_exactly_the_edges_at_hamming_distance_1(family, n):
         near = [index[c ^ 1 << i] for i in range(n) if c ^ 1 << i in index]
         assert sum(1 << u for u in near) == g.adj[v]
     assert _subcubes(g) == interval_cubes(tuple(coords))
+    assert member_coordinates(family, n) == coords
+
+
+@pytest.mark.parametrize("family, n", [("gamma", -1), ("omega", -1), ("custom", 3)])
+def test_member_coordinates_reject_a_negative_order_and_an_unknown_family(family, n):
+    with pytest.raises(ValueError):
+        member_coordinates(family, n)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +145,25 @@ def test_a_member_under_another_family_name_keeps_the_extension_route():
     g = build_graph("gamma", 6)
     assert _subcubes(dataclasses.replace(g, family="omega")) is None
     assert _subcubes(dataclasses.replace(g, family="custom")) is None
+
+
+@pytest.mark.parametrize("family, n", [("gamma", 7), ("omega", 8)])
+def test_subcubes_read_no_label(family, n):
+    # the same ids and rows under other labels: family, n and the rows are
+    # all that _subcubes reads
+    g = build_graph(family, n)
+    relabelled = dataclasses.replace(g, labels=tuple(f"v{v:03d}" for v in range(g.vertex_count)))
+    subcubes = _subcubes(g)
+    assert subcubes is not None and _subcubes(relabelled) == subcubes
+    assert exact_min_factor(relabelled) == exact_min_factor(g)
+    assert greedy_layered_factor(relabelled) == greedy_layered_factor(g)
+
+
+@pytest.mark.parametrize("n", [5, 7, -1, 10**9])
+def test_a_member_under_another_order_keeps_the_extension_route(n):
+    # another vertex count; an order far above what 21 vertices allow is
+    # refused before its coordinates would be built
+    assert _subcubes(dataclasses.replace(build_graph("gamma", 6), n=n)) is None
 
 
 def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():

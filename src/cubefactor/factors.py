@@ -388,14 +388,13 @@ def _subcubes(g: LabeledGraph) -> list[list[_Cube]] | None:
     that claims a family. A custom graph costs one family test. Member n
     has at least 2**((n-1)/2) vertices, so an n above twice the vertex
     count's bit length cannot match and its coordinates are not built.
-    Rows are compared whole, so one-sided adjacency is caught too; a graph
-    of one vertex has no level 1 and no edges."""
+    Rows are compared whole, so one-sided adjacency and another vertex
+    count are caught too; a graph of one vertex has no level 1 and no
+    edges."""
     if g.family not in ("gamma", "omega") or not 0 <= g.n <= 2 * g.vertex_count.bit_length():
         return None
-    if len(coords := member_coordinates(g.family, g.n)) != g.vertex_count:
-        return None
-    levels = interval_cubes(coords)
-    rows = [0] * g.vertex_count
+    levels = interval_cubes(coords := member_coordinates(g.family, g.n))
+    rows = [0] * len(coords)  # so a graph of another vertex count has other rows
     for (u, v), _ in chain.from_iterable(levels[1:2]):
         rows[u] |= 1 << v
         rows[v] |= 1 << u

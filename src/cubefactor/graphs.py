@@ -259,10 +259,9 @@ def member_coordinates(family: Family | str, n: int) -> list[int]:
     :func:`coordinate` on each label. A negative n or an unknown family
     raises ValueError.
     """
-    fam = _family(family)
     _check_cap(n, n)  # the sign only: coordinates are built at any order
     # the base member n, or the last base and the one before it
-    path = [(1 << c) - 1 for c in range(min(n + 1, 2 if fam is Family.GAMMA else 4))]
+    path = [(1 << c) - 1 for c in range(min(n + 1, 2 if _family(family) is Family.GAMMA else 4))]
     b, a = path[:-1], path
     for order in range(len(path), n + 1):
         b, a = a, a + [c | 1 << order - 1 for c in b]

@@ -192,6 +192,20 @@ def misread_label(mp):
     mp.setattr(graphs, "coordinate", lambda fam, n, label: clean(fam, n, label) or int(n >= 8))
 
 
+def unreadable_label(mp):
+    # the label rule cannot read any label from order 8: the Hamming entry
+    # fails from there instead of the audit stopping, and the solvers read
+    # no label and keep their optima
+    clean = graphs.coordinate
+
+    def coordinate(fam, n, label):
+        if n >= 8:
+            raise ValueError(f"{label!r} injected")
+        return clean(fam, n, label)
+
+    mp.setattr(graphs, "coordinate", coordinate)
+
+
 def no_isomorphism(mp):
     mp.setattr(graphs, "find_isomorphism", lambda g, h: None)
 
@@ -229,8 +243,8 @@ FAULTS = {
         extra_exact_part, reshaped_exact_profile, extra_greedy_part, extra_structural_part,
         short_witness, clashing_witness, rejecting_verify, wrong_vertex_count,
         undercounted_vertices, missing_edge_cube, dropped_cube_per_level, dropped_subcube,
-        dropped_edge_subcube, misread_label, no_isomorphism, rejected_subcopy, reversed_json,
-        drifting_export,
+        dropped_edge_subcube, misread_label, unreadable_label, no_isomorphism, rejected_subcopy,
+        reversed_json, drifting_export,
     )
 }
 
@@ -865,6 +879,42 @@ EXPECTED = {
         'PASS gamma exports are deterministic: [n=5]',
     ],
     ('misread_label', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
+        'FAIL omega adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+    ],
+    ('unreadable_label', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
+        'FAIL gamma adjacency is Hamming distance 1 on the label coordinates: first failure at n=8',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+    ],
+    ('unreadable_label', 'omega'): [
         'PASS omega vertex count equals lucas(n): [n=0..9]',
         'PASS omega graphs are connected: [n=0..9]',
         'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',

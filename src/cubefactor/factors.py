@@ -76,7 +76,7 @@ vertices, in canonical order. Each docstring has its proof.
   Each (k+1)-subcube joins two k-subcubes that differ in one bit above
   their span. Each subcube carries the bits along which it extends, so no
   lookup misses, and on ids in coordinate order, as on the members, two
-  halves' vertices join without a sort and each level comes out in
+  halves' vertices join with no comparison and each level comes out in
   canonical order as it is built.
 
 The solvers (exact, greedy and ``cube_independent_set``) read
@@ -95,7 +95,9 @@ and ``_subcubes``: it checks the witness against the first listing
 (``check_witness``'s scan, ``_shared_pairs``) and compares the two at
 every dimension, while the solvers list their own. The solvers build an
 ``InducedCube`` only for the parts they return. ``verify_factor`` builds
-each part's mask once, after checking its ids.
+each part's mask once, after checking its ids, and the cube check and the
+disjointness check share it; the cube check reads each of the part's
+edges once (``_is_induced_cube`` has its proof).
 
 All tie-breaking is canonical (lowest uncovered vertex first, descending
 dimension, lexicographic vertex arrays), so repeated runs return
@@ -307,14 +309,15 @@ def interval_cubes(coords: Sequence[int]) -> list[list[_Cube]]:
     coordinate's set bits. (u, F) is extended by each j of ups(u, F) to
     (u, F + j), the union of the two halves, which carries ups(u, F) &
     ups(u | 2**j, F) above j. Each subcube is formed once, from its split
-    at the highest bit of its span. Every coordinate of the lower half is
-    below every one of the upper half, the two first differing at bit j, so
-    when the lower half's last id is below the upper half's first, as on
-    ids in coordinate order, the halves' vertices are concatenated; other
-    ids are sorted. Level 0 is in id order, which is canonical. When the
+    at the highest bit of its span, its vertices the lower half's, then the
+    upper half's. Level 0 is in id order, which is canonical. When the
     coordinates are strictly increasing in id, as on every member, each
-    higher level is kept in the order it is built; other coordinate sets
-    are sorted.
+    higher level is kept as it is built: every coordinate of the lower half
+    is below every one of the upper half, the two first differing at bit
+    j, so the joined vertices are in id order with no comparison, and the
+    level is in canonical order (Order, below). On other coordinate sets
+    each cube's vertices, and then the level, are sorted once the level is
+    built.
 
     Order. Let the coordinates increase in id and level k be in canonical
     order. Its subcubes are extended in that order, each along increasing
@@ -369,11 +372,12 @@ def interval_cubes(coords: Sequence[int]) -> list[list[_Cube]]:
                 bit = free & -free
                 free ^= bit  # the bits left in free lie above j
                 other, other_mask, other_ups = level[key | bit]
-                joined = vertices + other if vertices[-1] < other[0] else tuple(sorted(vertices + other))
-                grown[key | bit << width] = (joined, mask | other_mask, free & other_ups)
+                grown[key | bit << width] = (vertices + other, mask | other_mask, free & other_ups)
         level = grown
-        cubes = [(vertices, mask) for vertices, mask, _ in level.values()]
-        levels.append(cubes if ordered else sorted(cubes))
+        if ordered:
+            levels.append([(vertices, mask) for vertices, mask, _ in level.values()])
+        else:
+            levels.append(sorted((tuple(sorted(vertices)), mask) for vertices, mask, _ in level.values()))
     return levels
 
 
@@ -805,59 +809,81 @@ def structural_factor(
 
 
 def _is_induced_cube(g: LabeledGraph, vertices: tuple[int, ...], dimension: int) -> bool:
-    """Exact hypercube recognition on the induced subgraph, by coordinates.
+    """Exact hypercube recognition on the induced subgraph, by coordinates,
+    in one pass over its edges.
 
-    Once the size fits, the vertices are distinct and every induced degree
-    is ``dimension`` (k), each vertex gets a coordinate: the root
-    ``vertices[0]`` gets 0, its neighbours the unit vectors, and each later
-    vertex, level by level in BFS order, the OR of its neighbours'
-    coordinates one level up. The part is a k-cube exactly when the
-    coordinates are distinct and each vertex's k induced neighbours differ
-    from it in one bit. Sound: every coordinate lies in [0, 2^k), so 2^k
-    distinct ones fill {0,1}^k; a vertex has exactly k coordinates at
-    Hamming distance 1, all present, so its k neighbours are exactly those
-    and the map is an isomorphism onto Q_k. Complete: in a k-cube a vertex
-    at distance d >= 2 has exactly d neighbours one level up, each
-    differing from it in one bit, so their OR is the vertex's own vector.
+    Once the size is 2**k (k = ``dimension``) and the vertices are
+    distinct, a BFS from the root ``vertices[0]`` walks bit-set levels. The
+    root must have induced degree k; it gets coordinate 0 and its
+    neighbours the unit vectors. Each vertex of a level must have induced
+    degree k and no induced neighbour in its own level; its neighbours not
+    yet placed form the next level, and each of them gets the OR of its
+    neighbours' coordinates in the level above. So each edge is read once,
+    from its upper end. At the end the coordinates must number 2**k
+    distinct ones, and the depths of the vertices must sum to k * 2**(k-1).
+
+    Depths. With distinct coordinates, an edge's upper end has a
+    coordinate strictly inside its lower end's, so weights (numbers of set
+    bits) grow by at least one per level and each vertex's weight is at
+    least its depth. The 2**k coordinates lie in {0,1}^k, so they fill it,
+    and their weights sum to k * 2**(k-1). So the depths sum to that
+    exactly when every weight is its depth, that is, when each edge flips
+    exactly one coordinate bit: the sum stands for a one-bit test per edge
+    at one addition per level.
+
+    Sound: the 2**k distinct coordinates fill {0,1}^k, so every vertex was
+    reached. No edge lies inside a level, so every edge joins consecutive
+    levels, and by the depths it flips one bit. With degree k, a vertex's
+    neighbours are then exactly its k Hamming neighbours, all present, so
+    the coordinates are an isomorphism onto Q_k. Complete: in Q_k the
+    levels are the Hamming weights from the root, so no edge lies inside a
+    level, and a vertex of weight d >= 2 has exactly d neighbours one level
+    up, each one bit below it, so their OR is its own vector: the
+    coordinates are distinct and each weight is its depth.
+
+    The degree, level and distinct checks each decide alone on a graph in
+    the tests (the twisted twin 3-cubes, Q4 with two edges swapped, Q4
+    with two twins). No graph is known on which the depth check decides
+    alone, nor a proof that the other three imply it.
     """
-    size = len(vertices)
-    if not _fits(dimension, size):
-        return False
     members = 0
     for v in vertices:
         members |= 1 << v
-    if members.bit_count() != size:  # a repeated vertex
-        return False
-    local = {v: g.adj[v] & members for v in vertices}  # each vertex's induced neighbours
-    if any(near.bit_count() != dimension for near in local.values()):
-        return False
+    return _spans_cube(g.adj, vertices, members, dimension)
 
+
+def _spans_cube(adj: tuple[int, ...], vertices: tuple[int, ...], members: int, k: int) -> bool:
+    # _is_induced_cube on ``members``, the bit set of ``vertices``
+    size = len(vertices)
+    if not _fits(k, size) or members.bit_count() != size:  # the size, or a repeated vertex
+        return False
     root = vertices[0]
-    coord = {root: 0}
-    level = {u: 1 << i for i, u in enumerate(_bits(local[root]))}
+    near = adj[root] & members
+    if near.bit_count() != k:
+        return False
+    level = dict(zip(_bits(near), (1 << i for i in range(k))))  # vertex -> coordinate
+    here, rest = near, members ^ near ^ 1 << root  # the level's bits; the vertices not yet placed
+    seen = {0}
+    depth = depths = 0
     while level:
-        coord.update(level)
-        below, level = level, {}
-        for u, c in below.items():
-            near = local[u]
-            while near:
+        depth += 1
+        depths += depth * len(level)
+        seen.update(level.values())
+        below: dict[int, int] = {}
+        down = 0
+        for u, c in level.items():
+            near = adj[u] & members
+            if near.bit_count() != k or near & here:
+                return False
+            near &= rest
+            down |= near
+            while near:  # each edge once, from its upper end
                 low = near & -near
                 near ^= low
                 w = low.bit_length() - 1
-                if w not in coord:
-                    level[w] = level.get(w, 0) | c
-    # a vertex the BFS never reached leaves fewer distinct coordinates
-    if len(set(coord.values())) != size:
-        return False
-    for u, near in local.items():
-        c = coord[u]
-        while near:
-            low = near & -near
-            near ^= low
-            flipped = c ^ coord[low.bit_length() - 1]
-            if flipped & flipped - 1:  # more than one bit; coordinates are distinct
-                return False
-    return True
+                below[w] = below.get(w, 0) | c
+        here, rest, level = down, rest ^ down, below
+    return len(seen) == size and depths == k * size >> 1
 
 
 def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | FactorViolation:
@@ -874,13 +900,15 @@ def verify_factor(g: LabeledGraph, factor: CubeFactor) -> FactorProfile | Factor
             return FactorViolation("bad-vertex", f"part {i} references a vertex outside the graph", i)
         if tuple(sorted(part.vertices)) != part.vertices:
             return FactorViolation("bad-vertex", f"part {i} vertices are not sorted", i)
-        if not _is_induced_cube(g, part.vertices, part.dimension):
+        mask = 0
+        for v in part.vertices:
+            mask |= 1 << v
+        if not _spans_cube(g.adj, part.vertices, mask, part.dimension):
             return FactorViolation(
                 "not-a-cube",
                 f"part {i} does not induce a {part.dimension}-cube",
                 i,
             )
-        mask = sum(1 << v for v in part.vertices)  # the vertices are distinct
         if mask & covered:
             overlap = next(_bits(mask & covered))
             return FactorViolation(

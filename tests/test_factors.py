@@ -545,6 +545,15 @@ def shuffled_hypercube(k, seed):
                           (1, 2), (3, 6)]),
             4, False, id="Q4 with two edges swapped",
         ),
+        # Q4 with 9 and 6 rewired as twins of 3 and 12 (9 takes 3's
+        # neighbours, 6 takes 12's): bipartite, and from root 0 or 15 every
+        # coordinate's weight is its depth, but 3 and 9 get one coordinate,
+        # as do 12 and 6, so only the distinct-coordinates check rejects it
+        pytest.param(
+            graph_on(16, [*(e for e in REJECTING_GRAPHS["Q_4"].edges() if not {6, 9} & set(e)),
+                          *((9, v) for v in (1, 2, 7, 11)), *((6, v) for v in (4, 8, 13, 14))]),
+            4, False, id="Q4 with two twins",
+        ),
     ],
 )
 def test_a_regular_graph_is_a_cube_only_when_its_coordinates_say_so(g, k, cube):
@@ -560,6 +569,35 @@ def test_a_regular_graph_is_a_cube_only_when_its_coordinates_say_so(g, k, cube):
         assert outcome == FactorProfile((0,) * k + (1,))
     else:
         assert outcome == FactorViolation("not-a-cube", f"part 0 does not induce a {k}-cube", 0)
+
+
+@st.composite
+def regular_bipartite_graphs(draw):
+    """4-regular bipartite graphs on 16 vertices, that is, unions of 4
+    perfect matchings between two halves of 8, with ids shuffled: Q_4's
+    edges from its even to its odd half after drawn switches, each trading
+    edges a-b and c-d for a-d and c-b when both are new. A switch keeps
+    every degree, and switches reach every such graph (Ryser's interchange
+    theorem); with no switch the draw is Q_4 itself."""
+    edges = [(u, u ^ 1 << d) for u in range(16) if u.bit_count() % 2 == 0 for d in range(4)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)), max_size=12)):
+        (a, b), (c, d) = edges[i], edges[j]
+        if (a, d) not in edges and (c, b) not in edges:
+            edges[i], edges[j] = (a, d), (c, b)
+    names = draw(st.permutations([f"v{i:02d}" for i in range(16)]))
+    return custom_graph(names, [(names[a], names[b]) for a, b in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_bipartite_graphs())
+def test_is_induced_cube_matches_an_isomorphism_check_on_4_regular_bipartite_graphs(g):
+    # k = 4, past the small graphs' 3. Every degree is 4 and no level holds
+    # an edge, so only the distinct-coordinates and depth checks decide
+    assert all(row.bit_count() == 4 for row in g.adj)
+    expected = find_isomorphism(g, hypercube_graph(4)) is not None
+    everything = tuple(range(16))
+    assert _is_induced_cube(g, everything, 4) is expected
+    assert _is_induced_cube(g, everything[::-1], 4) is expected
 
 
 # Cube polynomial of Fibonacci cubes (Klavzar & Mollard, "Cube polynomial

@@ -4,10 +4,9 @@
 
 from cubefactor import (
     binom_ext,
-    binom_ext_div3,
     fib,
     lucas,
-    lucas_triangle,
+    lucas_triangle_additive_row,
     lucas_triangle_row,
     padovan,
     padovan_closed,
@@ -22,19 +21,16 @@ print("padovan   :", [padovan(n) for n in range(12)])
 print("padovan (closed form):", [padovan_closed(n) for n in range(12)])
 assert all(padovan_closed(n) == padovan(n) for n in range(200))
 
-# Two binomial conventions carry the closed-form coefficient formulas:
-# C(-1,-1) = 1 seeds the Lucas triangle's apex, and a "divide the upper
-# index by 3" helper returns 0 whenever the division does not come out even.
-print("C(-1,-1)            =", binom_ext(-1, -1))
-print("C(7/3, 2)           =", binom_ext_div3(7, 2), " (7 is not a multiple of 3)")
-print("C(6/3, 1) = C(2,1)  =", binom_ext_div3(6, 1))
+# One binomial convention carries the closed-form coefficient formulas:
+# C(-1,-1) = 1 seeds the Lucas triangle's apex.
+print("C(-1,-1) =", binom_ext(-1, -1))
 
-# The Lucas triangle: rows start with 1 and end with 2 (apex 2). The entry
+# The Lucas triangle: rows start with 1 and end with 2 (apex 2). The additive
 # formula C(n,k) + C(n-1,k-1) and the Pascal-style row recurrence must agree.
 print("\nLucas triangle:")
 for n in range(7):
     row = lucas_triangle_row(n)
-    assert row == [lucas_triangle(n, k) for k in range(n + 1)]
+    assert row == lucas_triangle_additive_row(n)
     print("  " + " ".join(f"{v:3d}" for v in row))
 
 # Row sums triple-halve: 3 * 2^(n-1) from row 1 on.

@@ -3,8 +3,7 @@
 # and exporting them as text.
 
 from cubefactor import (
-    build_gamma,
-    build_omega,
+    build_graph,
     canonical_subgraph,
     custom_graph,
     expected_vertex_count,
@@ -15,11 +14,11 @@ from cubefactor import (
 # The gamma family: binary strings with no "11", adjacent at Hamming
 # distance 1. Vertex counts follow the Fibonacci numbers.
 for n in range(8):
-    g = build_gamma(n)
+    g = build_graph("gamma", n)
     assert g.vertex_count == expected_vertex_count("gamma", n)
-print("gamma vertex counts:", [build_gamma(n).vertex_count for n in range(8)])
+print("gamma vertex counts:", [build_graph("gamma", n).vertex_count for n in range(8)])
 
-g4 = build_gamma(4)
+g4 = build_graph("gamma", 4)
 print("\ngamma order 4, edge list:")
 print(export_graph(g4, "edgelist"))
 
@@ -30,7 +29,7 @@ print("prefix-'10' part of order 4 is the order-2 member:", sub.labels)
 
 # The omega family: recursive matching construction over path base cases.
 # Its order-4 member is a 2x3 grid with a pendant vertex on one corner.
-o4 = build_omega(4)
+o4 = build_graph("omega", 4)
 print("\nomega order 4, dot format:")
 print(export_graph(o4, "dot"))
 
@@ -46,5 +45,5 @@ print("isomorphism onto the grid-plus-pendant drawing:")
 for src in sorted(iso):
     print(f"  {src} -> {iso[src]}")
 
-print("\nomega vertex counts:", [build_omega(n).vertex_count for n in range(10)])
+print("\nomega vertex counts:", [build_graph("omega", n).vertex_count for n in range(10)])
 print("(Lucas numbers from order 2 on)")

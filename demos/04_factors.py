@@ -3,8 +3,7 @@
 # against the polynomial coefficients.
 
 from cubefactor import (
-    build_gamma,
-    build_omega,
+    build_graph,
     enumerate_cubes,
     exact_min_factor,
     factor_from_json,
@@ -25,7 +24,7 @@ def show(g, factor, title):
         print(f"  k={part.dimension}: {labels}")
 
 
-g5 = build_gamma(5)
+g5 = build_graph("gamma", 5)
 
 # What raw material is there? Count the induced cubes per dimension.
 levels = enumerate_cubes(g5)
@@ -47,7 +46,7 @@ show(g5, structural, "\nstructural recursion")
 assert structural.profile().counts == qpoly_rec("gamma", 5).coeffs
 
 # Factors serialize to JSON with vertex labels and round-trip exactly.
-o5 = build_omega(5)
+o5 = build_graph("omega", 5)
 factor = structural_factor("omega", 5, o5)
 text = factor_to_json(o5, factor)
 print("\nomega order 5 factor as JSON:")

@@ -56,8 +56,6 @@ __all__ = [
     "DEFAULT_MAX_N",
     "LabeledGraph",
     "Subcopy",
-    "build_gamma",
-    "build_omega",
     "build_graph",
     "canonical_subgraph",
     "coordinate",
@@ -110,9 +108,6 @@ class LabeledGraph:
         if i == len(self.labels) or self.labels[i] != label:
             raise KeyError(label)
         return i
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def is_connected(self) -> bool:
         if not self.labels:
@@ -200,16 +195,6 @@ def build_graph(family: Family | str, n: int, max_n: int = DEFAULT_MAX_N) -> Lab
                 ids = range(bisect_left(labels, prefix), bisect_left(labels, upper))
                 subcopies[name] = Subcopy(tuple(ids), n - drop, prefix)
     return LabeledGraph(fam.value, n, labels, tuple(adj), subcopies)
-
-
-def build_gamma(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
-    """Fibonacci-string graph of order n with its recursion annotations."""
-    return build_graph(Family.GAMMA, n, max_n)
-
-
-def build_omega(n: int, max_n: int = DEFAULT_MAX_N) -> LabeledGraph:
-    """Matchable-Lucas-cube reconstruction of order n with annotations."""
-    return build_graph(Family.OMEGA, n, max_n)
 
 
 def coordinate(family: Family | str, n: int, label: str) -> int:
@@ -354,6 +339,9 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
 
     Intended for the small graphs that appear in structure checks (a few
     dozen vertices); prunes on degree and on partial adjacency agreement.
+    g's vertices are placed breadth-first per component, from a root of
+    highest degree then lowest id, so every vertex after a root has a
+    placed neighbour and a wrong choice is rejected at once.
     """
     k = g.vertex_count
     if k != h.vertex_count or g.edge_count != h.edge_count:
@@ -362,7 +350,17 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
     deg_h = [h.degree(v) for v in range(k)]
     if sorted(deg_g) != sorted(deg_h):
         return None
-    order = sorted(range(k), key=lambda v: (-deg_g[v], v))
+    order: list[int] = []
+    unplaced, walked = (1 << k) - 1, 0
+    for root in sorted(range(k), key=lambda v: (-deg_g[v], v)):
+        if unplaced >> root & 1:
+            order.append(root)
+            unplaced ^= 1 << root
+        while walked < len(order):  # breadth-first through the root's component
+            fresh = g.adj[order[walked]] & unplaced
+            order.extend(_bits(fresh))
+            unplaced ^= fresh
+            walked += 1
     candidates: dict[int, list[int]] = {}
     for w in range(k):
         candidates.setdefault(deg_h[w], []).append(w)
@@ -397,8 +395,11 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
 
 
 def expected_vertex_count(family: Family | str, n: int) -> int:
-    """fib(n+2) for gamma; lucas(n) for omega at n >= 2, else 1, 2."""
+    """fib(n+2) for gamma; lucas(n) for omega at n >= 2, else 1, 2.
+
+    A negative n raises ValueError."""
     fam = _family(family)
+    _check_cap(n, n)  # the sign only, as in member_coordinates
     if fam is Family.GAMMA:
         return fib(n + 2)
     return lucas(n) if n >= 2 else n + 1

@@ -6,8 +6,8 @@ routes compute the same coefficients:
 
 * ``qpoly_rec``  -- the base cases plus the recurrence
                     Q(n, x) = x * Q(n-2, x) + Q(n-3, x);
-* ``q_closed_row`` -- binomial / Lucas-triangle closed forms, a row at a
-                    time (``q_closed`` reads one entry of a row);
+* ``q_closed_row`` -- binomial / Lucas-triangle closed forms, one row of
+                      coefficients at a time;
 * ``gf_series``  -- truncated expansion of the rational generating function
                     in y, with polynomial-in-x coefficients.
 
@@ -75,7 +75,6 @@ __all__ = [
     "qpoly_rows",
     "qpoly_rec",
     "q_closed_row",
-    "q_closed",
     "gf_terms",
     "gf_series",
     "padovan_gf_series",
@@ -225,12 +224,6 @@ def q_closed_row(family: Family | str, n: int, count: int) -> list[int]:
             c = c * (m + 1) * (m - j) * (m - j - 1) // ((j + 1) * (j + 2) * (j + 3))
             m, j = m + 1, j + 3
     return row
-
-
-def q_closed(family: Family | str, n: int, k: int) -> int:
-    """Coefficient q_k by the closed form: entry k of :func:`q_closed_row`."""
-    row = q_closed_row(family, n, max(k + 1, 0))  # checks family and n at every k
-    return row[k] if k >= 0 else 0
 
 
 def _expand_rational(numerator: dict[int, list[int]]) -> Iterator[tuple[int, ...]]:

@@ -1,16 +1,15 @@
 """Exact integer sequences and combinatorial triangles.
 
-Fibonacci, Lucas and Padovan numbers, binomial coefficients with the two
-boundary conventions the cube-factor formulas rely on, and the (1,2)-Pascal
-triangle (Lucas triangle). Everything is plain Python ints, so values stay
-exact at every index exercised by the test suite (up to n = 500).
+Fibonacci, Lucas and Padovan numbers, binomial coefficients with the
+C(-1,-1) = 1 boundary convention the cube-factor formulas rely on, and the
+(1,2)-Pascal triangle (Lucas triangle). Everything is plain Python ints, so
+values stay exact at every index exercised by the test suite (up to n = 500).
 
 Nothing is memoised. The three sequences and the triangle's rows are
 streamed, each by one forward pass that holds only the terms or the row
 its recurrence reads; a single term is read from its stream, computed from
 index 0 on every call. The binomial row C(n, 0..n) is built the same way,
-by the multiplicative step C(n, k+1) = C(n, k) * (n-k) / (k+1), and a single
-Lucas-triangle entry by formula is read from its row.
+by the multiplicative step C(n, k+1) = C(n, k) * (n-k) / (k+1).
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ __all__ = [
     "padovan",
     "padovan_closed",
     "binom_ext",
-    "binom_ext_div3",
     "binomial_row",
-    "lucas_triangle",
     "lucas_triangle_additive_row",
     "lucas_triangle_rows",
     "lucas_triangle_row",
@@ -103,18 +100,6 @@ def binom_ext(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def binom_ext_div3(numerator: int, k: int) -> int:
-    """C(numerator/3, k), or 0 when the upper index is not an integer.
-
-    The closed-form coefficient formulas only ever divide the upper index
-    by 3, so the "non-integer upper index gives 0" convention reduces to a
-    divisibility test followed by :func:`binom_ext`.
-    """
-    if numerator % 3 != 0:
-        return 0
-    return binom_ext(numerator // 3, k)
-
-
 def binomial_row(n: int) -> list[int]:
     """C(n, 0), ..., C(n, n): up to the middle each from the last by
     C(n, k+1) = C(n, k) * (n-k) / (k+1), the rest mirrored by
@@ -135,18 +120,6 @@ def lucas_triangle_additive_row(n: int) -> list[int]:
     _check_index(n)
     shifted = [binom_ext(-1, -1)] if n == 0 else [0, *binomial_row(n - 1)]
     return list(map(add, binomial_row(n), shifted))
-
-
-def lucas_triangle(n: int, k: int) -> int:
-    """Entry Y(n, k) of the Lucas triangle, read from :func:`lucas_triangle_additive_row`.
-
-    Rows start 2 / 1 2 / 1 3 2 / ...; the apex Y(0,0) = 2 comes from the
-    C(-1,-1) = 1 convention. Rejects k outside [0, n].
-    """
-    _check_index(n)
-    if k < 0 or k > n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    return lucas_triangle_additive_row(n)[k]
 
 
 def lucas_triangle_rows() -> Iterator[list[int]]:

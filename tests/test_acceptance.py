@@ -23,7 +23,7 @@ from cubefactor.factors import (
     structural_factor,
     verify_factor,
 )
-from cubefactor.graphs import build_gamma, build_graph, build_omega, custom_graph, find_isomorphism
+from cubefactor.graphs import build_graph, custom_graph, find_isomorphism
 from cubefactor.polynomials import (
     Family,
     antidiagonal_profile,
@@ -128,7 +128,7 @@ def test_criterion_4_gamma_structural_counts():
 
 
 def omega_nonzero_count(n: int) -> int:
-    # for n >= 2 exactly one term of q_closed applies at each k, and it is
+    # for n >= 2 exactly one term of q_closed_row applies at each k, and it is
     # nonzero for every 0 <= k <= floor(n/2) except k = 0 when 3 | n, where
     # it is C(n/3 - 1, -1) = 0
     return n // 2 + 1 - (1 if n % 3 == 0 else 0)
@@ -207,7 +207,7 @@ def test_criterion_5_graph_level_oracle_equivalence():
         if not ok:
             break
     # spot value named in the criterion: 9 parts at gamma n=8
-    ok = ok and exact_min_factor(build_gamma(8)).part_count == 9
+    ok = ok and exact_min_factor(build_graph("gamma", 8)).part_count == 9
     runtime = elapsed_since(t0)
     report(
         "5 (oracle equivalence, n<=8)",
@@ -218,8 +218,8 @@ def test_criterion_5_graph_level_oracle_equivalence():
 
 def test_criterion_6_graph_cardinalities_and_omega4_isomorphism():
     t0 = time.perf_counter()
-    ok = all(build_gamma(n).vertex_count == fib(n + 2) for n in range(16))
-    ok = ok and all(build_omega(n).vertex_count == lucas(n) for n in range(2, 16))
+    ok = all(build_graph("gamma", n).vertex_count == fib(n + 2) for n in range(16))
+    ok = ok and all(build_graph("omega", n).vertex_count == lucas(n) for n in range(2, 16))
     figure = custom_graph(
         ["a0", "a1", "a2", "b0", "b1", "b2", "p"],
         [
@@ -227,7 +227,7 @@ def test_criterion_6_graph_cardinalities_and_omega4_isomorphism():
             ("a0", "b0"), ("a1", "b1"), ("a2", "b2"), ("a2", "p"),
         ],
     )
-    iso = find_isomorphism(build_omega(4), figure)
+    iso = find_isomorphism(build_graph("omega", 4), figure)
     ok = ok and iso is not None
     runtime = elapsed_since(t0)
     report(

@@ -7,7 +7,7 @@ import pytest
 
 from cubefactor import audit, cli, factors, sequences
 from cubefactor.factors import CubeFactor, factor_from_json, verify_factor
-from cubefactor.graphs import build_omega
+from cubefactor.graphs import build_graph
 from cubefactor.sequences import fib
 
 TABLE_GAMMA_9 = (
@@ -147,7 +147,7 @@ def test_factor_text_and_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["profile"] == ["1", "1", "2"]
-    g = build_omega(5)
+    g = build_graph("omega", 5)
     factor = factor_from_json(g, out)
     assert verify_factor(g, factor).counts == (1, 1, 2)
 

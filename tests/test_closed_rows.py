@@ -3,8 +3,8 @@
 ``q_closed_row`` walks each binomial line of the closed form by its term
 ratio, and ``binomial_row`` builds C(n, 0..n) by the multiplicative step.
 The references below evaluate every coefficient on its own, with one
-``binom_ext`` or ``binom_ext_div3`` (one ``math.comb``) per term, as the
-closed form is written in the paper.
+``binom_ext`` (one ``math.comb``) per term, as the closed form is written
+in the paper.
 """
 
 from __future__ import annotations
@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubefactor.polynomials import Family, poly_degree, q_closed, q_closed_row, qpoly_rec
+from cubefactor.polynomials import Family, poly_degree, q_closed_row, qpoly_rec
 from cubefactor.sequences import (
     binom_ext,
-    binom_ext_div3,
     binomial_row,
-    lucas_triangle,
     lucas_triangle_additive_row,
 )
+
+
+def binom_div3(numerator: int, k: int) -> int:
+    # C(numerator/3, k), 0 when the upper index is not an integer
+    return binom_ext(numerator // 3, k) if numerator % 3 == 0 else 0
 
 
 def lucas_triangle_reference(n: int, k: int) -> int:
@@ -34,7 +37,7 @@ def q_closed_reference(family: Family, n: int, k: int) -> int:
     if k < 0:
         return 0
     if family is Family.GAMMA:
-        return binom_ext_div3(n + k, k) + binom_ext_div3(n + k + 1, k)
+        return binom_div3(n + k, k) + binom_div3(n + k + 1, k)
     if n < 2:
         return qpoly_rec(family, n).coefficient(k)
     total = 0
@@ -67,14 +70,14 @@ def test_closed_row_equals_the_per_entry_reference_at_sampled_n(family, n):
     assert_row_matches_reference(family, n)
 
 
-def test_closed_row_is_a_prefix_of_the_longer_row_and_q_closed_reads_it():
+def test_closed_row_is_a_prefix_of_the_longer_row():
     for family in Family:
         for n in (0, 1, 2, 3, 7, 30):
             full = q_closed_row(family, n, 25)
             assert [q_closed_row(family, n, count) for count in range(26)] == [
                 full[:count] for count in range(26)
             ]
-            assert [q_closed(family, n, k) for k in range(-2, 25)] == [0, 0, *full]
+            assert [q_closed_row(family, n, k + 1)[k] for k in range(25)] == full
 
 
 def test_closed_row_rejects_a_negative_order_or_count():
@@ -84,8 +87,6 @@ def test_closed_row_rejects_a_negative_order_or_count():
         q_closed_row("omega", 4, -1)
     with pytest.raises(ValueError):
         q_closed_row("delta", 4, 3)
-    with pytest.raises(ValueError):
-        q_closed("omega", -1, -1)
 
 
 def test_binomial_row_equals_math_comb_to_300():
@@ -99,7 +100,6 @@ def test_lucas_triangle_row_equals_the_per_entry_reference_to_300():
     for n in range(301):
         row = lucas_triangle_additive_row(n)
         assert row == [lucas_triangle_reference(n, k) for k in range(n + 1)], n
-        assert lucas_triangle(n, n // 2) == row[n // 2]
     with pytest.raises(ValueError):
         lucas_triangle_additive_row(-1)
 

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package."""
+"""Every demo script runs to completion against the package, with warnings as errors."""
 
 from __future__ import annotations
 
@@ -18,6 +18,6 @@ def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-W", "error", str(demo)], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr

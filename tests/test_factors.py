@@ -32,7 +32,7 @@ from cubefactor.factors import (
     structural_factor,
     verify_factor,
 )
-from cubefactor.graphs import build_gamma, build_graph, build_omega, custom_graph, find_isomorphism
+from cubefactor.graphs import build_graph, custom_graph, find_isomorphism
 from cubefactor.polynomials import qpoly_rec
 from cubefactor.sequences import padovan
 
@@ -44,12 +44,12 @@ def ids_of(g, labels):
 def induced_edge_count(g, vertices):
     members = set(vertices)
     return sum(
-        1 for v in vertices for u in members if u > v and g.has_edge(v, u)
+        1 for v in vertices for u in members if u > v and g.adj[v] >> u & 1
     )
 
 
 def test_enumerate_cubes_on_the_three_vertex_path():
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     levels = enumerate_cubes(g)
     assert levels[0] == [((0,), 1), ((1,), 2), ((2,), 4)]
     assert [set(g.labels[v] for v in verts) for verts, _ in levels[1]] == [
@@ -59,7 +59,7 @@ def test_enumerate_cubes_on_the_three_vertex_path():
 
 def test_enumerate_cubes_trivial_graph():
     # one vertex allows dimension 0 only, so there is no level 1
-    levels = enumerate_cubes(build_gamma(0))
+    levels = enumerate_cubes(build_graph("gamma", 0))
     assert levels == [[((0,), 1)]]
 
 
@@ -81,7 +81,7 @@ def test_a_huge_vertex_id_is_rejected_without_building_its_mask():
     tracemalloc.start()
     try:
         cube = InducedCube(0, (10**8,))
-        outcome = verify_factor(build_gamma(2), CubeFactor((cube,)))
+        outcome = verify_factor(build_graph("gamma", 2), CubeFactor((cube,)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -99,7 +99,7 @@ def test_enumerate_dimension_one_is_the_edge_set():
 
 
 def test_enumerated_cubes_have_hypercube_edge_counts():
-    for g in (build_gamma(5), build_omega(5)):
+    for g in (build_graph("gamma", 5), build_graph("omega", 5)):
         levels = enumerate_cubes(g)
         for k, cubes in enumerate(levels):
             for verts, mask in cubes:
@@ -109,21 +109,21 @@ def test_enumerated_cubes_have_hypercube_edge_counts():
 
 
 def test_gamma5_contains_the_free_position_3_cube():
-    g = build_gamma(5)
+    g = build_graph("gamma", 5)
     subset = ids_of(g, [a + "0" + b + "0" + c for a in "01" for b in "01" for c in "01"])
     threes = enumerate_cubes(g)[3]
     assert subset in [verts for verts, _ in threes]
 
 
 def test_exact_min_factor_small_cases():
-    g3 = build_gamma(3)
+    g3 = build_graph("gamma", 3)
     factor = exact_min_factor(g3)
     parts = {tuple(g3.labels[v] for v in p.vertices) for p in factor.parts}
     assert parts == {("000", "001", "100", "101"), ("010",)}
     assert factor.profile().counts == (1, 0, 1)
 
-    assert exact_min_factor(build_omega(4)).profile().counts == (1, 1, 1)
-    assert exact_min_factor(build_gamma(1)).profile().counts == (0, 1)
+    assert exact_min_factor(build_graph("omega", 4)).profile().counts == (1, 1, 1)
+    assert exact_min_factor(build_graph("gamma", 1)).profile().counts == (0, 1)
 
 
 def first_minimum_cover(g):
@@ -468,9 +468,9 @@ def test_a_tight_witness_stops_the_search_at_its_first_optimal_cover():
 
 def test_check_witness_rejects_ids_outside_the_graph():
     with pytest.raises(ValueError):
-        check_witness(build_gamma(2), [0, 3])
+        check_witness(build_graph("gamma", 2), [0, 3])
     with pytest.raises(ValueError):
-        check_witness(build_gamma(2), [-1])
+        check_witness(build_graph("gamma", 2), [-1])
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])
@@ -497,7 +497,7 @@ def test_is_induced_cube_matches_an_isomorphism_check_on_small_graphs(g, rng):
         for subset in itertools.combinations(range(g.vertex_count), 2**k):
             edges = [
                 (g.labels[u], g.labels[v])
-                for u, v in itertools.combinations(subset, 2) if g.has_edge(u, v)
+                for u, v in itertools.combinations(subset, 2) if g.adj[u] >> v & 1
             ]
             induced = custom_graph([g.labels[v] for v in subset], edges)
             expected = find_isomorphism(induced, cube) is not None
@@ -605,7 +605,7 @@ def test_is_induced_cube_matches_an_isomorphism_check_on_4_regular_bipartite_gra
 # induced k-cubes, (2**(n+2) - (-1)**n) / 3 in all.
 @pytest.mark.parametrize("n", range(15))
 def test_gamma_cube_counts_match_the_cube_polynomial(n):
-    g = build_gamma(n)
+    g = build_graph("gamma", n)
     levels = enumerate_cubes(g)
     counts = [len(level) for level in levels]
     assert counts == [
@@ -618,7 +618,7 @@ def test_gamma_cube_counts_match_the_cube_polynomial(n):
 def test_omega_cube_total_matches_observed_closed_form(n):
     # observed for n=2..16 (15 and 16 in CI), not proven: omega_n has
     # 2**n + (-1)**n induced cubes
-    g = build_omega(n)
+    g = build_graph("omega", n)
     levels = enumerate_cubes(g)
     assert sum(len(level) for level in levels) == 2**n + (-1) ** n
 
@@ -644,15 +644,15 @@ def without(g, *labels):
 
 def test_exact_min_factor_reports_search_effort():
     stats = {}
-    factor = exact_min_factor(build_omega(6), stats=stats)
-    assert factor == exact_min_factor(build_omega(6))
+    factor = exact_min_factor(build_graph("omega", 6), stats=stats)
+    assert factor == exact_min_factor(build_graph("omega", 6))
     assert set(stats) == {"nodes", "bound_prunes", "memo_hits", "lower_bound"}
     assert stats["lower_bound"] == factor.part_count == 5
     # the witness of this subgraph (three vertices drawn with seed 0) has 7
     # vertices and the optimum 8 parts, so the search must prove optimality;
     # 35 nodes with the witness walk at every node, 138 before it
     stats = {}
-    factor = exact_min_factor(without(build_gamma(6), "000001", "010101", "100000"), stats=stats)
+    factor = exact_min_factor(without(build_graph("gamma", 6), "000001", "010101", "100000"), stats=stats)
     assert stats["lower_bound"] < factor.part_count
     assert stats["nodes"] <= 35
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
@@ -690,19 +690,19 @@ def test_exact_search_node_count_at_order_8(family, recorded):
 
 def test_greedy_reports_search_effort_with_the_exact_keys():
     stats = {}
-    factor = greedy_layered_factor(build_omega(6), stats=stats)
-    assert factor == greedy_layered_factor(build_omega(6))
+    factor = greedy_layered_factor(build_graph("omega", 6), stats=stats)
+    assert factor == greedy_layered_factor(build_graph("omega", 6))
     assert set(stats) == {"nodes", "bound_prunes", "memo_hits"}
     # in the subgraph of gamma 6 without 000001, 010101 and 100000 the
     # sweeps bound the 2-cube packing by 4, one more than its maximum 3, so
     # that layer must prove optimality: 16 nodes, 17 before the bound
     stats = {}
-    greedy_layered_factor(without(build_gamma(6), "000001", "010101", "100000"), stats=stats)
+    greedy_layered_factor(without(build_graph("gamma", 6), "000001", "010101", "100000"), stats=stats)
     assert stats["nodes"] <= 16
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
     # no layer to search: the keys are still there, at zero
     stats = {}
-    greedy_layered_factor(build_gamma(0), stats=stats)
+    greedy_layered_factor(build_graph("gamma", 0), stats=stats)
     assert stats == {"nodes": 0, "bound_prunes": 0, "memo_hits": 0}
 
 
@@ -852,7 +852,7 @@ def test_the_packing_bound_holds_and_only_cuts_greedy_on_member_subgraphs(g):
 
 def test_exact_min_factor_respects_the_cap():
     # a cap binds only when the caller passes one
-    g = build_gamma(10)
+    g = build_graph("gamma", 10)
     for solver in (exact_min_factor, greedy_layered_factor):
         with pytest.raises(ValueError, match="^graph has 144 vertices, above the cap 143$"):
             solver(g, cap=143)
@@ -871,19 +871,19 @@ def test_a_search_deeper_than_the_recursion_limit_raises_value_error():
 
 
 def test_greedy_layered_small_cases():
-    assert greedy_layered_factor(build_gamma(4)).profile().counts == (0, 2, 1)
-    assert greedy_layered_factor(build_omega(5)).profile().counts == (1, 1, 2)
-    single = greedy_layered_factor(build_gamma(0))
+    assert greedy_layered_factor(build_graph("gamma", 4)).profile().counts == (0, 2, 1)
+    assert greedy_layered_factor(build_graph("omega", 5)).profile().counts == (1, 1, 2)
+    single = greedy_layered_factor(build_graph("gamma", 0))
     assert single.parts == (InducedCube(0, (0,)),)
 
 
 def test_structural_factor_small_cases():
-    g3 = build_gamma(3)
+    g3 = build_graph("gamma", 3)
     factor = structural_factor("gamma", 3)
     parts = {tuple(g3.labels[v] for v in p.vertices) for p in factor.parts}
     assert parts == {("000", "001", "100", "101"), ("010",)}
 
-    o5 = build_omega(5)
+    o5 = build_graph("omega", 5)
     factor5 = structural_factor("omega", 5, o5)
     by_dim = sorted((p.dimension, tuple(o5.labels[v] for v in p.vertices)) for p in factor5.parts)
     assert by_dim == [
@@ -898,7 +898,7 @@ def test_structural_factor_small_cases():
 
 def test_structural_factor_rejects_mismatched_graph():
     with pytest.raises(ValueError):
-        structural_factor("gamma", 3, build_gamma(4))
+        structural_factor("gamma", 3, build_graph("gamma", 4))
 
 
 def test_all_solvers_agree_up_to_8():
@@ -921,7 +921,7 @@ def test_all_solvers_agree_up_to_8():
 
 
 def test_solvers_are_deterministic():
-    g = build_gamma(6)
+    g = build_graph("gamma", 6)
     assert exact_min_factor(g) == exact_min_factor(g)
     assert greedy_layered_factor(g) == greedy_layered_factor(g)
 
@@ -953,7 +953,7 @@ def test_verify_factor_rejects_every_single_vertex_mutation(family, n):
 
 
 def test_verify_factor_coverage_violation():
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     missing_one = CubeFactor((InducedCube(1, ids_of(g, ["00", "01"])),))
     outcome = verify_factor(g, missing_one)
     assert isinstance(outcome, FactorViolation)
@@ -961,7 +961,7 @@ def test_verify_factor_coverage_violation():
 
 
 def test_verify_factor_disjointness_violation():
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     overlapping = CubeFactor((
         InducedCube(1, ids_of(g, ["00", "01"])),
         InducedCube(1, ids_of(g, ["00", "10"])),
@@ -972,7 +972,7 @@ def test_verify_factor_disjointness_violation():
 
 
 def test_verify_factor_rejects_non_cubes():
-    g3 = build_gamma(3)
+    g3 = build_graph("gamma", 3)
     star = CubeFactor((
         InducedCube(2, ids_of(g3, ["000", "001", "010", "100"])),
         InducedCube(0, ids_of(g3, ["101"])),
@@ -989,7 +989,7 @@ def test_verify_factor_rejects_non_cubes():
 
 @pytest.mark.parametrize("k", [-1, 10**9])
 def test_verify_factor_reports_impossible_dimensions_as_not_a_cube(k):
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     factor = factor_from_json(g, json.dumps([{"k": k, "vertices": ["00"]}]))
     outcome = verify_factor(g, factor)
     assert isinstance(outcome, FactorViolation)
@@ -997,21 +997,21 @@ def test_verify_factor_reports_impossible_dimensions_as_not_a_cube(k):
 
 
 def test_verify_factor_rejects_foreign_vertices():
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     outcome = verify_factor(g, CubeFactor((InducedCube(0, (7,)),)))
     assert isinstance(outcome, FactorViolation)
     assert outcome.kind == "bad-vertex"
 
 
 def test_verify_factor_rejects_unsorted_vertices():
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     edge = tuple(reversed(ids_of(g, ["00", "01"])))
     outcome = verify_factor(g, CubeFactor((InducedCube(1, edge), InducedCube(0, ids_of(g, ["10"])))))
     assert outcome == FactorViolation("bad-vertex", "part 0 vertices are not sorted", 0)
 
 
 def test_factor_json_round_trip():
-    g = build_omega(5)
+    g = build_graph("omega", 5)
     factor = structural_factor("omega", 5, g)
     text = factor_to_json(g, factor)
     payload = json.loads(text)
@@ -1023,7 +1023,7 @@ def test_factor_json_round_trip():
 
 
 def test_factor_json_rejects_a_factor_written_for_another_graph():
-    omega, gamma = build_omega(1), build_gamma(1)
+    omega, gamma = build_graph("omega", 1), build_graph("gamma", 1)
     assert omega.labels == gamma.labels  # so only the family can tell them apart
     text = factor_to_json(omega, structural_factor("omega", 1, omega))
     with pytest.raises(ValueError, match="^malformed.*omega n=1.*gamma n=1"):
@@ -1034,14 +1034,14 @@ def test_factor_json_rejects_a_factor_written_for_another_graph():
 
 @pytest.mark.parametrize("n, bad", [(1, "true"), (2, "2.0")])
 def test_factor_json_rejects_an_order_that_is_not_an_integer(n, bad):
-    g = build_gamma(n)
+    g = build_graph("gamma", n)
     text = factor_to_json(g, structural_factor("gamma", n, g)).replace(f'"n":{n}', f'"n":{bad}')
     with pytest.raises(ValueError, match="^malformed"):
         factor_from_json(g, text)
 
 
 def test_factor_json_rejects_unknown_labels():
-    g = build_gamma(2)
+    g = build_graph("gamma", 2)
     with pytest.raises(ValueError):
         factor_from_json(g, '[{"k": 0, "vertices": ["banana"]}]')
 
@@ -1060,7 +1060,7 @@ def test_factor_json_rejects_unknown_labels():
 )
 def test_factor_json_rejects_malformed_shapes(text):
     with pytest.raises(ValueError, match="malformed"):
-        factor_from_json(build_gamma(2), text)
+        factor_from_json(build_graph("gamma", 2), text)
 
 
 @pytest.mark.parametrize(
@@ -1077,4 +1077,4 @@ def test_profile_rejects_parts_whose_dimension_does_not_fit(parts):
     with pytest.raises(ValueError, match="dimension"):
         factor.profile()
     with pytest.raises(ValueError, match="dimension"):
-        factor_to_json(build_gamma(2), factor)
+        factor_to_json(build_graph("gamma", 2), factor)

@@ -23,7 +23,6 @@ from cubefactor.polynomials import (
     poly_degree,
     poly_from_json,
     poly_to_json,
-    q_closed,
     q_closed_row,
     qpoly_rec,
     qpoly_rows,
@@ -62,16 +61,16 @@ def test_qpoly_rec_rejects_bad_input():
 
 
 def test_closed_form_spot_values():
-    assert q_closed("gamma", 8, 3) == 4
-    assert q_closed("omega", 8, 2) == 5
-    assert q_closed("gamma", 4, 0) == 0
+    assert q_closed_row("gamma", 8, 4)[3] == 4
+    assert q_closed_row("omega", 8, 3)[2] == 5
+    assert q_closed_row("gamma", 4, 1)[0] == 0
 
 
 def test_closed_form_delegates_below_omega_validity():
     # the omega formula is only valid from n=2; below that the recurrence rules
-    assert q_closed("omega", 0, 0) == 1
-    assert q_closed("omega", 1, 0) == 0
-    assert q_closed("omega", 1, 1) == 1
+    assert q_closed_row("omega", 0, 1)[0] == 1
+    assert q_closed_row("omega", 1, 1)[0] == 0
+    assert q_closed_row("omega", 1, 2)[1] == 1
 
 
 def test_three_routes_agree_to_60():

@@ -8,10 +8,9 @@ from cubefactor.sequences import (
     _SEEDS,
     _terms,
     binom_ext,
-    binom_ext_div3,
     fib,
     lucas,
-    lucas_triangle,
+    lucas_triangle_additive_row,
     lucas_triangle_row,
     lucas_triangle_rows,
     padovan,
@@ -75,33 +74,19 @@ def test_binom_ext_zero_outside_support():
             assert binom_ext(n, k) == 0, (n, k)
 
 
-def test_binom_ext_div3_vanishes_on_non_multiples():
-    assert binom_ext_div3(7, 2) == 0
-    assert binom_ext_div3(6, 1) == 2
-    assert binom_ext_div3(0, 0) == 1
-    assert all(binom_ext_div3(a, 1) == 0 for a in (1, 2, 4, 5, 7, 8))
-
-
 def test_lucas_triangle_tabulated_entries():
-    assert lucas_triangle(0, 0) == 2
-    assert lucas_triangle(4, 2) == 9
-    assert lucas_triangle(5, 3) == 16
+    assert lucas_triangle_additive_row(0)[0] == 2
+    assert lucas_triangle_additive_row(4)[2] == 9
+    assert lucas_triangle_additive_row(5)[3] == 16
     assert lucas_triangle_row(4) == [1, 5, 9, 7, 2]
     assert lucas_triangle_row(5) == [1, 6, 14, 16, 9, 2]
-
-
-def test_lucas_triangle_rejects_out_of_range_k():
-    with pytest.raises(ValueError):
-        lucas_triangle(3, 4)
-    with pytest.raises(ValueError):
-        lucas_triangle(3, -1)
 
 
 def test_lucas_triangle_formula_matches_recurrence_to_64():
     for n in range(65):
         row = lucas_triangle_row(n)
         assert len(row) == n + 1
-        assert row == [lucas_triangle(n, k) for k in range(n + 1)]
+        assert row == lucas_triangle_additive_row(n)
         if n >= 1:
             assert row[0] == 1 and row[-1] == 2
             assert sum(row) == 3 * 2 ** (n - 1)
@@ -111,7 +96,7 @@ def test_lucas_triangle_rows_stream_rows_a_caller_may_change():
     rows = lucas_triangle_rows()
     for n in range(12):
         row = next(rows)
-        assert row == [lucas_triangle(n, k) for k in range(n + 1)] == lucas_triangle_row(n)
+        assert row == lucas_triangle_additive_row(n) == lucas_triangle_row(n)
         row[:] = [0] * len(row)  # the generator must not read it again
 
 

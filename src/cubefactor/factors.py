@@ -27,7 +27,8 @@ packing takes at most one cube per group, and a cover has at least
 |remaining| - groups * (2**k - 1) parts. The sweeps cost at most
 groups * cubes integer ANDs per layer. On the members up to order 16 the
 bound equals the packing on every layer, so each layer stops at its first
-packing (gamma 16 in 97 search nodes).
+packing (gamma 16 in 92 search nodes). A layer that no cube fits any more
+is not searched: it builds no table and takes no bound.
 
 The lower half of optimality has its own route, a *witness*: a vertex set
 S no induced cube of dimension >= 1 meets twice. Each part of a factor
@@ -65,11 +66,12 @@ dimension from 0 to floor(log2 |V|), the largest the vertex count allows,
 a list of (sorted vertices, mask) pairs, the mask being the bit set of the
 vertices, in canonical order. Each docstring has its proof.
 
-* ``enumerate_cubes`` holds on any graph. It builds each (k+1)-cube from a
-  k-cube a, which keeps its vertices in coordinate order, and the image of
-  a under the cube's matching, extended one coordinate at a time from a
-  neighbour w of a's least vertex m; the image joins when its vertex set
-  is a k-cube. Only the canonical split is built: a holds m, and w is m's
+* ``enumerate_cubes`` holds on any graph. Level 1 is the edges, read off
+  the adjacency rows. It builds each (k+1)-cube, k >= 1, from a k-cube a,
+  which keeps its vertices in coordinate order, and the image of a under
+  the cube's matching, extended one coordinate at a time from a neighbour
+  w of a's least vertex m; the image joins when its vertex set is a
+  k-cube. Only the canonical split is built: a holds m, and w is m's
   largest neighbour in the cube, so it needs no duplicate check.
 * ``interval_cubes`` lists the subcubes of a vertex set in the hypercube,
   for a graph whose edges are exactly the pairs at Hamming distance 1.
@@ -199,10 +201,12 @@ def enumerate_cubes(g: LabeledGraph, stats: dict[str, int] | None = None) -> lis
     dimension the vertex count allows, canonically ordered per level, each
     as its (sorted vertices, mask) pair.
 
-    Level 0 is the single vertices. Level k+1 joins two disjoint level-k
-    cubes a and b whose cross edges form a perfect matching phi that is an
-    isomorphism between them; b is not searched for but built as the image
-    B = phi(A) of a's vertices, one coordinate at a time.
+    Level 0 is the single vertices, and level 1 is the edges, read off the
+    rows: the pairs (u, v), u < v, in id order, which is canonical, each
+    already in coordinate order. For k >= 1, level k+1 joins two disjoint
+    level-k cubes a and b whose cross edges form a perfect matching phi
+    that is an isomorphism between them; b is not searched for but built
+    as the image B = phi(A) of a's vertices, one coordinate at a time.
 
     Each cube of a level keeps its vertices in coordinate order A: A[0] is
     its least vertex m, and A[c] is adjacent to A[c ^ 2**i] for every
@@ -217,21 +221,24 @@ def enumerate_cubes(g: LabeledGraph, stats: dict[str, int] | None = None) -> lis
     ends the branch; several are explored one after another. A complete B
     joins exactly when its vertex set is a level-k cube.
 
-    Proof. Sound: B's entries are distinct and their set b is an induced
-    k-cube. Each edge of a joins some A[c] and A[c ^ 2**i], and B[c] is
-    adjacent to B[c ^ 2**i] (a constraint on the larger coordinate of the
-    two), so phi maps a's k * 2**(k-1) edges injectively onto edges of b,
-    hence onto all of them: phi is an isomorphism. Each vertex of b has
-    exactly one neighbour in a, so the cross edges are the perfect matching
-    A[c]B[c], and a + b induces a (k+1)-cube whose least vertex is m and
-    whose largest neighbour of m is w. Complete: let C be an induced
-    (k+1)-cube, m = min(C) and w the largest neighbour of m in C. The facet
-    a of C that holds m and not w is in level k; its matching facet b holds
-    w, and the matching phi satisfies every constraint above, so the branch
-    that picks B[c] = phi(A[c]) at each step is explored and B's set b is
-    found in level k. Once: each cube C gives one pair (a, w), and B is
-    forced by the set b, because each A[c] has exactly one neighbour in b.
-    So no cube is formed twice and a level needs no duplicate check. The proof uses
+    Proof, by induction on k from level 1, which is exactly the induced
+    1-cubes, the edges, each in coordinate order; the step from level k to
+    level k+1, k >= 1, follows. Sound: B's entries are distinct and their
+    set b is an induced k-cube. Each edge of a joins some A[c] and
+    A[c ^ 2**i], and B[c] is adjacent to B[c ^ 2**i] (a constraint on the
+    larger coordinate of the two), so phi maps a's k * 2**(k-1) edges
+    injectively onto edges of b, hence onto all of them: phi is an
+    isomorphism. Each vertex of b has exactly one neighbour in a, so the
+    cross edges are the perfect matching A[c]B[c], and a + b induces a
+    (k+1)-cube whose least vertex is m and whose largest neighbour of m is
+    w. Complete: let C be an induced (k+1)-cube, m = min(C) and w the
+    largest neighbour of m in C. The facet a of C that holds m and not w is
+    in level k; its matching facet b holds w, and the matching phi
+    satisfies every constraint above, so the branch that picks
+    B[c] = phi(A[c]) at each step is explored and B's set b is found in
+    level k. Once: each cube C gives one pair (a, w), and B is forced by
+    the set b, because each A[c] has exactly one neighbour in b. So no cube
+    is formed twice and a level needs no duplicate check. The proof uses
     adjacency alone, so it holds on any graph, not only on the families.
     Several candidates for one B[c] arise only in graphs that are not
     induced subgraphs of a hypercube: A[c] and B[c ^ 2**i] are at distance
@@ -239,13 +246,15 @@ def enumerate_cubes(g: LabeledGraph, stats: dict[str, int] | None = None) -> lis
     A[c ^ 2**i].
 
     If ``stats`` is given, it receives ``joins``, the number of complete
-    images B looked up in level k.
+    images B looked up in level k, from level 2 up; level 1 takes none.
     """
-    adj = g.adj
-    levels = [[((v,), 1 << v) for v in range(g.vertex_count)]]
-    coords = [(v,) for v in range(g.vertex_count)]  # each cube of the last level in coordinate order
+    adj, nv = g.adj, g.vertex_count
+    levels = [[((v,), 1 << v) for v in range(nv)]]
+    if nv > 1:  # level 1, the edges (u, v) with u < v in id order, each in coordinate order
+        levels.append([((u, v), 1 << u | 1 << v) for u in range(nv) for v in _bits(adj[u] & -2 << u)])
+    coords = [vertices for vertices, _ in levels[-1]]  # each cube of the last level in coordinate order
     joins = 0
-    for k in range(1, g.vertex_count.bit_length()):
+    for k in range(2, nv.bit_length()):
         size = 1 << k - 1
         # lower[c]: the coordinates c ^ 2**i for the set bits i of c
         lower = [[c ^ 1 << i for i in range(k - 1) if c >> i & 1] for c in range(size)]
@@ -681,20 +690,25 @@ def greedy_layered_factor(
     cubes in canonical order in at most groups * cubes integer ANDs. The
     cover that meets the bound is the first optimal one, the one the full
     search returns, so the bound changes only the effort. On the members
-    it equals the packing on every layer up to order 16.
+    it equals the packing on every layer up to order 16. A layer that no
+    cube fits is not searched: its packing is empty, as the core would
+    find at its root.
 
     ``cap`` is :func:`exact_min_factor`'s. If ``stats`` is given, it
-    receives the search effort summed over the layers: the keys of
-    :func:`exact_min_factor` but ``lower_bound``, since greedy computes no
-    witness.
+    receives the search effort summed over the searched layers: the keys
+    of :func:`exact_min_factor` but ``lower_bound``, since greedy computes
+    no witness.
     """
     _check_cap(g, cap)
     effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
     remaining = (1 << g.vertex_count) - 1
     parts: list[_Cube] = []
     for layer in _levels_from_the_top(g):
-        fitting = [c for c in layer if not c[1] & ~remaining]
-        saved = len(fitting[0][0]) - 1 if fitting else 0  # 2**k - 1: the parts one k-cube saves
+        outside = ~remaining
+        fitting = [c for c in layer if not c[1] & outside]
+        if not fitting:  # nothing to pack: the layer is not searched
+            continue
+        saved = len(fitting[0][0]) - 1  # 2**k - 1: the parts one k-cube saves
         lower = remaining.bit_count() - _packing_bound([mask for _, mask in fitting]) * saved
         for vertices, mask in _first_min_cover(_CubeTable([fitting], remaining), effort, lower):
             parts.append((vertices, mask))

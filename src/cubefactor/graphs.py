@@ -341,7 +341,11 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
     dozen vertices); prunes on degree and on partial adjacency agreement.
     g's vertices are placed breadth-first per component, from a root of
     highest degree then lowest id, so every vertex after a root has a
-    placed neighbour and a wrong choice is rejected at once.
+    placed neighbour, its breadth-first parent, and a wrong choice is
+    rejected at once. Such a vertex's candidates are the unused neighbours
+    of its parent's image; a root's, every unused vertex of its degree. A
+    candidate is kept when its used neighbours in h are exactly the images
+    of the vertex's placed neighbours in g, one bit-set comparison.
     """
     k = g.vertex_count
     if k != h.vertex_count or g.edge_count != h.edge_count:
@@ -351,45 +355,46 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
     if sorted(deg_g) != sorted(deg_h):
         return None
     order: list[int] = []
+    parent = [-1] * k  # each vertex's breadth-first parent; -1 for a root
     unplaced, walked = (1 << k) - 1, 0
     for root in sorted(range(k), key=lambda v: (-deg_g[v], v)):
         if unplaced >> root & 1:
             order.append(root)
             unplaced ^= 1 << root
         while walked < len(order):  # breadth-first through the root's component
-            fresh = g.adj[order[walked]] & unplaced
-            order.extend(_bits(fresh))
+            u = order[walked]
+            fresh = g.adj[u] & unplaced
+            for v in _bits(fresh):
+                order.append(v)
+                parent[v] = u
             unplaced ^= fresh
             walked += 1
-    candidates: dict[int, list[int]] = {}
+    by_degree: dict[int, list[int]] = {}
     for w in range(k):
-        candidates.setdefault(deg_h[w], []).append(w)
+        by_degree.setdefault(deg_h[w], []).append(w)
     mapping = [-1] * k
-    used = [False] * k
 
-    def backtrack(pos: int) -> bool:
+    def backtrack(pos: int, placed: int, used: int) -> bool:
+        # placed: g's vertices order[:pos]; used: their images in h
         if pos == k:
             return True
         v = order[pos]
-        for w in candidates.get(deg_g[v], ()):
-            if used[w]:
-                continue
-            ok = True
-            for earlier in order[:pos]:
-                if (g.adj[v] >> earlier & 1) != (h.adj[w] >> mapping[earlier] & 1):
-                    ok = False
-                    break
-            if not ok:
+        image = 0  # the images of v's placed neighbours
+        for u in _bits(g.adj[v] & placed):
+            image |= 1 << mapping[u]
+        p = parent[v]
+        # a root's component has nothing placed; any other vertex maps next
+        # to its parent's image
+        candidates = by_degree.get(deg_g[v], ()) if p < 0 else _bits(h.adj[mapping[p]] & ~used)
+        for w in candidates:
+            if deg_h[w] != deg_g[v] or used >> w & 1 or h.adj[w] & used != image:
                 continue
             mapping[v] = w
-            used[w] = True
-            if backtrack(pos + 1):
+            if backtrack(pos + 1, placed | 1 << v, used | 1 << w):
                 return True
-            used[w] = False
-            mapping[v] = -1
         return False
 
-    if not backtrack(0):
+    if not backtrack(0, 0, 0):
         return None
     return {g.labels[v]: h.labels[mapping[v]] for v in range(k)}
 

@@ -61,6 +61,16 @@ def test_enumerate_cubes_trivial_graph():
     # one vertex allows dimension 0 only, so there is no level 1
     levels = enumerate_cubes(build_graph("gamma", 0))
     assert levels == [[((0,), 1)]]
+    # graphs with no edge: no vertex still lists level 0, empty, and three
+    # vertices list level 1, empty
+    for count, expected in [
+        (0, [[]]),
+        (1, levels),
+        (3, [[((0,), 1), ((1,), 2), ((2,), 4)], []]),
+    ]:
+        stats = {}
+        assert enumerate_cubes(graph_on(count, []), stats=stats) == expected
+        assert stats == {"joins": 0}
 
 
 def test_induced_cube_repr_eq_and_hash_read_its_two_fields():
@@ -327,9 +337,10 @@ def test_enumerate_cubes_matches_brute_force_where_joins_fail(name):
     levels = enumerate_cubes(g, stats=stats)
     assert len(levels) == dimensions(g) + 1
     assert levels == brute_force_cubes(g)
-    cubes = sum(len(level) for level in levels[1:])
-    # every complete image looked up in the level below is a cube there,
-    # but the chorded 4-cycle {4, 5, 6, 7}
+    # level 1 is read off the rows, and from level 2 up every complete image
+    # looked up in the level below is a cube there, but the chorded 4-cycle
+    # {4, 5, 6, 7}
+    cubes = sum(len(level) for level in levels[2:])
     assert stats["joins"] == cubes + (name == "chorded twin 4-cycles")
     if name == "K_2,3":
         assert [len(level) for level in levels] == [5, 6, 3]
@@ -623,16 +634,17 @@ def test_omega_cube_total_matches_observed_closed_form(n):
     assert sum(len(level) for level in levels) == 2**n + (-1) ** n
 
 
-# Each cube is formed once, through its canonical split, and on the family
-# members every complete image is a cube of the level below: 2,498 images at
-# gamma 11 and 3,775 at omega 12.
+# Each cube of dimension >= 2 is formed once, through its canonical split,
+# and on the family members every complete image is a cube of the level
+# below: 1,754 images at gamma 11 and 2,707 at omega 12. Level 1 is read off
+# the rows with no lookup (2,498 and 3,775 counted with it).
 @pytest.mark.parametrize("family, n", [("gamma", 11), ("omega", 12)])
 def test_enumeration_join_count(family, n):
     g = build_graph(family, n)
     stats = {}
     levels = enumerate_cubes(g, stats=stats)
     assert set(stats) == {"joins"}
-    assert stats["joins"] == sum(len(level) for level in levels[1:])
+    assert stats["joins"] == sum(len(level) for level in levels[2:]) == {"gamma": 1754, "omega": 2707}[family]
 
 
 def without(g, *labels):
@@ -695,10 +707,11 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
     assert set(stats) == {"nodes", "bound_prunes", "memo_hits"}
     # in the subgraph of gamma 6 without 000001, 010101 and 100000 the
     # sweeps bound the 2-cube packing by 4, one more than its maximum 3, so
-    # that layer must prove optimality: 16 nodes, 17 before the bound
+    # that layer must prove optimality: 14 nodes, 17 before the bound and 16
+    # while the empty 4-cube and 3-cube layers took one node each
     stats = {}
     greedy_layered_factor(without(build_graph("gamma", 6), "000001", "010101", "100000"), stats=stats)
-    assert stats["nodes"] <= 16
+    assert stats["nodes"] <= 14
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
     # no layer to search: the keys are still there, at zero
     stats = {}
@@ -706,15 +719,32 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
     assert stats == {"nodes": 0, "bound_prunes": 0, "memo_hits": 0}
 
 
-# Greedy search nodes summed over the layers, recorded with each layer told
-# the sweep bound of _packing_bound, which meets the packing on every layer
-# of these members: the search stops at its first packing, within the parts
-# plus one node per layer. Before it, the core with the witness walk at
+# Greedy search nodes summed over the searched layers, recorded with each
+# layer told the sweep bound of _packing_bound, which meets the packing on
+# every layer of these members: the search stops at its first packing,
+# within the parts plus one node per searched layer. A layer with no fitting
+# cube is not searched; ``before`` is the count recorded while such a layer
+# took one node. Before the bound, the core with the witness walk at
 # every node took 198, 432 and 1,389 nodes at gamma 11, omega 12 and gamma
 # 12; the core alone 198, 444 and 1,409; the per-dimension packing search
 # the core replaced 5,629 (gamma 11) and 59,573 (omega 12).
+GREEDY_NODES = {
+    ("gamma", 11): 24,
+    ("omega", 12): 34,
+    ("gamma", 12): 31,
+    ("gamma", 13): 42,
+    ("gamma", 14): 53,
+    ("gamma", 15): 69,
+    ("gamma", 16): 92,
+    ("omega", 13): 42,
+    ("omega", 14): 55,
+    ("omega", 15): 72,
+    ("omega", 16): 93,
+}
+
+
 @pytest.mark.parametrize(
-    "family, n, recorded",
+    "family, n, before",
     [
         ("gamma", 11, 27),
         ("omega", 12, 36),
@@ -729,17 +759,15 @@ def test_greedy_reports_search_effort_with_the_exact_keys():
         ("omega", 16, 96),
     ],
 )
-def test_greedy_search_node_count(family, n, recorded):
+def test_greedy_search_node_count(family, n, before):
     stats = {}
     greedy_layered_factor(build_graph(family, n), stats=stats)
-    assert stats["nodes"] <= recorded
+    assert stats["nodes"] <= GREEDY_NODES[family, n] < before
 
 
-@pytest.mark.parametrize("family, n", [("gamma", 11), ("omega", 12)])
-def test_only_a_witness_walk_builds_the_walk_data(family, n, monkeypatch):
-    # greedy's layers stop on their first descent, which never walks, so no
-    # layer's table builds its walk data; exact search builds one table and
-    # walks at its root
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Every _CubeTable the solvers build from now on, in order."""
     tables = []
 
     class Recorded(factors._CubeTable):
@@ -748,12 +776,34 @@ def test_only_a_witness_walk_builds_the_walk_data(family, n, monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(factors, "_CubeTable", Recorded)
+    return tables
+
+
+@pytest.mark.parametrize("family, n", [("gamma", 11), ("omega", 12)])
+def test_only_a_witness_walk_builds_the_walk_data(family, n, built_tables):
+    # greedy's layers stop on their first descent, which never walks, so no
+    # layer's table builds its walk data; exact search builds one table and
+    # walks at its root
+    tables = built_tables
     g = build_graph(family, n)
     greedy_layered_factor(g)
     assert tables and not any("walk" in vars(table) for table in tables)
     tables.clear()
     exact_min_factor(g)
     assert ["walk" in vars(table) for table in tables] == [True]
+
+
+@pytest.mark.parametrize(
+    "family, n, deleted",
+    [("gamma", 11, ()), ("omega", 12, ()), ("gamma", 6, ("000001", "010101", "100000"))],
+    ids=["gamma 11", "omega 12", "gamma 6 less three"],
+)
+def test_greedy_builds_a_table_only_for_a_layer_with_a_fitting_cube(family, n, deleted, built_tables):
+    # a layer that no cube fits is not searched: it builds no table, so
+    # each table greedy builds holds its layer's one list of cubes
+    g = build_graph(family, n)
+    greedy_layered_factor(without(g, *deleted) if deleted else g)
+    assert built_tables and all(len(table.levels) == 1 for table in built_tables)
 
 
 # sha256 of factor_to_json for greedy past 64 vertices, where the solvers

@@ -592,6 +592,11 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
     choice: list[int] = []
     visited: dict[int, int] = {}
 
+    # ``search`` refers to itself through its closure, a reference cycle
+    # that holds the table, ``visited`` and the level lists: they are freed
+    # by the cyclic collector, not on return. Removing the cycle waits on
+    # ROADMAP item 13: perfbench's yardstick leaks its memo through the same
+    # pattern, and the collections this garbage triggers are what free it.
     def search(covered: int, parts: int, levels: list[list[int]]) -> None:
         # levels[i]: the masks of the dimension-dims[i] cubes that still fit
         nonlocal best_count, best_choice

@@ -337,8 +337,10 @@ def export_graph(g: LabeledGraph, fmt: str) -> str:
 def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
     """Backtracking isomorphism search; returns a label mapping or None.
 
-    Intended for the small graphs that appear in structure checks (a few
-    dozen vertices); prunes on degree and on partial adjacency agreement.
+    Prunes on degree and on partial adjacency agreement. The backtracking
+    keeps one iterator of candidates per position instead of recursing, so
+    members past Python's recursion limit, the construction cap's 2,584
+    vertices included, are searched too.
     g's vertices are placed breadth-first per component, from a root of
     highest degree then lowest id, so every vertex after a root has a
     placed neighbour, its breadth-first parent, and a wrong choice is
@@ -373,29 +375,36 @@ def find_isomorphism(g: LabeledGraph, h: LabeledGraph) -> dict[str, str] | None:
     for w in range(k):
         by_degree.setdefault(deg_h[w], []).append(w)
     mapping = [-1] * k
-
-    def backtrack(pos: int, placed: int, used: int) -> bool:
-        # placed: g's vertices order[:pos]; used: their images in h
-        if pos == k:
-            return True
+    placed = used = 0  # g's vertices order[:pos] and their images in h
+    # one iterator of candidates per entered position, filtered on entry: a
+    # lazy filter, resumed after a dead end, would read ``image`` as a deeper
+    # position left it
+    tries: list[Iterator[int]] = []
+    pos = 0
+    while pos < k:
         v = order[pos]
-        image = 0  # the images of v's placed neighbours
-        for u in _bits(g.adj[v] & placed):
-            image |= 1 << mapping[u]
-        p = parent[v]
-        # a root's component has nothing placed; any other vertex maps next
-        # to its parent's image
-        candidates = by_degree.get(deg_g[v], ()) if p < 0 else _bits(h.adj[mapping[p]] & ~used)
-        for w in candidates:
-            if deg_h[w] != deg_g[v] or used >> w & 1 or h.adj[w] & used != image:
-                continue
+        if pos == len(tries):  # entering v
+            image = 0  # the images of v's placed neighbours
+            for u in _bits(g.adj[v] & placed):
+                image |= 1 << mapping[u]
+            p = parent[v]
+            # a root's component has nothing placed; any other vertex maps
+            # next to its parent's image
+            candidates = by_degree.get(deg_g[v], ()) if p < 0 else _bits(h.adj[mapping[p]] & ~used)
+            tries.append(iter([w for w in candidates if deg_h[w] == deg_g[v]
+                               and not used >> w & 1 and h.adj[w] & used == image]))
+        else:  # back from a dead end: free v's image
+            placed, used = placed ^ 1 << v, used ^ 1 << mapping[v]
+        w = next(tries[pos], -1)
+        if w >= 0:
             mapping[v] = w
-            if backtrack(pos + 1, placed | 1 << v, used | 1 << w):
-                return True
-        return False
-
-    if not backtrack(0, 0, 0):
-        return None
+            placed, used = placed | 1 << v, used | 1 << w
+            pos += 1
+        elif pos == 0:
+            return None
+        else:
+            tries.pop()
+            pos -= 1
     return {g.labels[v]: h.labels[mapping[v]] for v in range(k)}
 
 

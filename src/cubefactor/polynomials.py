@@ -70,7 +70,6 @@ from .sequences import _terms, binom_ext, binomial_row, lucas_triangle_additive_
 __all__ = [
     "Family",
     "CubeFactorPolynomial",
-    "DiagonalProfile",
     "AuditEntry",
     "qpoly_rows",
     "qpoly_rec",
@@ -80,7 +79,6 @@ __all__ = [
     "padovan_gf_series",
     "eval_at",
     "poly_degree",
-    "antidiagonal_profile",
     "identity_audit",
     "poly_to_json",
     "poly_from_json",
@@ -125,12 +123,6 @@ class CubeFactorPolynomial:
     @property
     def nonzero_count(self) -> int:
         return sum(1 for c in self.coeffs if c != 0)
-
-    def coefficient(self, k: int) -> int:
-        """q_k, reading coefficients beyond the degree as 0."""
-        if k < 0:
-            return 0
-        return self.coeffs[k] if k < len(self.coeffs) else 0
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
@@ -211,7 +203,8 @@ def q_closed_row(family: Family | str, n: int, count: int) -> list[int]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if fam is Family.OMEGA and n < 2:
-        return [qpoly_rec(fam, n).coefficient(k) for k in range(count)]
+        coeffs = qpoly_rec(fam, n).coeffs
+        return list(coeffs[:count]) + [0] * (count - len(coeffs))
     row = [0] * count
     for s, d, e in _LINES[fam]:
         k0 = (-n - s) % 3
@@ -296,36 +289,6 @@ def eval_at(poly: CubeFactorPolynomial | Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         result = result * x + c
     return result
-
-
-@dataclass(frozen=True)
-class DiagonalProfile:
-    """Diagonal slices through the coefficient triangle at a fixed n.
-
-    Every value is read off recurrence-built polynomials, never off the
-    diagonal-sum formulas, so the profile can serve as the oracle side
-    when those formulas are audited.
-    """
-
-    family: Family
-    n: int
-    anti_terms: tuple[int, ...]  # q_k(G_{n-k}) for k = 0..n
-    anti_sum: int
-    shifted_terms: tuple[int, ...]  # q_k(G_{n+2k}) for k = 0..cap
-    skew_terms: tuple[int, ...]  # q_k(G_{n-4k}) for 4k <= n
-    skew_sum: int
-
-
-def antidiagonal_profile(family: Family | str, n: int, cap: int = 10) -> DiagonalProfile:
-    """Anti-diagonal, shifted and skew-diagonal coefficient slices at n."""
-    fam = _family(family)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    rows = _padded(islice(qpoly_rows(fam), n + 2 * cap + 1), max(n, cap) + 1)
-    anti, shifted, skew = map(tuple, _slices(rows, n, cap))
-    return DiagonalProfile(fam, n, anti, sum(anti), shifted, skew, sum(skew))
 
 
 def _padded(polys: Iterable[CubeFactorPolynomial], width: int) -> list[list[int]]:

@@ -39,7 +39,8 @@ def q_closed_reference(family: Family, n: int, k: int) -> int:
     if family is Family.GAMMA:
         return binom_div3(n + k, k) + binom_div3(n + k + 1, k)
     if n < 2:
-        return qpoly_rec(family, n).coefficient(k)
+        coeffs = qpoly_rec(family, n).coeffs
+        return coeffs[k] if k < len(coeffs) else 0
     total = 0
     if (n + k + 1) % 3 == 0:
         total += binom_ext((n + k + 1) // 3 - 1, k)

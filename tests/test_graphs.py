@@ -315,6 +315,33 @@ def test_find_isomorphism_places_each_component_of_a_disconnected_graph():
     assert {frozenset((iso[g.labels[u]], iso[g.labels[v]])) for u, v in g.edges()} == h_edges
 
 
+def test_find_isomorphism_returns_to_a_position_after_a_dead_end():
+    # two 5-vertex paths; g's root a, the middle's neighbour, first maps to
+    # h's lowest degree-2 vertex a, the middle itself, whose neighbours
+    # have no degree-1 image for g's b: the search returns to the root,
+    # whose remaining candidates were filtered when it entered
+    edges = [("a", "b"), ("a", "d"), ("c", "d"), ("c", "e")]
+    g = custom_graph(list("abcde"), edges)
+    rename = dict(zip("abcde", "bdcae"))
+    h = custom_graph(list("abcde"), [(rename[a], rename[b]) for a, b in edges])
+    iso = find_isomorphism(g, h)
+    assert iso is not None and sorted(iso.values()) == list(h.labels)
+    h_edges = {frozenset((h.labels[u], h.labels[v])) for u, v in h.edges()}
+    assert {frozenset((iso[g.labels[u]], iso[g.labels[v]])) for u, v in g.edges()} == h_edges
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+@pytest.mark.parametrize("n", [15, 16])
+def test_find_isomorphism_maps_members_past_a_thousand_vertices_onto_themselves(family, n):
+    # one position per vertex, more than the interpreter's default recursion limit
+    g = build_graph(family, n)
+    assert g.vertex_count > 1000
+    iso = find_isomorphism(g, g)
+    assert iso is not None and sorted(iso.values()) == list(g.labels)
+    edges = {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
+    assert {frozenset((iso[g.labels[u]], iso[g.labels[v]])) for u, v in g.edges()} == edges
+
+
 @pytest.mark.parametrize(
     "labels, edges, message",
     [

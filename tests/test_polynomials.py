@@ -14,7 +14,6 @@ from cubefactor.polynomials import (
     _expand_rational,
     _row_misses,
     _shift_add,
-    antidiagonal_profile,
     eval_at,
     gf_series,
     gf_terms,
@@ -71,6 +70,15 @@ def test_closed_form_delegates_below_omega_validity():
     assert q_closed_row("omega", 0, 1)[0] == 1
     assert q_closed_row("omega", 1, 1)[0] == 0
     assert q_closed_row("omega", 1, 2)[1] == 1
+
+
+def test_closed_form_below_omega_validity_is_the_recurrence_row_zero_padded():
+    # count 0, count 1 and a count past the degree: truncated or padded with 0
+    for n, row in ((0, [1]), (1, [0, 1])):
+        assert list(qpoly_rec("omega", n).coeffs) == row
+        assert q_closed_row("omega", n, 0) == []
+        assert q_closed_row("omega", n, 1) == row[:1]
+        assert q_closed_row("omega", n, 5) == row + [0] * (5 - len(row))
 
 
 def test_three_routes_agree_to_60():
@@ -250,23 +258,28 @@ def test_gamma_detailed_case_split_to_60():
             assert value == expected, (n, k)
 
 
-def test_antidiagonal_profile_spot_sums():
-    assert antidiagonal_profile("gamma", 6).anti_sum == 4
-    assert antidiagonal_profile("omega", 7).anti_sum == 6
-    assert antidiagonal_profile("gamma", 7).anti_sum == 0
+def antidiagonal_sums(family: str, count: int) -> list[int]:
+    # sum_k q_k(n-k) for n < count, off one recurrence stream
+    rows = [p.coeffs for p in islice(qpoly_rows(family), count)]
+    return [sum(rows[n - k][k] for k in range(n + 1) if k < len(rows[n - k])) for n in range(count)]
 
 
-def test_antidiagonal_sums_case_split_to_120():
-    for n in range(121):
-        s = antidiagonal_profile("gamma", n, cap=0).anti_sum
+def test_recurrence_antidiagonal_spot_sums():
+    gamma, omega = antidiagonal_sums("gamma", 8), antidiagonal_sums("omega", 8)
+    assert gamma[6] == 4
+    assert omega[7] == 6
+    assert gamma[7] == 0
+
+
+def test_recurrence_antidiagonal_sums_case_split_to_120():
+    for n, s in enumerate(antidiagonal_sums("gamma", 121)):
         if n % 3 == 2:
             assert s == 2 ** ((n + 1) // 3)
         elif n % 3 == 0:
             assert s == 2 ** (n // 3)
         else:
             assert s == 0
-    for n in range(3, 121):
-        s = antidiagonal_profile("omega", n, cap=0).anti_sum
+    for n, s in enumerate(antidiagonal_sums("omega", 121)[3:], start=3):
         if n % 3 == 2:
             assert s == 2 ** ((n + 1) // 3 - 1)
         elif n % 3 == 0:

@@ -16,9 +16,9 @@ The first two share one search core, ``_first_min_cover``: the first
 fewest-parts cover of a vertex set by given cubes and single vertices.
 Exact search calls it once with every cube of dimension >= 1; greedy
 calls it once per dimension, since a fewest-parts cover by k-cubes and
-single vertices is a maximum k-cube packing. A vertex that no fitting cube
-reaches any more is forced: the core makes it a single vertex without
-branching on it.
+single vertices is a maximum k-cube packing. A lowest uncovered vertex
+that no fitting cube reaches any more is forced: the core makes it a
+single vertex without branching on it.
 
 Each greedy layer is told a lower bound too, from an upper bound on its
 packing, ``_packing_bound``: sweeps over the fitting k-cubes in canonical
@@ -40,15 +40,18 @@ search computes the same witness from its own cube table and stops at the
 first cover of |S| parts, which is then the first optimal cover in search
 order, the one the full search returns.
 
-The core bounds every node twice: by the fractional bound, read off the
-ORs of the still-fitting cube masks it passes down one list per
-dimension, and, where that lets the node through, by the same greedy
-witness walked again over the uncovered vertices and the cubes that still
-fit. The walk is skipped while the uncovered vertices are too few to
-exceed what the incumbent allows, as on the first descent. A valid lower
-bound prunes only nodes below which no cover strictly beats the
-incumbent, and only strict improvements replace it, so neither bound
-changes which cover the core returns.
+A search node carries only its covered set and its part count, and reads
+the cubes that still fit off the table where it needs them: at its branch
+vertex and in the walk. The core prunes a node whose next part would
+already reach the incumbent's count, and bounds the others by the same
+greedy witness walked again over the uncovered vertices and the cubes
+that still fit. The walk is skipped while the uncovered vertices are too
+few to exceed what the incumbent allows, as on the first descent. A valid
+lower bound prunes only nodes below which no cover strictly beats the
+incumbent, and only strict improvements replace it, so no prune changes
+which cover the core returns. The core keeps no fractional bound: the
+per-dimension lists of still-fitting masks it would read cost more time
+than the nodes it prunes save.
 
 Each search reads its cubes through one table, ``_CubeTable``, built
 straight from an enumerator's levels, largest dimension first: exact
@@ -538,33 +541,31 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
     cubes of ``table.levels`` (dimension >= 1, all inside the target) and
     single vertices.
 
-    Branch on the lowest uncovered vertex; try its fitting cubes in level
-    order, the order of ``table.through``, then the vertex alone, and
-    replace the incumbent only on a strict improvement, so the result is
-    the first optimal cover in that order. Each node is bounded twice
-    before it branches.
+    Branch on the lowest uncovered vertex that a fitting cube (one that
+    misses the covered set) reaches; try its fitting cubes in level order,
+    the order of ``table.through``, then the vertex alone, and replace the
+    incumbent only on a strict improvement, so the result is the first
+    optimal cover in that order. A node carries only its covered set and
+    part count, and before it branches:
 
-    * The fractional bound ceil(sum over uncovered v of 2**-kmax(v)), where
-      kmax(v) is the largest dimension of a cube through v still disjoint
-      from the covered set (0 if none): a k-part covers 2**k uncovered
-      vertices, each with kmax >= k, so it lowers the sum by at most 1. The
-      still-fitting cube masks travel down the recursion, one list per
-      level of the table, and each child keeps those that miss its new
-      part. So the vertices of kmax d are the bits of the OR of dimension
-      d's list minus those of the higher dimensions, and the sum, in
-      integer units of 2**-top, is read off the ORs' bit counts. The
-      uncovered vertices outside every list are forced single vertices,
-      covered at once instead of one search node each.
+    * It covers as single vertices, with no search node of their own, the
+      lowest uncovered vertices that no fitting cube reaches, up to the
+      branch vertex. Every cover below the node has them as single
+      vertices, since cubes only stop fitting further down. A node left
+      with nothing uncovered is a complete cover, and replaces the
+      incumbent only if it has fewer parts.
+    * It is pruned when one more part reaches the incumbent's count: the
+      branch vertex needs a part of its own.
     * The witness walk ``_cube_independent`` over the still-fitting cubes:
       a cover of what is left has at least as many parts as the walk keeps.
-      It stops as soon as the forced vertices and the kept ones are more
-      than the incumbent allows. It is skipped when the uncovered vertices
-      are too few to exceed that allowance, as on the first descent, where
-      the incumbent allows one part per vertex.
+      It stops as soon as the kept ones are more than the incumbent allows.
+      It is skipped when the uncovered vertices are too few to exceed that
+      allowance, as on the first descent, where the incumbent allows one
+      part per vertex.
 
     A visited table prunes re-reaching a covered set at no fewer parts.
 
-    Neither bound changes the result. A valid lower bound prunes a node
+    No prune changes the result. A valid lower bound prunes a node
     only when every cover below it has at least as many parts as the
     incumbent; such a cover would not have replaced the incumbent, since
     only strict improvements do. So the search passes the same covers to
@@ -577,68 +578,68 @@ def _first_min_cover(table: _CubeTable, effort: dict[str, int], lower: int = 0) 
     and since every cover found before it was larger, it is the first
     optimal cover, the one the full search would return.
 
-    ``effort`` has its ``nodes`` (search calls), ``bound_prunes`` and
-    ``memo_hits`` counts raised by this search's effort. The search keeps
-    the masks it picks and reads the cubes back off the levels, in level
-    order. It recurses once per part on a branch, so a cover of more parts
-    than Python's recursion limit allows raises ValueError.
+    ``effort`` has its ``nodes`` (search calls), ``bound_prunes`` (walk
+    prunes and one-more-part prunes) and ``memo_hits`` counts raised by
+    this search's effort. The search keeps the masks it picks and reads
+    the cubes back off the levels, in level order. It recurses once per
+    part on a branch, so a cover of more parts than Python's recursion
+    limit allows raises ValueError.
     """
     target, through = table.target, table.through
-    dims = [len(level[0][0]).bit_length() - 1 for level in table.levels]
-    top = dims[0] if dims else 0
-    shifts = [top - d for d in dims]
     best_count = target.bit_count() + 1
     best_choice: list[int] = []
     choice: list[int] = []
     visited: dict[int, int] = {}
 
     # ``search`` refers to itself through its closure, a reference cycle
-    # that holds the table, ``visited`` and the level lists: they are freed
-    # by the cyclic collector, not on return. Removing the cycle waits on
-    # ROADMAP item 13: perfbench's yardstick leaks its memo through the same
-    # pattern, and the collections this garbage triggers are what free it.
-    def search(covered: int, parts: int, levels: list[list[int]]) -> None:
-        # levels[i]: the masks of the dimension-dims[i] cubes that still fit
+    # that holds the table and ``visited``: they are freed by the cyclic
+    # collector, not on return. Removing the cycle waits on ROADMAP item 13:
+    # perfbench's yardstick leaks its memo through the same pattern, and the
+    # collections this garbage triggers are what free it.
+    def search(covered: int, parts: int) -> None:
         nonlocal best_count, best_choice
         effort["nodes"] += 1
-        total = reached = 0
-        for level, shift in zip(levels, shifts):
-            new = reduce(or_, level, 0) & ~reached
-            total += new.bit_count() << shift
-            reached |= new
-        forced = target & ~covered & ~reached
-        if total + (forced.bit_count() << top) > (best_count - parts - 1) << top:
+        uncovered = target & ~covered
+        while uncovered:  # forced single vertices, up to the branch vertex
+            low = uncovered & -uncovered
+            for mask in through[low.bit_length() - 1]:
+                if not mask & covered:
+                    break  # a fitting cube: low is the branch vertex
+            else:
+                uncovered ^= low
+                parts += 1
+                continue
+            break
+        else:  # nothing is left uncovered: a complete cover
+            if parts < best_count:
+                best_count = parts
+                best_choice = list(choice)
+            return
+        if parts + 1 >= best_count:
             effort["bound_prunes"] += 1
             return
-        covered |= forced
-        parts += forced.bit_count()
-        if covered == target:  # the bound let it through, so it is a strict improvement
-            best_count = parts
-            best_choice = list(choice)
-            return
+        covered = target & ~uncovered
         seen = visited.get(covered)
         if seen is not None and seen <= parts:
             effort["memo_hits"] += 1
             return
         visited[covered] = parts
         allowed = best_count - parts - 1
-        uncovered = target & ~covered
         if uncovered.bit_count() > allowed and len(_cube_independent(table, covered, allowed)) > allowed:
             effort["bound_prunes"] += 1
             return
-        low = uncovered & -uncovered
         for mask in through[low.bit_length() - 1]:
             if mask & covered:
                 continue
             choice.append(mask)
-            search(covered | mask, parts + 1, [[m for m in level if not m & mask] for level in levels])
+            search(covered | mask, parts + 1)
             choice.pop()
             if best_count <= lower:
                 return
-        search(covered | low, parts + 1, [[m for m in level if not m & low] for level in levels])
+        search(covered | low, parts + 1)
 
     try:
-        search(0, 0, [[mask for _, mask in level] for level in table.levels])
+        search(0, 0)
     except RecursionError:  # one frame per part on the branch
         raise ValueError(f"the search is deeper than Python's recursion limit of {sys.getrecursionlimit()}") from None
     chosen = set(best_choice)
@@ -652,16 +653,17 @@ def exact_min_factor(
 
     One call of the shared core ``_first_min_cover`` over every induced
     cube of dimension >= 1, in descending dimension then canonical order,
-    so the result is the first optimal cover in that order; vertices with
-    no fitting cube left are forced single vertices. The witness of
-    :func:`cube_independent_set`, the root walk over the same cube table,
-    is the lower bound: the search stops at the first cover of that many
-    parts.
+    so the result is the first optimal cover in that order; a lowest
+    vertex with no fitting cube left is a forced single vertex. The
+    witness of :func:`cube_independent_set`, the root walk over the same
+    cube table, is the lower bound: the search stops at the first cover of
+    that many parts.
 
     If ``cap`` is given, a graph of more vertices is refused with a
     ``ValueError``. If ``stats`` is given, it receives the search effort:
-    ``nodes`` (search calls), ``bound_prunes`` and ``memo_hits``, and
-    ``lower_bound``, the witness size.
+    ``nodes`` (search calls); ``bound_prunes``, the nodes pruned by the
+    witness walk or because one more part would reach the incumbent's
+    count; ``memo_hits``; and ``lower_bound``, the witness size.
     """
     _check_cap(g, cap)
     nv = g.vertex_count

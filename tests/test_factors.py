@@ -672,14 +672,16 @@ def test_exact_min_factor_reports_search_effort():
 
 # Induced subgraphs of the order-7 members whose root witness is one short
 # of the optimum, so the search must prove optimality. Search nodes recorded
-# with the witness walk at every node; with the root witness and the
-# fractional bound alone the search took 5,362, 3,750 and 1,413.
+# with the witness walk at every node and no fractional bound; with the
+# fractional bound at every node too the search took 911, 53 and 180, and
+# with the root witness and the fractional bound alone, no walk, 5,362,
+# 3,750 and 1,413.
 @pytest.mark.parametrize(
     "family, deleted, parts, recorded",
     [
-        ("gamma", ("0000001", "0000010", "0010000", "0101001", "1001001"), 11, 911),
+        ("gamma", ("0000001", "0000010", "0010000", "0101001", "1001001"), 11, 951),
         ("gamma", ("0000010", "0000100", "0010000", "0100001", "1000101"), 12, 53),
-        ("omega", ("000101", "010100", "10001", "10103"), 11, 180),
+        ("omega", ("000101", "010100", "10001", "10103"), 11, 196),
     ],
 )
 def test_exact_search_node_count_where_the_witness_is_short(family, deleted, parts, recorded):
@@ -688,6 +690,34 @@ def test_exact_search_node_count_where_the_witness_is_short(family, deleted, par
     assert stats["lower_bound"] == parts - 1 == factor.part_count - 1
     assert stats["nodes"] <= recorded
     assert 0 < stats["bound_prunes"] + stats["memo_hits"] < stats["nodes"]
+
+
+def lucas_cube(n):
+    """The Lucas cube: the length-n words with no "11" and not 1 at both
+    ends, two words adjacent when they differ in one letter."""
+    # w + w[0] ends in the pair of w's last and first letters
+    words = [w for w in map("".join, itertools.product("01", repeat=n)) if "11" not in w + w[0]]
+    edges = [(a, b) for a, b in itertools.combinations(words, 2) if sum(map(str.__ne__, a, b)) == 1]
+    return custom_graph(words, edges)
+
+
+# On the Lucas cubes no witness is tight at n = 4 and 6..9, so the search
+# proves optimality on its own. Search nodes recorded with the witness walk
+# at every node and no fractional bound (Lucas 9 took 14,136 with it).
+@pytest.mark.parametrize(
+    "n, parts, lower, recorded",
+    [(4, 3, 2, 10), (5, 5, 5, 5), (6, 6, 5, 35), (7, 8, 7, 219), (8, 11, 10, 94), (9, 13, 12, 14174)],
+)
+def test_exact_search_on_the_lucas_cubes(n, parts, lower, recorded):
+    g = lucas_cube(n)
+    stats = {}
+    exact = exact_min_factor(g, stats=stats)
+    greedy = greedy_layered_factor(g)
+    assert exact.part_count == parts <= greedy.part_count
+    assert stats["lower_bound"] == lower
+    assert stats["nodes"] <= recorded
+    assert not isinstance(verify_factor(g, exact), FactorViolation)
+    assert not isinstance(verify_factor(g, greedy), FactorViolation)
 
 
 # Search nodes recorded with the witness as lower bound; node counts are

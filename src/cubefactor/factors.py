@@ -119,7 +119,8 @@ from itertools import chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .graphs import LabeledGraph, _bits, build_graph, member_coordinates
+from . import graphs
+from .graphs import DEFAULT_MAX_N, LabeledGraph, _bits, expected_vertex_count, member_coordinates
 from .polynomials import Family, _family
 
 __all__ = [
@@ -769,33 +770,23 @@ def _with_single_vertices(nv: int, parts: list[_Cube]) -> CubeFactor:
 # ---------------------------------------------------------------------------
 
 
-_GAMMA_BASE_PARTS: dict[int, list[tuple[int, tuple[str, ...]]]] = {
-    0: [(0, ("",))],
-    1: [(1, ("0", "1"))],
-    2: [(1, ("00", "01")), (0, ("10",))],
-}
-
-_OMEGA_BASE_PARTS: dict[int, list[tuple[int, tuple[str, ...]]]] = {
-    0: [(0, ("0",))],
-    1: [(1, ("0", "1"))],
-    2: [(1, ("0", "1")), (0, ("2",))],
-    3: [(1, ("0", "1")), (1, ("2", "3"))],
-    4: [(2, ("00", "01", "100", "101")), (1, ("02", "03")), (0, ("102",))],
+# the base members' parts, as sorted vertex ids
+_BASE_PARTS: dict[Family, list[tuple[tuple[int, ...], ...]]] = {
+    Family.GAMMA: [((0,),), ((0, 1),), ((0, 1), (2,))],
+    Family.OMEGA: [((0,),), ((0, 1),), ((0, 1), (2,)), ((0, 1), (2, 3)), ((0, 1, 4, 5), (2, 3), (6,))],
 }
 
 
-def _structural_parts(fam: Family, n: int) -> list[tuple[int, tuple[str, ...]]]:
-    base = _GAMMA_BASE_PARTS if fam is Family.GAMMA else _OMEGA_BASE_PARTS
-    if n in base:
+def _structural_parts(fam: Family, n: int) -> tuple[tuple[int, ...], ...]:
+    base = _BASE_PARTS[fam]
+    if n < len(base):
         return base[n]
-    lifted = [
-        (k + 1, tuple(prefix + lab for prefix in ("00", "10") for lab in labels))
-        for k, labels in _structural_parts(fam, n - 2)
-    ]
-    embedded = [
-        (k, tuple("010" + lab for lab in labels))
-        for k, labels in _structural_parts(fam, n - 3)
-    ]
+    # member n is member n-1 ("0"), then member n-2 ("10") shifted by
+    # |member n-1|, and member n-1 holds member n-2 ("00") with its ids and
+    # member n-3 ("010") shifted by |member n-2| (graphs' module docstring)
+    above, below = (expected_vertex_count(fam, n - drop) for drop in (1, 2))
+    lifted = tuple(p + tuple(v + above for v in p) for p in _structural_parts(fam, n - 2))
+    embedded = tuple(tuple(v + below for v in p) for p in _structural_parts(fam, n - 3))
     return lifted + embedded
 
 
@@ -807,19 +798,16 @@ def structural_factor(
     A dimension-k part of the factor two indices down is lifted across the
     "00"/"10" prefix pair into a (k+1)-cube, and the factor three indices
     down is embedded under the "010" prefix; base factors are explicit.
-    Vertex ids refer to the built graph of the same family and order.
+    The parts are built on vertex ids by the construction's layout, with
+    no label read and no graph built; they refer to the built graph of the
+    same family and order. With no graph the order is held to the
+    construction cap, as ``build_graph``'s default.
     """
     fam = _family(family)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if g is None:
-        g = build_graph(fam, n)
-    elif g.family != fam.value or g.n != n:
+    graphs._check_cap(n, n if g is not None else DEFAULT_MAX_N)
+    if g is not None and (g.family != fam.value or g.n != n):
         raise ValueError("graph does not match the requested family member")
-    parts = [
-        InducedCube(k, tuple(sorted(g.index_of(lab) for lab in labels)))
-        for k, labels in _structural_parts(fam, n)
-    ]
+    parts = [InducedCube(len(p).bit_length() - 1, p) for p in _structural_parts(fam, n)]
     parts.sort(key=lambda c: (-c.dimension, c.vertices))
     return CubeFactor(tuple(parts))
 

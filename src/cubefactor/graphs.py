@@ -23,7 +23,7 @@ when x = "0"y, and those pairs are the matching. (For gamma this is the
 classic split of the Fibonacci cube into 0-Gamma(n-1) and 10-Gamma(n-2).)
 
 Both families split into the same recursion parts, and one table,
-``_PARTS``, is the only record of them: each part's label prefix, its
+``_PARTS``, records them for the annotations: each part's label prefix, its
 order drop and the first order of each family that has it ("0" one
 down, "10" and "00" two down, "010" three down; gamma from orders
 1/2/3/3, omega from 4/4/5/5, its path bases having the leading path as
@@ -38,8 +38,9 @@ the new top bit, so C_n = C_{n-1} followed by 2**(n-1) + C_{n-2}.
 no label read, and the solvers' subcube listing reads it.
 ``coordinate`` reads one vertex's coordinate off its label alone, the
 second route, which the oracle audit holds against the first. (The
-structural factor builds its parts from the same label prefixes and does
-not read the annotations.)
+structural factor keeps its own record of the parts: it builds them on
+vertex ids by the same layout, A's ids then B's shifted by |A|, and reads
+neither labels nor annotations.)
 """
 
 from __future__ import annotations

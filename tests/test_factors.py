@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubefactor import factors
+from cubefactor import factors, graphs
 from cubefactor.factors import (
     CubeFactor,
     FactorProfile,
@@ -979,6 +979,58 @@ def test_structural_factor_small_cases():
 def test_structural_factor_rejects_mismatched_graph():
     with pytest.raises(ValueError):
         structural_factor("gamma", 3, build_graph("gamma", 4))
+
+
+# the construction's rule on labels, the reference for the factor built on
+# ids: explicit base parts, the parts two orders down lifted across the
+# "00"/"10" prefix pair and the parts three orders down embedded under "010"
+LABEL_BASE_PARTS = {
+    "gamma": [[("",)], [("0", "1")], [("00", "01"), ("10",)]],
+    "omega": [
+        [("0",)],
+        [("0", "1")],
+        [("0", "1"), ("2",)],
+        [("0", "1"), ("2", "3")],
+        [("00", "01", "100", "101"), ("02", "03"), ("102",)],
+    ],
+}
+
+
+def label_parts(family, n):
+    bases = LABEL_BASE_PARTS[family]
+    if n < len(bases):
+        return bases[n]
+    lifted = [tuple(pre + lab for pre in ("00", "10") for lab in part) for part in label_parts(family, n - 2)]
+    embedded = [tuple("010" + lab for lab in part) for part in label_parts(family, n - 3)]
+    return lifted + embedded
+
+
+@pytest.mark.parametrize("family", ["gamma", "omega"])
+def test_structural_factor_follows_the_label_rule_up_to_the_cap(family):
+    for n in range(17):
+        g = build_graph(family, n)
+        cubes = [
+            InducedCube(len(part).bit_length() - 1, tuple(sorted(map(g.index_of, part))))
+            for part in label_parts(family, n)
+        ]
+        expected = tuple(sorted(cubes, key=lambda c: (-c.dimension, c.vertices)))
+        assert structural_factor(family, n, g).parts == expected, (family, n)
+
+
+def test_structural_factor_builds_no_member(monkeypatch):
+    expected = {(family, n): structural_factor(family, n) for family in ("gamma", "omega") for n in range(17)}
+
+    def no_member(fam, n):
+        raise AssertionError(f"built {fam.value} {n}")
+
+    monkeypatch.setattr(graphs, "_member", no_member)
+    for (family, n), factor in expected.items():
+        assert structural_factor(family, n) == factor
+    for family in ("gamma", "omega"):
+        with pytest.raises(ValueError, match=r"^n=17 exceeds the construction cap 16$"):
+            structural_factor(family, 17)
+        with pytest.raises(ValueError, match=r"^n must be non-negative, got -1$"):
+            structural_factor(family, -1)
 
 
 def test_all_solvers_agree_up_to_8():

@@ -47,16 +47,17 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
 
 def test_factor_digest_at_the_smoke_size():
     # members 0..5 and seed 1's smoke-size exact-irregular subgraphs (two
-    # batches of three per family). The factor digest is pinned, since a
-    # change to the search must keep every factor; the stats digest is not,
-    # since effort counts may move
+    # batches of three per family). The factor and structural digests are
+    # pinned, since a change to a solver must keep every factor; the stats
+    # digest is not, since effort counts may move
     tool = TOOL.parent / "factor_digest.py"
     args = ["--seeds", "1", "--max-n", "5", "--size", "smoke"]
     result = subprocess.run(
         [sys.executable, "-W", "error", str(tool), *args], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    factors, stats, graphs = result.stdout.splitlines()
+    factors, stats, structural, graphs = result.stdout.splitlines()
     assert factors == "factors 302e01ca4b82e47b320a20ca19169ba7c8d08264f325f17925474e0a6537e518"
     assert re.fullmatch(r"stats   [0-9a-f]{64}", stats)
+    assert structural == "structural 2d271c9743659eb9b51364226d63bf6dbadbc5d4149f0fa321f6c0ada2eb9960"
     assert graphs == "graphs  24"

@@ -1,13 +1,16 @@
-"""Two sha256 digests over what the solvers return: one over the factors,
-one over the search effort. Equal digests before and after a change to the
-search mean it kept every factor (or every effort count) byte for byte.
+"""Three sha256 digests over what the solvers return: one over the factors,
+one over the search effort and one over the structural factors. Equal
+digests before and after a change to a solver mean it kept every factor
+(or every effort count) byte for byte.
 
 The factor digest covers ``exact_min_factor``, ``greedy_layered_factor``
 and ``cube_independent_set``; the stats digest covers the exact and greedy
 ``stats``. The graphs are the gamma and omega members of orders 0..max-n,
 then the induced subgraphs that perfbench's
 ``ExactIrregular(seed, size).setup()`` builds for each seed given, in that
-order. perfbench is imported, never changed. Stdlib only.
+order. The structural digest covers ``structural_factor`` on the members
+of orders 0..max-n, gamma then omega. perfbench is imported, never
+changed. Stdlib only.
 
 Usage: python3 tools/factor_digest.py [--seeds 1 2] [--max-n 16] [--size full]
 """
@@ -22,7 +25,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from cubefactor.factors import cube_independent_set, exact_min_factor, greedy_layered_factor  # noqa: E402
+from cubefactor.factors import (  # noqa: E402
+    cube_independent_set,
+    exact_min_factor,
+    greedy_layered_factor,
+    structural_factor,
+)
 from cubefactor.graphs import build_graph  # noqa: E402
 from workloads import ExactIrregular  # noqa: E402
 
@@ -55,6 +63,16 @@ def digests(seeds: list[int], max_n: int, size: str) -> tuple[str, str, int]:
     return factors.hexdigest(), effort.hexdigest(), count
 
 
+def structural_digest(max_n: int) -> str:
+    """The digest of the structural factors of the members 0..max_n."""
+    digest = hashlib.sha256()
+    for family in ("gamma", "omega"):
+        for n in range(max_n + 1):
+            factor = structural_factor(family, n, build_graph(family, n, max_n=max_n))
+            digest.update(repr(factor).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2])
@@ -64,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     factor_digest, stats_digest, count = digests(args.seeds, args.max_n, args.size)
     print(f"factors {factor_digest}")
     print(f"stats   {stats_digest}")
+    print(f"structural {structural_digest(args.max_n)}")
     print(f"graphs  {count}")
     return 0
 

@@ -29,8 +29,7 @@ _OEIS_CHECKS: tuple[tuple[str, str], ...] = (
 
 def sequence_audit(max_n: int) -> list[AuditEntry]:
     """Closed forms against recurrences and two classic identities, n <= max_n."""
-    if max_n < 0:
-        raise ValueError(f"max_n must be non-negative, got {max_n}")
+    sequences._check_index(max_n, "max_n")
     whole, from_one = range(max_n + 1), range(1, max_n + 1)
     rows = list(islice(sequences.lucas_triangle_rows(), max_n + 1))
     padovan = list(islice(sequences._terms("padovan"), max_n + 1))
@@ -97,8 +96,7 @@ def oracle_audit(family: Family | str, max_n: int) -> list[AuditEntry]:
     or those with the annotations it reads. Graphs are built up to the
     construction cap; an INFO entry names the orders the cap skipped."""
     fam = _family(family)
-    if max_n < 0:
-        raise ValueError(f"max_n must be non-negative, got {max_n}")
+    sequences._check_index(max_n, "max_n")
     f = fam.value
     build_ns = range(min(max_n, graphs.DEFAULT_MAX_N) + 1)
     built = [graphs.build_graph(fam, n) for n in build_ns]

@@ -120,10 +120,8 @@ def _poly_coeffs(family: str, n: int, method: str) -> polynomials.CubeFactorPoly
         degree = polynomials.poly_degree(fam, n)
         coeffs = tuple(polynomials.q_closed_row(fam, n, degree + 1))
         return polynomials.CubeFactorPolynomial(fam, n, coeffs)
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
-    terms = polynomials.gf_terms(fam)
-    return polynomials.CubeFactorPolynomial(fam, n, next(islice(terms, n, None)))
+    coeffs = sequences._term(polynomials.gf_terms(fam), n, "order")
+    return polynomials.CubeFactorPolynomial(fam, n, coeffs)
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:

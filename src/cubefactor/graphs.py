@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .polynomials import Family, _family
-from .sequences import fib, lucas
+from .sequences import _check_index, fib, lucas
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -147,8 +147,7 @@ _PARTS: dict[str, tuple[str, int, dict[Family, int]]] = {
 
 
 def _check_cap(n: int, max_n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_index(n, "n")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the construction cap {max_n}")
 
@@ -245,7 +244,7 @@ def member_coordinates(family: Family | str, n: int) -> list[int]:
     :func:`coordinate` on each label. A negative n or an unknown family
     raises ValueError.
     """
-    _check_cap(n, n)  # the sign only: coordinates are built at any order
+    _check_index(n, "n")  # no cap: coordinates are built at any order
     # the base member n, or the last base and the one before it
     path = [(1 << c) - 1 for c in range(min(n + 1, 2 if _family(family) is Family.GAMMA else 4))]
     b, a = path[:-1], path
@@ -414,7 +413,7 @@ def expected_vertex_count(family: Family | str, n: int) -> int:
 
     A negative n raises ValueError."""
     fam = _family(family)
-    _check_cap(n, n)  # the sign only, as in member_coordinates
+    _check_index(n, "n")
     if fam is Family.GAMMA:
         return fib(n + 2)
     return lucas(n) if n >= 2 else n + 1

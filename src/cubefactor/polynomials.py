@@ -65,7 +65,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .oeis import _INT_PATTERN
-from .sequences import _terms, binom_ext, binomial_row, lucas_triangle_additive_row
+from .sequences import _check_index, _term, _terms, binom_ext, binomial_row, lucas_triangle_additive_row
 
 __all__ = [
     "Family",
@@ -151,9 +151,7 @@ def qpoly_rows(family: Family | str) -> Iterator[CubeFactorPolynomial]:
 
 def qpoly_rec(family: Family | str, n: int) -> CubeFactorPolynomial:
     """Polynomial for index n via the base cases and the recurrence."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return next(islice(qpoly_rows(family), n, None))
+    return _term(qpoly_rows(family), n, "n")
 
 
 def poly_degree(family: Family | str, n: int) -> int:
@@ -163,8 +161,7 @@ def poly_degree(family: Family | str, n: int) -> int:
     and degree 1 at n = 1, then floor(n/2) from n = 2 on.
     """
     fam = _family(family)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_index(n, "n")
     if fam is Family.GAMMA:
         return (n + 1) // 2
     return 1 if n == 1 else n // 2
@@ -198,10 +195,8 @@ def q_closed_row(family: Family | str, n: int, count: int) -> list[int]:
     which reaches 0 past the support and keeps it there.
     """
     fam = _family(family)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    _check_index(n, "n")
+    _check_index(count, "count")
     if fam is Family.OMEGA and n < 2:
         coeffs = qpoly_rec(fam, n).coeffs
         return list(coeffs[:count]) + [0] * (count - len(coeffs))
@@ -265,8 +260,7 @@ def gf_series(family: Family | str, order: int) -> tuple[tuple[int, ...], ...]:
     """The terms of :func:`gf_terms` up to the given order in y; term n is
     a polynomial in x."""
     fam = _family(family)
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_index(order, "order")
     return tuple(islice(gf_terms(fam), order + 1))
 
 
@@ -277,8 +271,7 @@ def padovan_gf_series(order: int) -> list[int]:
     numbers are the ``_expand_rational`` terms evaluated at 1, with no
     recurrence of their own.
     """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+    _check_index(order, "order")
     return [eval_at(term, 1) for term in islice(_expand_rational({0: [1], 1: [1]}), order + 1)]
 
 

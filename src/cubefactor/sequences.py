@@ -18,7 +18,7 @@ from collections import deque
 from itertools import count, islice
 from math import comb
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator, TypeVar
 
 __all__ = [
     "fib",
@@ -33,9 +33,14 @@ __all__ = [
 ]
 
 
-def _check_index(n: int) -> None:
+_T = TypeVar("_T")
+
+
+def _check_index(n: int, name: str = "index") -> None:
+    """Refuse a negative order, index or count; ``name`` is the argument's
+    name, as every refusal message gives it."""
     if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+        raise ValueError(f"{name} must be non-negative, got {n}")
 
 
 # each streamed sequence by name, with its first terms: the seed window of ``_terms``
@@ -56,24 +61,25 @@ def _terms(name: str) -> Iterator[int]:
         window.append(oldest + window[0])
 
 
-def _term(name: str, n: int) -> int:
-    _check_index(n)
-    return next(islice(_terms(name), n, None))
+def _term(stream: Iterable[_T], n: int, name: str = "index") -> _T:
+    """Term n of the stream, after :func:`_check_index` refuses a negative n."""
+    _check_index(n, name)
+    return next(islice(stream, n, None))
 
 
 def fib(n: int) -> int:
     """n-th Fibonacci number, F(0) = 0, F(1) = 1."""
-    return _term("fibonacci", n)
+    return _term(_terms("fibonacci"), n)
 
 
 def lucas(n: int) -> int:
     """n-th Lucas number, L(0) = 2, L(1) = 1."""
-    return _term("lucas", n)
+    return _term(_terms("lucas"), n)
 
 
 def padovan(n: int) -> int:
     """n-th Padovan number: p(0) = p(1) = p(2) = 1, p(n) = p(n-2) + p(n-3)."""
-    return _term("padovan", n)
+    return _term(_terms("padovan"), n)
 
 
 def padovan_closed(n: int) -> int:
@@ -140,5 +146,4 @@ def lucas_triangle_rows() -> Iterator[list[int]]:
 
 def lucas_triangle_row(n: int) -> list[int]:
     """Row n of the Lucas triangle, read from :func:`lucas_triangle_rows`."""
-    _check_index(n)
-    return next(islice(lucas_triangle_rows(), n, None))
+    return _term(lucas_triangle_rows(), n)

@@ -177,6 +177,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "triangle", "--rows", "-1") == (2, "", rows)
     code, out, err = run(capsys, "poly", "--family", "omega", "--method", "gf", "--n", "-1")
     assert (code, out, err) == (2, "", "error: order must be non-negative, got -1\n")
+    assert run(capsys, "seq", "--name", "padovan", "--count", "-1") == (2, "", "error: --count must be non-negative\n")
+    negative_n = (2, "", "error: n must be non-negative, got -1\n")
+    for method in ("rec", "closed"):
+        assert run(capsys, "poly", "--family", "gamma", "--method", method, "--n", "-1") == negative_n
+    assert run(capsys, "factor", "--family", "omega", "--n", "-1", "--method", "exact") == negative_n
 
 
 def test_factor_exits_1_when_the_factor_fails_verification(capsys, monkeypatch):

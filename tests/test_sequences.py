@@ -2,12 +2,15 @@ from __future__ import annotations
 
 from itertools import islice
 
-import pytest
-
+from cubefactor.audit import oracle_audit, sequence_audit
+from cubefactor.factors import structural_factor
+from cubefactor.graphs import build_graph, expected_vertex_count, member_coordinates
+from cubefactor.polynomials import gf_series, padovan_gf_series, poly_degree, q_closed_row, qpoly_rec
 from cubefactor.sequences import (
     _SEEDS,
     _terms,
     binom_ext,
+    binomial_row,
     fib,
     lucas,
     lucas_triangle_additive_row,
@@ -36,10 +39,42 @@ def test_padovan_base_and_small_values():
     assert padovan(9) == 9
 
 
+# every public route that takes an order, index or count, called with -1,
+# and the name its refusal message gives
+REFUSALS = {
+    "fib": (lambda: fib(-1), "index"),
+    "lucas": (lambda: lucas(-1), "index"),
+    "padovan": (lambda: padovan(-1), "index"),
+    "padovan_closed": (lambda: padovan_closed(-1), "index"),
+    "binomial_row": (lambda: binomial_row(-1), "index"),
+    "lucas_triangle_additive_row": (lambda: lucas_triangle_additive_row(-1), "index"),
+    "lucas_triangle_row": (lambda: lucas_triangle_row(-1), "index"),
+    "qpoly_rec": (lambda: qpoly_rec("gamma", -1), "n"),
+    "poly_degree": (lambda: poly_degree("omega", -1), "n"),
+    "q_closed_row n": (lambda: q_closed_row("gamma", -1, 3), "n"),
+    "q_closed_row count": (lambda: q_closed_row("omega", 5, -1), "count"),
+    "gf_series": (lambda: gf_series("gamma", -1), "order"),
+    "padovan_gf_series": (lambda: padovan_gf_series(-1), "order"),
+    "build_graph": (lambda: build_graph("omega", -1), "n"),
+    "member_coordinates": (lambda: member_coordinates("gamma", -1), "n"),
+    "expected_vertex_count": (lambda: expected_vertex_count("omega", -1), "n"),
+    "structural_factor": (lambda: structural_factor("gamma", -1), "n"),
+    "sequence_audit": (lambda: sequence_audit(-1), "max_n"),
+    "oracle_audit": (lambda: oracle_audit("gamma", -1), "max_n"),
+}
+
+
+def _refusal(call) -> str | None:
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_negative_index_rejected():
-    for fn in (fib, lucas, padovan, padovan_closed, lucas_triangle_row):
-        with pytest.raises(ValueError):
-            fn(-1)
+    got = {route: _refusal(call) for route, (call, _) in REFUSALS.items()}
+    assert got == {route: f"{name} must be non-negative, got -1" for route, (_, name) in REFUSALS.items()}
 
 
 def test_padovan_closed_hand_evaluated_cases():

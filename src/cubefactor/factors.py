@@ -84,15 +84,21 @@ vertices, in canonical order. Each docstring has its proof.
   halves' vertices join with no comparison and each level comes out in
   canonical order as it is built.
 
-The solvers (exact, greedy and ``cube_independent_set``) read
+Exact search and ``cube_independent_set`` read every cube, through
 ``_subcubes``: the subcubes of the coordinates of the member a gamma or
 omega graph claims to be (``graphs.member_coordinates``, built from the
 construction, no label read), kept only when the graph has as many
 vertices and the adjacency rows rebuilt from their own level 1 equal the
-graph's, so the level the solvers read is the one checked. Every other
-graph, and a member that fails the check, is read through
-``enumerate_cubes``. The choice is read off the graph's family, order and
-rows, and a custom graph costs one family test.
+graph's, so the level the solvers read is the one checked. Greedy packs
+each layer from the cubes that fit the vertices left, and on a member
+reads only those, through ``_subcube_layers``: behind the same gate (the
+rows rebuilt from the coordinates' Hamming pairs), it finds the k-subcubes
+inside the remaining coordinates top-down on bitmaps over coordinate
+space, by ``interval_cubes``' split at the highest bit of the span, and
+builds no other cube. Every other graph, and a member that fails the
+check, is read through ``enumerate_cubes``, whose levels greedy filters
+per layer. The choice is read off the graph's family, order and rows, and
+a custom graph costs one family test.
 ``check_witness`` always reads ``enumerate_cubes``, so on a member the
 witness is built from one enumerator and checked by the other. The oracle
 audit lists each member's cubes once through each of ``enumerate_cubes``
@@ -114,10 +120,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain, combinations
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations, compress
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import graphs
 from .graphs import DEFAULT_MAX_N, LabeledGraph, _bits, expected_vertex_count, member_coordinates
@@ -408,14 +414,119 @@ def _subcubes(g: LabeledGraph) -> list[list[_Cube]] | None:
     Rows are compared whole, so one-sided adjacency and another vertex
     count are caught too; a graph of one vertex has no level 1 and no
     edges."""
-    if g.family not in ("gamma", "omega") or not 0 <= g.n <= 2 * g.vertex_count.bit_length():
+    if (coords := _claimed_coordinates(g)) is None:
         return None
-    levels = interval_cubes(coords := member_coordinates(g.family, g.n))
+    levels = interval_cubes(coords)
     rows = [0] * len(coords)  # so a graph of another vertex count has other rows
     for (u, v), _ in chain.from_iterable(levels[1:2]):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return levels if tuple(rows) == g.adj else None
+
+
+def _claimed_coordinates(g: LabeledGraph) -> list[int] | None:
+    # ``graphs.member_coordinates`` of the member the graph claims to be;
+    # None for another family and for an order its vertex count cannot have
+    if g.family not in ("gamma", "omega") or not 0 <= g.n <= 2 * g.vertex_count.bit_length():
+        return None
+    return member_coordinates(g.family, g.n)
+
+
+def _subcube_layers(g: LabeledGraph) -> Callable[[int, int], list[_Cube]] | None:
+    """On a graph that is the member it claims to be, ``fitting(k,
+    remaining)``: the k-cubes inside the vertex bit set ``remaining``, in
+    canonical order, that is level k of :func:`enumerate_cubes` filtered to
+    ``remaining`` (:func:`_inside`); otherwise None. Greedy reads its layers
+    through it, and only the cubes that fit are built.
+
+    Gate. The coordinates are :func:`_subcubes`' (the same family and order
+    test, so an order the vertex count cannot have builds none), and the
+    graph's rows must equal the rows rebuilt from the coordinates' pairs at
+    Hamming distance 1, one per coordinate. So its edges are exactly those
+    pairs, the graph :func:`interval_cubes`' proof needs; another vertex
+    count, or a missing, extra or one-sided adjacency bit, changes the rows.
+
+    Bitmaps. A set X of coordinates is read as the int with bit c set for
+    each c in X; S is the whole set, R the coordinates of ``remaining``.
+    For a direction set F, T_F(X) marks the u, clear on F, whose subcube
+    (u, F) lies inside X: T_F(X) is X for F empty, and for j above F's
+    highest bit T_{F+j}(X) = T_F(X) & T_F(X) >> 2**j & CLR_j, CLR_j marking
+    the positions with bit j clear. Proof: for u clear on F + j, the
+    subcube (u, F + j) is the union of (u, F) and (u + 2**j, F), and
+    u + 2**j = u | 2**j is clear on F as u is; so it lies inside X exactly
+    when u and u + 2**j are both in T_F(X) and bit j of u is clear. This is
+    :func:`interval_cubes`' split at the highest bit of the span, on
+    bitmaps. T_F(X) only shrinks with X, so T_F(R) is inside T_F(S): the
+    direction sets with T_F(S) != 0, a tree in which F's parent is F less
+    its highest bit, are grown once (:func:`_direction_tree`), and each call
+    walks that tree with R down to |F| = k, leaving a subtree where T_F(R)
+    is 0 or the subtree does not reach k.
+
+    Cubes. Each u of T_F(R) with |F| = k is one cube: the ids of u + s, s
+    over F's subset sums in counting order. Those sums increase, and a
+    member's coordinates increase with id, so its vertices come out sorted;
+    the list is sorted once into canonical order. Its mask is their OR.
+    """
+    if (coords := _claimed_coordinates(g)) is None:
+        return None
+    width = max(coords, default=0).bit_length()
+    size = (1 << width) + 7 >> 3  # bytes per bitmap
+    clr: list[int] = []  # CLR_j for each j < width
+    for w in range(width):  # from the positions below 2**w to those below 2**(w+1)
+        clr = [c | c << (1 << w) for c in clr] + [(1 << (1 << w)) - 1]
+    index = dict(zip(coords, range(len(coords))))  # coordinate -> id
+    flips = [1 << j for j in range(width)]
+    if tuple(sum([1 << index[c ^ f] for f in flips if c ^ f in index]) for c in coords) != g.adj:
+        return None
+    tree = _direction_tree(_bitmap(coords, size), 0, clr)
+
+    def fitting(k: int, remaining: int) -> list[_Cube]:
+        cubes = []
+        # the coordinates of the vertices in ``remaining``, read off its
+        # binary digits lowest first
+        inside = _bitmap(compress(coords, map("1".__eq__, bin(remaining)[:1:-1])), size)
+        stack = [(inside, tree, (0,))]  # (T_F(R), F's subtree, F's subset sums)
+        while stack:
+            corners, kids, sums = stack.pop()
+            need = k - len(sums).bit_length() + 1  # the bits F still lacks
+            if not need:
+                for u in _bits(corners):
+                    vertices = tuple([index[u + s] for s in sums])
+                    cubes.append((vertices, sum(map((1).__lshift__, vertices))))
+                continue
+            for j, reach, sub in kids:
+                if reach >= need and (child := corners & corners >> (1 << j) & clr[j]):
+                    stack.append((child, sub, sums + tuple([s + (1 << j) for s in sums])))
+        cubes.sort()
+        return cubes
+
+    return fitting
+
+
+def _bitmap(positions: Iterable[int], size: int) -> int:
+    # the int with exactly the bits ``positions`` set, all below 8 * size
+    buf = bytearray(size)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _direction_tree(corners: int, low: int, clr: list[int]) -> list[tuple[int, int, list]]:
+    # the children of a direction set F with T_F(S) = ``corners``: one
+    # (j, reach, subtree) for each j >= low with T_{F+j}(S) != 0, reach being
+    # the most bits a set below F + j has beyond F
+    kids = []
+    for j in range(low, len(clr)):
+        if child := corners & corners >> (1 << j) & clr[j]:
+            sub = _direction_tree(child, j + 1, clr)
+            kids.append((j, 1 + max((reach for _, reach, _ in sub), default=0), sub))
+    return kids
+
+
+def _inside(levels: list[list[_Cube]], k: int, remaining: int) -> list[_Cube]:
+    # the cubes of level k inside the vertex bit set ``remaining``
+    outside = ~remaining
+    return [cube for cube in levels[k] if not cube[1] & outside]
 
 
 def _levels_from_the_top(g: LabeledGraph) -> list[list[_Cube]]:
@@ -691,6 +802,13 @@ def greedy_layered_factor(
     are the ones no such cube reaches. The result is the first maximum
     packing in the core's branching order.
 
+    Layer k reads only the k-cubes that fit. On a member that passes
+    :func:`_subcube_layers`' gate they are the k-subcubes inside the
+    remaining coordinates, found top-down on bitmaps over coordinate space,
+    so no other cube is built; on every other graph they are level k of
+    :func:`enumerate_cubes`, filtered to the remaining vertices. Both lists
+    are the same, in canonical order.
+
     The core is told a lower bound on the layer's part count, so it stops
     at the first packing that meets it. A packing of p k-cubes covers the
     remaining vertices with |remaining| - p * (2**k - 1) parts, and
@@ -711,12 +829,12 @@ def greedy_layered_factor(
     effort = dict(nodes=0, bound_prunes=0, memo_hits=0)
     remaining = (1 << g.vertex_count) - 1
     parts: list[_Cube] = []
-    for layer in _levels_from_the_top(g):
-        outside = ~remaining
-        fitting = [c for c in layer if not c[1] & outside]
+    listing = _subcube_layers(g) or partial(_inside, enumerate_cubes(g))
+    for k in range(g.vertex_count.bit_length() - 1, 0, -1):
+        fitting = listing(k, remaining)
         if not fitting:  # nothing to pack: the layer is not searched
             continue
-        saved = len(fitting[0][0]) - 1  # 2**k - 1: the parts one k-cube saves
+        saved = (1 << k) - 1  # the parts one k-cube saves
         lower = remaining.bit_count() - _packing_bound([mask for _, mask in fitting]) * saved
         for vertices, mask in _first_min_cover(_CubeTable([fitting], remaining), effort, lower):
             parts.append((vertices, mask))

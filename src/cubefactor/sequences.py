@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import count, islice
 from math import comb
-from operator import add
 from typing import Iterable, Iterator, TypeVar
 
 __all__ = [
@@ -120,12 +119,20 @@ def binomial_row(n: int) -> list[int]:
 def lucas_triangle_additive_row(n: int) -> list[int]:
     """Row n of the Lucas triangle by the additive formula C(n,k) + C(n-1,k-1).
 
-    The second term's row is C(n-1, k-1) for k = 0..n: 0 then row n-1, or at
-    the apex the single C(-1,-1) = 1, which makes Y(0,0) = 2.
+    Both terms are read off the one row n. For n >= 1 the second term
+    starts at C(n-1, -1) = 0, and Pascal's rule C(n-1, k) = C(n, k) -
+    C(n-1, k-1) gives each from the one before, a subtraction where
+    building row n-1 would take a product and a quotient per entry. At the
+    apex it is the single C(-1,-1) = 1, which makes Y(0,0) = 2.
     """
-    _check_index(n)
-    shifted = [binom_ext(-1, -1)] if n == 0 else [0, *binomial_row(n - 1)]
-    return list(map(add, binomial_row(n), shifted))
+    row = binomial_row(n)
+    if n == 0:
+        return [row[0] + binom_ext(-1, -1)]
+    out, below = [], 0  # below: C(n-1, k-1)
+    for c in row:
+        out.append(c + below)
+        below = c - below
+    return out
 
 
 def lucas_triangle_rows() -> Iterator[list[int]]:

@@ -5,22 +5,28 @@ the construction and ``graphs.coordinate`` reads one off a label, the
 second route; ``factors.interval_cubes`` lists the subcubes inside the
 coordinate set, and ``factors._subcubes`` hands a member's subcubes to the
 solvers only where its adjacency rows are exactly the level-1 pairs, the
-pairs at Hamming distance 1.
+pairs at Hamming distance 1. Greedy reads its layers through
+``factors._subcube_layers`` instead, which lists the k-subcubes inside
+the remaining vertices off coordinate bitmaps, behind the same gate.
 These tests hold the subcubes against ``enumerate_cubes`` on drawn
-coordinate sets, check that any other graph keeps the extension route,
-check both coordinate routes against the built members' edges, and check
-that ``_subcubes`` reads no label.
+coordinate sets and the layer listing against its filtered levels on
+drawn remaining sets, check that any other graph keeps the extension
+route, check both coordinate routes against the built members' edges, and
+check that ``_subcubes`` reads no label.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubefactor.factors import (
+    _inside,
+    _subcube_layers,
     _subcubes,
     cube_independent_set,
     enumerate_cubes,
@@ -57,6 +63,33 @@ def test_subcubes_equal_the_extension_route_on_drawn_coordinate_sets(drawn):
     levels = interval_cubes(coords)
     assert len(levels) == max(len(coords).bit_length() - 1, 0) + 1
     assert levels == enumerate_cubes(g)
+
+
+@cache
+def member_levels(family, n):
+    g = build_graph(family, n)
+    return g, enumerate_cubes(g)
+
+
+@st.composite
+def remaining_sets(draw):
+    # a member up to order 10 and a vertex set: every vertex but a few,
+    # which keeps the upper levels filled, or any set at all
+    family, n = draw(st.sampled_from(("gamma", "omega"))), draw(st.integers(0, 10))
+    every = (1 << member_levels(family, n)[0].vertex_count) - 1
+    deleted = st.sets(st.integers(0, every.bit_length() - 1)).map(lambda vs: sum(1 << v for v in vs))
+    return family, n, draw(st.one_of(deleted.map(lambda d: every & ~d), st.integers(0, every)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(remaining_sets())
+def test_layer_listing_equals_the_filtered_extension_levels(drawn):
+    family, n, remaining = drawn
+    g, levels = member_levels(family, n)
+    fitting = _subcube_layers(g)
+    assert fitting is not None
+    for k in range(len(levels)):
+        assert fitting(k, remaining) == _inside(levels, k, remaining), k
 
 
 def test_interval_cubes_lists_the_dimensions_its_size_allows():
@@ -135,6 +168,7 @@ def as_custom(g):
 @pytest.mark.parametrize("g", forged_members())
 def test_a_member_with_other_edges_keeps_the_extension_route(g):
     assert _subcubes(g) is None
+    assert _subcube_layers(g) is None
     twin = as_custom(g)  # same ids and edges, family "custom"
     assert exact_min_factor(g) == exact_min_factor(twin)
     assert greedy_layered_factor(g) == greedy_layered_factor(twin)
@@ -145,6 +179,7 @@ def test_a_member_under_another_family_name_keeps_the_extension_route():
     g = build_graph("gamma", 6)
     assert _subcubes(dataclasses.replace(g, family="omega")) is None
     assert _subcubes(dataclasses.replace(g, family="custom")) is None
+    assert _subcube_layers(dataclasses.replace(g, family="omega")) is None
 
 
 @pytest.mark.parametrize("family, n", [("gamma", 7), ("omega", 8)])
@@ -164,6 +199,7 @@ def test_a_member_under_another_order_keeps_the_extension_route(n):
     # another vertex count; an order far above what 21 vertices allow is
     # refused before its coordinates would be built
     assert _subcubes(dataclasses.replace(build_graph("gamma", 6), n=n)) is None
+    assert _subcube_layers(dataclasses.replace(build_graph("gamma", 6), n=n)) is None
 
 
 def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():
@@ -174,6 +210,7 @@ def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():
     adj = list(g.adj)
     adj[v] ^= 1 << u
     assert _subcubes(dataclasses.replace(g, adj=tuple(adj))) is None
+    assert _subcube_layers(dataclasses.replace(g, adj=tuple(adj))) is None
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])

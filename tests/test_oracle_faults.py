@@ -9,15 +9,17 @@ vertex count too high at one order or too low at the last, an edge
 dropped from every ``enumerate_cubes`` listing at one order, a cube
 dropped from every level of ``enumerate_cubes`` at one order, a top-level
 cube dropped from ``interval_cubes`` (which the entry comparing the two
-enumerators notices, and at order 9 the solvers' entries), an edge dropped
+enumerators notices, and at order 9 the exact and witness entries), a
+top-layer cube dropped from greedy's layer listing ``_subcube_layers`` at
+one order (which the greedy entry notices), an edge dropped
 from ``interval_cubes`` (which the Hamming entry notices, since
 ``_subcubes`` checks the level 1 it reads), a label misread by
 ``graphs.coordinate`` (which the Hamming entry notices too, holding the
 label rule against ``graphs.member_coordinates``), a failed isomorphism, a
 subcopy extraction, the JSON parser and the exporter.
 Faults enter through module attributes the audit looks up at call time.
-The audit lists each member's cubes once per enumerator, which the last
-test counts.
+The audit lists each member's cubes once per enumerator, and greedy reads
+its layers through one listing per member, which the last test counts.
 """
 
 from __future__ import annotations
@@ -153,9 +155,11 @@ def dropped_subcube(mp):
     # the coordinate route loses the last cube of its top filled level on
     # the members above 40 vertices, orders 8 and 9 in both families. Every
     # listing holds every level, so level 1 stays whole and the Hamming
-    # entry passes; the enumerators differ from order 8, and the solvers
-    # lose one 4-cube at order 8, which changes no optimum there, and at
-    # order 9 gamma's only 5-cube and one of omega's nine 4-cubes, which does
+    # entry passes; the enumerators differ from order 8, and exact search
+    # and the witness lose one 4-cube at order 8, which changes no optimum
+    # there, and at order 9 gamma's only 5-cube and one of omega's nine
+    # 4-cubes, which does. Greedy reads its layers through
+    # ``_subcube_layers``, not ``interval_cubes``, and keeps its optima
     clean = factors.interval_cubes
 
     def interval_cubes(coords):
@@ -166,6 +170,24 @@ def dropped_subcube(mp):
         return levels
 
     mp.setattr(factors, "interval_cubes", interval_cubes)
+
+
+def dropped_fitting_subcube(mp):
+    # greedy's layer listing loses the last fitting cube of its top filled
+    # layer at order 9, gamma's only 5-cube and one of omega's nine 4-cubes,
+    # so greedy's profile fails there; exact search and the witness read
+    # ``_subcubes`` and keep theirs
+    clean = factors._subcube_layers
+
+    def subcube_layers(g):
+        fitting = clean(g)
+        if fitting is None or g.n != 9:
+            return fitting
+        every = (1 << g.vertex_count) - 1
+        top = max(k for k in range(g.vertex_count.bit_length()) if fitting(k, every))
+        return lambda k, remaining: fitting(k, remaining)[:-1 if k == top else None]
+
+    mp.setattr(factors, "_subcube_layers", subcube_layers)
 
 
 def dropped_edge_subcube(mp):
@@ -243,7 +265,7 @@ FAULTS = {
         extra_exact_part, reshaped_exact_profile, extra_greedy_part, extra_structural_part,
         short_witness, clashing_witness, rejecting_verify, wrong_vertex_count,
         undercounted_vertices, missing_edge_cube, dropped_cube_per_level, dropped_subcube,
-        dropped_edge_subcube, misread_label, unreadable_label, no_isomorphism, rejected_subcopy,
+        dropped_fitting_subcube, dropped_edge_subcube, misread_label, unreadable_label, no_isomorphism, rejected_subcopy,
         reversed_json, drifting_export,
     )
 }
@@ -794,7 +816,7 @@ EXPECTED = {
         'PASS gamma graphs are connected: [n=0..9]',
         'FAIL gamma exact-min part count equals padovan(n+1): first failure at n=9',
         'FAIL gamma cube-independent witness has padovan(n+1) vertices: first failure at n=9',
-        'FAIL gamma greedy-layered profile equals recurrence coefficients: first failure at n=9',
+        'PASS gamma greedy-layered profile equals recurrence coefficients: [n=0..9]',
         'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
         'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
         'INFO gamma exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[9]',
@@ -811,13 +833,49 @@ EXPECTED = {
         'PASS omega graphs are connected: [n=0..9]',
         'FAIL omega exact-min part count equals padovan(n+1): first failure at n=9',
         'FAIL omega cube-independent witness has padovan(n+1) vertices: first failure at n=9',
-        'FAIL omega greedy-layered profile equals recurrence coefficients: first failure at n=9',
+        'PASS omega greedy-layered profile equals recurrence coefficients: [n=0..9]',
         'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
         'PASS omega verify-factor passes on all three solvers: [n=0..9]',
         'INFO omega exact-min profile vs recurrence coefficients: minimum-count factor with a different profile at n=[9]',
         'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
         'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
         'FAIL omega cube enumeration equals coordinate subcubes at every dimension: first failure at n=8',
+        'PASS omega recursion split partitions the vertex set: [n=5..9]',
+        'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
+        'PASS omega order-4 member is the grid-plus-pendant graph: explicit isomorphism found',
+        'PASS omega factor JSON round-trips through verification: [n=5]',
+        'PASS omega exports are deterministic: [n=5]',
+    ],
+    ('dropped_fitting_subcube', 'gamma'): [
+        'PASS gamma vertex count equals fib(n+2): [n=0..9]',
+        'PASS gamma graphs are connected: [n=0..9]',
+        'PASS gamma exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS gamma cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'FAIL gamma greedy-layered profile equals recurrence coefficients: first failure at n=9',
+        'PASS gamma structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma verify-factor passes on all three solvers: [n=0..9]',
+        'PASS gamma exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS gamma dimension-1 cubes are exactly the edge set: [n=0..9]',
+        'PASS gamma adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS gamma cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
+        'PASS gamma recursion split partitions the vertex set: [n=3..9]',
+        'PASS gamma canonical subcopies equal freshly built members: [n=0..9]',
+        'PASS gamma factor JSON round-trips through verification: [n=5]',
+        'PASS gamma exports are deterministic: [n=5]',
+    ],
+    ('dropped_fitting_subcube', 'omega'): [
+        'PASS omega vertex count equals lucas(n): [n=0..9]',
+        'PASS omega graphs are connected: [n=0..9]',
+        'PASS omega exact-min part count equals padovan(n+1): [n=0..9]',
+        'PASS omega cube-independent witness has padovan(n+1) vertices: [n=0..9]',
+        'FAIL omega greedy-layered profile equals recurrence coefficients: first failure at n=9',
+        'PASS omega structural profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega verify-factor passes on all three solvers: [n=0..9]',
+        'PASS omega exact-min profile equals recurrence coefficients: [n=0..9]',
+        'PASS omega dimension-1 cubes are exactly the edge set: [n=0..9]',
+        'PASS omega adjacency is Hamming distance 1 on the label coordinates: [n=0..9]',
+        'PASS omega cube enumeration equals coordinate subcubes at every dimension: [n=0..9]',
         'PASS omega recursion split partitions the vertex set: [n=5..9]',
         'PASS omega canonical subcopies equal freshly built members: [n=0..9]',
         'PASS omega cross edges form a perfect matching on the smaller copy: [n=4..9]',
@@ -1016,9 +1074,9 @@ def test_omega_cross_edge_entry_reaches_the_construction_cap(monkeypatch):
 
 def test_oracle_audit_lists_each_members_cubes_once_per_enumerator(monkeypatch):
     # per order: enumerate_cubes once, by the audit, since the solvers read
-    # a member's subcubes; _subcubes four times, by the audit, exact search,
-    # greedy and cube_independent_set
-    calls = dict.fromkeys(("enumerate_cubes", "_subcubes"), 0)
+    # a member's subcubes; _subcubes three times, by the audit, exact search
+    # and cube_independent_set; and greedy's layer listing once
+    calls = dict.fromkeys(("enumerate_cubes", "_subcubes", "_subcube_layers"), 0)
     for name in calls:
         clean = getattr(factors, name)
 
@@ -1028,4 +1086,4 @@ def test_oracle_audit_lists_each_members_cubes_once_per_enumerator(monkeypatch):
 
         monkeypatch.setattr(factors, name, counted)
     audit.oracle_audit("gamma", 8)
-    assert calls == {"enumerate_cubes": 9, "_subcubes": 36}
+    assert calls == {"enumerate_cubes": 9, "_subcubes": 27, "_subcube_layers": 9}

@@ -91,11 +91,13 @@ construction, no label read), kept only when the graph has as many
 vertices and the adjacency rows rebuilt from their own level 1 equal the
 graph's, so the level the solvers read is the one checked. Greedy packs
 each layer from the cubes that fit the vertices left, and on a member
-reads only those, through ``_subcube_layers``: behind the same gate (the
-rows rebuilt from the coordinates' Hamming pairs), it finds the k-subcubes
-inside the remaining coordinates top-down on bitmaps over coordinate
-space, by ``interval_cubes``' split at the highest bit of the span, and
-builds no other cube. Every other graph, and a member that fails the
+reads only those, through ``_subcube_layers``: behind a gate with the
+same verdict (each adjacency bit joins two coordinates one bit apart, and
+the bits number twice the coordinates' Hamming pairs, so the edges are
+exactly those pairs), it finds the k-subcubes inside the remaining
+coordinates top-down on bitmaps over coordinate space, by
+``interval_cubes``' split at the highest bit of the span, and builds no
+other cube. Every other graph, and a member that fails the
 check, is read through ``enumerate_cubes``, whose levels greedy filters
 per layer. The choice is read off the graph's family, order and rows, and
 a custom graph costs one family test.
@@ -126,7 +128,7 @@ from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from . import graphs
-from .graphs import DEFAULT_MAX_N, LabeledGraph, _bits, expected_vertex_count, member_coordinates
+from .graphs import DEFAULT_MAX_N, LabeledGraph, _bits, member_coordinates
 from .polynomials import Family, _family
 
 __all__ = [
@@ -440,11 +442,20 @@ def _subcube_layers(g: LabeledGraph) -> Callable[[int, int], list[_Cube]] | None
     through it, and only the cubes that fit are built.
 
     Gate. The coordinates are :func:`_subcubes`' (the same family and order
-    test, so an order the vertex count cannot have builds none), and the
-    graph's rows must equal the rows rebuilt from the coordinates' pairs at
-    Hamming distance 1, one per coordinate. So its edges are exactly those
-    pairs, the graph :func:`interval_cubes`' proof needs; another vertex
-    count, or a missing, extra or one-sided adjacency bit, changes the rows.
+    test, so an order the vertex count cannot have builds none), one per
+    adjacency row. The rows are read once, bit by bit: no row may have a
+    bit at or past the vertex count (a negative row has one), and each bit
+    (u, v) must join coordinates one bit apart, which a self-loop, XOR 0,
+    does not. The ordered adjacent pairs are then among the ordered pairs
+    at Hamming distance 1, which number 2H, H = sum over j of
+    popcount(S & S >> 2**j & CLR_j) in the bitmaps below, the term for j
+    counting the pairs that differ at bit j. The adjacency bits must number
+    2H too, so the two sets are equal: the graph's edges are exactly the
+    coordinates' pairs at Hamming distance 1, the graph
+    :func:`interval_cubes`' proof needs. That is the verdict of
+    :func:`_subcubes`' rows comparison: another vertex count, or a
+    missing, extra, one-sided or moved adjacency bit, fails the count or
+    a bit's test.
 
     Bitmaps. A set X of coordinates is read as the int with bit c set for
     each c in X; S is the whole set, R the coordinates of ``remaining``.
@@ -460,31 +471,49 @@ def _subcube_layers(g: LabeledGraph) -> Callable[[int, int], list[_Cube]] | None
     direction sets with T_F(S) != 0, a tree in which F's parent is F less
     its highest bit, are grown once (:func:`_direction_tree`), and each call
     walks that tree with R down to |F| = k, leaving a subtree where T_F(R)
-    is 0 or the subtree does not reach k.
+    is 0 or the subtree does not reach k. S is built once, and R is carried
+    from call to call: each call toggles the coordinates of the vertices
+    that joined or left ``remaining`` since the last call (before the
+    first, every vertex and S), so any order of calls is read right, and
+    greedy's, which only shrinks ``remaining``, toggles each vertex at most
+    once.
 
     Cubes. Each u of T_F(R) with |F| = k is one cube: the ids of u + s, s
     over F's subset sums in counting order. Those sums increase, and a
     member's coordinates increase with id, so its vertices come out sorted;
     the list is sorted once into canonical order. Its mask is their OR.
     """
-    if (coords := _claimed_coordinates(g)) is None:
+    if (coords := _claimed_coordinates(g)) is None or len(g.adj) != len(coords):
         return None
+    nv = len(coords)
+    ends = 0  # the adjacency bits
+    for c, row in zip(coords, g.adj):
+        if row >> nv:  # a bit at or past the vertex count, or a negative row
+            return None
+        ends += row.bit_count()
+        while row:  # highest bit first, so the row shrinks as it is read
+            row ^= 1 << (v := row.bit_length() - 1)
+            if (c ^ coords[v]).bit_count() != 1:  # 0 on a self-loop
+                return None
     width = max(coords, default=0).bit_length()
     size = (1 << width) + 7 >> 3  # bytes per bitmap
     clr: list[int] = []  # CLR_j for each j < width
     for w in range(width):  # from the positions below 2**w to those below 2**(w+1)
         clr = [c | c << (1 << w) for c in clr] + [(1 << (1 << w)) - 1]
-    index = dict(zip(coords, range(len(coords))))  # coordinate -> id
-    flips = [1 << j for j in range(width)]
-    if tuple(sum([1 << index[c ^ f] for f in flips if c ^ f in index]) for c in coords) != g.adj:
+    whole = _bitmap(coords, size)  # S
+    if ends != 2 * sum([(whole & whole >> (1 << j) & clr[j]).bit_count() for j in range(width)]):
         return None
-    tree = _direction_tree(_bitmap(coords, size), 0, clr)
+    index = dict(zip(coords, range(nv)))  # coordinate -> id
+    tree = _direction_tree(whole, 0, clr)
+    last, inside = (1 << nv) - 1, whole  # the last ``remaining`` and its R
 
     def fitting(k: int, remaining: int) -> list[_Cube]:
+        nonlocal last, inside
+        # toggle the coordinates of the vertices that joined or left since
+        # the last call, read off the changed set's binary digits lowest first
+        inside ^= _bitmap(compress(coords, map("1".__eq__, bin(last ^ remaining)[:1:-1])), size)
+        last = remaining
         cubes = []
-        # the coordinates of the vertices in ``remaining``, read off its
-        # binary digits lowest first
-        inside = _bitmap(compress(coords, map("1".__eq__, bin(remaining)[:1:-1])), size)
         stack = [(inside, tree, (0,))]  # (T_F(R), F's subtree, F's subset sums)
         while stack:
             corners, kids, sums = stack.pop()
@@ -901,11 +930,16 @@ def _structural_parts(fam: Family, n: int) -> tuple[tuple[int, ...], ...]:
         return base[n]
     # member n is member n-1 ("0"), then member n-2 ("10") shifted by
     # |member n-1|, and member n-1 holds member n-2 ("00") with its ids and
-    # member n-3 ("010") shifted by |member n-2| (graphs' module docstring)
-    above, below = (expected_vertex_count(fam, n - drop) for drop in (1, 2))
-    lifted = tuple(p + tuple(v + above for v in p) for p in _structural_parts(fam, n - 2))
-    embedded = tuple(tuple(v + below for v in p) for p in _structural_parts(fam, n - 3))
-    return lifted + embedded
+    # member n-3 ("010") shifted by |member n-2| (graphs' module docstring).
+    # One forward pass from the last three bases keeps (parts, vertex count)
+    # of the three orders below the next, the counts a running sum
+    members = [(parts, sum(map(len, parts))) for parts in base[-3:]]
+    for _ in range(len(base), n + 1):
+        (low, _), (mid, below), (_, above) = members
+        lifted = tuple(p + tuple(v + above for v in p) for p in mid)
+        embedded = tuple(tuple(v + below for v in p) for p in low)
+        members = [members[1], members[2], (lifted + embedded, above + below)]
+    return members[2][0]
 
 
 def structural_factor(

@@ -7,12 +7,14 @@ coordinate set, and ``factors._subcubes`` hands a member's subcubes to the
 solvers only where its adjacency rows are exactly the level-1 pairs, the
 pairs at Hamming distance 1. Greedy reads its layers through
 ``factors._subcube_layers`` instead, which lists the k-subcubes inside
-the remaining vertices off coordinate bitmaps, behind the same gate.
+the remaining vertices off coordinate bitmaps, behind a gate with the
+same verdict that reads each adjacency bit once and counts them.
 These tests hold the subcubes against ``enumerate_cubes`` on drawn
 coordinate sets and the layer listing against its filtered levels on
-drawn remaining sets, check that any other graph keeps the extension
-route, check both coordinate routes against the built members' edges, and
-check that ``_subcubes`` reads no label.
+drawn remaining sets and call orders, check that any other graph keeps
+the extension route, rows off the Hamming rule included, check both
+coordinate routes against the built members' edges, and check that
+``_subcubes`` reads no label.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubefactor import factors
 from cubefactor.factors import (
     _inside,
     _subcube_layers,
@@ -90,6 +93,52 @@ def test_layer_listing_equals_the_filtered_extension_levels(drawn):
     assert fitting is not None
     for k in range(len(levels)):
         assert fitting(k, remaining) == _inside(levels, k, remaining), k
+
+
+@st.composite
+def call_sequences(draw):
+    # a member up to order 10 and a run of (k, remaining) calls, each
+    # remaining set the last one with a drawn vertex set toggled, so that
+    # it grows and shrinks, not only shrinks as under greedy
+    family, n = draw(st.sampled_from(("gamma", "omega"))), draw(st.integers(0, 10))
+    g, levels = member_levels(family, n)
+    vertices = st.sets(st.integers(0, g.vertex_count - 1)).map(lambda vs: sum(1 << v for v in vs))
+    calls = st.tuples(st.integers(0, len(levels) - 1), vertices)
+    return family, n, draw(st.lists(calls, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(call_sequences())
+def test_layer_listing_holds_in_any_call_order(drawn):
+    # ``fitting`` carries the last remaining set's coordinates from call
+    # to call; each call must list the same cubes as a fresh filter
+    family, n, calls = drawn
+    g, levels = member_levels(family, n)
+    fitting = _subcube_layers(g)
+    remaining = (1 << g.vertex_count) - 1
+    for k, toggled_vertices in calls:
+        remaining ^= toggled_vertices
+        assert fitting(k, remaining) == _inside(levels, k, remaining), (k, remaining)
+
+
+@pytest.mark.parametrize("family, n", [("gamma", 11), ("omega", 12)])
+def test_greedy_builds_the_full_coordinate_bitmap_once(family, n, monkeypatch):
+    # each layer after the first toggles only the coordinates of the
+    # vertices the layers above packed, so the bitmaps past the first hold
+    # at most every vertex once between them
+    built = []
+    clean = factors._bitmap
+
+    def counted(positions, size):
+        positions = list(positions)
+        built.append(len(positions))
+        return clean(positions, size)
+
+    monkeypatch.setattr(factors, "_bitmap", counted)
+    g = build_graph(family, n)
+    greedy_layered_factor(g)
+    assert built[0] == g.vertex_count and len(built) > 2
+    assert max(built[1:]) < g.vertex_count and sum(built[1:]) <= g.vertex_count
 
 
 def test_interval_cubes_lists_the_dimensions_its_size_allows():
@@ -211,6 +260,48 @@ def test_a_member_with_one_sided_adjacency_keeps_the_extension_route():
     adj[v] ^= 1 << u
     assert _subcubes(dataclasses.replace(g, adj=tuple(adj))) is None
     assert _subcube_layers(dataclasses.replace(g, adj=tuple(adj))) is None
+
+
+def row_faults():
+    # members whose rows break the Hamming rule with as many adjacency bits
+    # as the member has, so that only the check of each bit sees it; a bit
+    # past the vertex count, which the gate must refuse without an
+    # IndexError; and one row more than the vertex count
+    for family, n in (("gamma", 7), ("omega", 8)):
+        g = build_graph(family, n)
+        u, v = next(g.edges())
+        w = next(w for w in range(g.vertex_count) if w != u and not g.adj[u] >> w & 1
+                 and g.adj[u] & g.adj[w])  # at Hamming distance 2 from u
+        swapped = toggled(toggled(g, u, v), u, w)  # as many edges
+        yield pytest.param(swapped, id=f"{family}-{n}-edge-swapped")
+        adj = list(g.adj)
+        adj[u] ^= 1 << v | 1 << w  # on u's row only: as many bits
+        yield pytest.param(dataclasses.replace(g, adj=tuple(adj)), id=f"{family}-{n}-bit-swapped")
+        adj = list(g.adj)
+        adj[u] |= 1 << g.vertex_count
+        yield pytest.param(dataclasses.replace(g, adj=tuple(adj)), id=f"{family}-{n}-bit-out-of-range")
+        adj = list(g.adj)
+        adj[u] ^= 1 << v | 1 << u  # a neighbour's bit swapped for u's own
+        yield pytest.param(dataclasses.replace(g, adj=tuple(adj)), id=f"{family}-{n}-self-loop")
+        yield pytest.param(dataclasses.replace(g, adj=(*g.adj, 0)), id=f"{family}-{n}-extra-row")
+
+
+def greedy_outcome(g):
+    # greedy's factor, or the type of the error it raises: with a bit past
+    # the vertex count, enumerate_cubes reads a row that is not there
+    try:
+        return greedy_layered_factor(g)
+    except IndexError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("g", row_faults())
+def test_a_member_with_rows_off_the_hamming_rule_keeps_the_extension_route(g):
+    assert _subcube_layers(g) is None
+    # the same ids and rows, family "custom": custom_graph cannot build
+    # these rows, so they are set on the clean member's twin
+    twin = dataclasses.replace(as_custom(build_graph(g.family, g.n)), adj=g.adj)
+    assert greedy_outcome(g) == greedy_outcome(twin)
 
 
 @pytest.mark.parametrize("family", ["gamma", "omega"])
